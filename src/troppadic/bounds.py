@@ -481,13 +481,12 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None, jobs=1):
+def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
     """Run the whole pipeline on an n x n system of parameterized series.
 
     Returns a BoundReport whose s_bound dominates the number of roots with
     all coordinate valuations in the domain, whenever that number is
-    finite; an infinite solution set is not detected.  ``jobs`` bounds the
-    per-component worker pool; results are order-stable either way.
+    finite; an infinite solution set is not detected.
     """
     n = system[0].nx
     if len(system) != n:
@@ -514,13 +513,7 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None, jo
         others = [piece for j, c in enumerate(comps) if j != idx for piece in c]
         return stable_multiplicity(fs, datas, comps[idx], crng, others=others)
 
-    if jobs > 1 and len(comps) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_component, range(len(comps))))
-    else:
-        results = [run_component(i) for i in range(len(comps))]
+    results = [run_component(i) for i in range(len(comps))]
 
     total = 0
     comp_records = []

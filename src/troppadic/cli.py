@@ -43,8 +43,7 @@ def _common_flags(sp):
     sp.add_argument("--prec", type=int, default=16, help="valuation budget")
     sp.add_argument("--deg", type=int, default=12, help="degree budget")
     sp.add_argument("--domain", help="comma list of rationals or 'none' per variable")
-    sp.add_argument("--seed", help="random seed (bound jobs require one)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker bound")
+    sp.add_argument("--seed", help="random seed (bound-system requires one)")
     sp.add_argument(
         "--normalization",
         choices=("coefficient", "normalized"),
@@ -131,7 +130,7 @@ def cmd_bound_system(args):
         raise FormatError("bound-system requires --seed or TROPPADIC_SEED")
     fs = [_load_series(path, args) for path in args.inputs]
     system = [ParamSeries.from_series(f) for f in fs]
-    report = system_root_bound(system, WBoundOracle(), seed, jobs=args.jobs)
+    report = system_root_bound(system, WBoundOracle(), seed)
     _emit(args, report.to_json())
     return 0
 

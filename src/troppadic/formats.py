@@ -97,9 +97,9 @@ def series_from_dict(obj) -> RestrictedSeries:
         t = obj["tail"]
         offset = INF if t["offset"] == "inf" else parse_frac(t["offset"])
         tail = TailBound(int(t["cutoff"]), parse_frac(t["slope"]), offset)
+        return RestrictedSeries(p, nvars, terms, tail=tail, domain=domain)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed series document: {exc}") from exc
-    return RestrictedSeries(p, nvars, terms, tail=tail, domain=domain)
 
 
 def polytope_to_dict(poly: QPolyhedron) -> dict:

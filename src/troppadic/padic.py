@@ -61,10 +61,7 @@ class _Infinity:
         raise ArithmeticError("cannot negate +Infinity")
 
 
-INF = _Infinity()
-
-# A valuation is either a Fraction or INF.
-ValuationQ = object
+INF = _Infinity()  # a valuation is either a Fraction or INF
 
 
 def val_min(*vals):
@@ -376,19 +373,6 @@ class PadicScaled:
 def valuation(x: PadicScaled):
     """v(x); +Infinity for exact zero."""
     return x.valuation()
-
-
-def arith(a: PadicScaled, b: PadicScaled, op: str) -> PadicScaled:
-    """Field operation dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def difference_floor(a: PadicScaled, b: PadicScaled):

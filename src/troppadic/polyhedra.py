@@ -6,10 +6,11 @@ as inequality pairs so that epsilon-thickening relaxes them into slabs like
 every other constraint.  V-representations carry rational vertices plus
 primitive integer rays and lines.
 
-Hulls are dimension-dispatched: monotone chain in the plane, gift wrapping
-with coplanar-maximal facets in 3-space, brute-force facet enumeration in
-higher (desk-scale) dimensions.  H-to-V conversion, emptiness and
-intersections go through a double-description cone engine.  Everything is
+One engine does the polyhedral work: an integer double-description cone
+method.  H-to-V conversion, emptiness and intersections run it on the
+homogenized inequalities; hulls in dimension 3 and up read their facets
+off the rays of the polar cone.  Only the line and the plane keep direct
+code (min/max, monotone chain), which is faster there.  Everything is
 deterministic: canonical primitive normals, lexicographic sorting, no
 randomization anywhere.
 """
@@ -52,10 +53,8 @@ def to_frac_point(pt):
 def primitive(vec):
     """Scale a rational vector to coprime integers, preserving direction."""
     if all(isinstance(x, int) for x in vec):
-        if all(x == 0 for x in vec):
-            return tuple(vec)
-        g = math.gcd(*(abs(i) for i in vec))
-        return tuple(i // g for i in vec)
+        g = math.gcd(*vec)
+        return tuple(vec) if g <= 1 else tuple(i // g for i in vec)
     fr = [F(x) for x in vec]
     if all(x == 0 for x in fr):
         return tuple(0 for _ in fr)
@@ -219,142 +218,6 @@ def _facets_2d(pts):
     return facets
 
 
-def _plane_through(a, b, c):
-    n = (
-        (b[1] - a[1]) * (c[2] - a[2]) - (b[2] - a[2]) * (c[1] - a[1]),
-        (b[2] - a[2]) * (c[0] - a[0]) - (b[0] - a[0]) * (c[2] - a[2]),
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]),
-    )
-    return n
-
-
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _facets_3d(pts):
-    """Gift wrapping with an exact rotation-order pivot.
-
-    Facets are maximal coplanar sets, so degenerate (coplanar) inputs are
-    safe.  The pivot around an axis on the current supporting plane picks
-    the candidate maximizing sigma*s/(-t) where (s, t) are the candidate's
-    coordinates in the frame (cross(axis, n), n); that projective maximum
-    is exactly the first plane hit when rotating, so a single pass finds a
-    supporting plane.
-    """
-    npts = len(pts)
-
-    def facet_from_plane(n, off):
-        tight = [i for i in range(npts) if vdot(n, pts[i]) == off]
-        np_ = primitive(n)
-        offp = vdot(np_, pts[tight[0]])
-        if any(vdot(np_, q) > offp for q in pts):
-            np_ = tuple(-x for x in np_)
-            offp = -offp
-        if any(vdot(np_, q) > offp for q in pts):
-            raise AssertionError("pivot produced a non-supporting plane")
-        return np_, offp, tight
-
-    def pivot(base, axis, n, off, sigma):
-        """Best candidate plane through the axis line, rotating from (n, off)."""
-        m = _cross3(axis, n)
-        best = None  # (s, t, index) with t < 0, maximizing sigma*s/(-t)
-        for q in range(npts):
-            rel = vsub(pts[q], base)
-            t = vdot(pts[q], n) - off
-            if t == 0:
-                continue
-            s = sigma * vdot(rel, m)
-            if best is None or s * (-best[1]) > best[0] * (-t):
-                best = (s, t, q)
-        if best is None:
-            return None
-        q = pts[best[2]]
-        cand = _plane_through(base, vadd(base, axis), q)
-        return facet_from_plane(cand, vdot(cand, base))
-
-    # initial supporting plane: vertical, through a projected hull edge
-    proj = [(q[0], q[1]) for q in pts]
-    rank2, _ = _affine_pivots(_dedupe(proj))
-    if rank2 != 2:
-        raise ValueError("full-rank 3d input cannot have a collinear shadow")
-    cyc = _hull2d_cycle(proj)
-    a2, b2 = proj[cyc[0]], proj[cyc[1]]
-    d = (b2[0] - a2[0], b2[1] - a2[1])
-    n0 = (d[1], -d[0], 0)
-    off0 = n0[0] * a2[0] + n0[1] * a2[1]
-    if any(vdot(n0, q) > off0 for q in pts):
-        n0, off0 = tuple(-x for x in n0), -off0
-    tight0 = [i for i in range(npts) if vdot(n0, pts[i]) == off0]
-    if matrix_rank([vsub(pts[i], pts[tight0[0]]) for i in tight0[1:]]) >= 2:
-        first = facet_from_plane(n0, off0)
-    else:
-        base = pts[tight0[0]]
-        axis = next(vsub(pts[i], base) for i in tight0[1:] if pts[i] != base)
-        first = pivot(base, axis, n0, off0, 1)
-        if first is None:
-            raise ValueError("cannot initialize gift wrapping")
-
-    facets = {(first[0], first[1]): first[2]}
-    queue = [first]
-    while queue:
-        n, off, tight = queue.pop()
-        sub = [pts[i] for i in tight]
-        cyc = _hull2d_cycle(_project_points(sub))
-        m = len(cyc)
-        for k in range(m):
-            v1, v2 = sub[cyc[k]], sub[cyc[(k + 1) % m]]
-            axis = vsub(v2, v1)
-            frame = _cross3(axis, n)
-            s_int = next(
-                s for s in (vdot(vsub(pts[i], v1), frame) for i in tight) if s != 0
-            )
-            sigma = -1 if s_int > 0 else 1  # rotate away from the facet interior
-            neighbor = pivot(v1, axis, n, off, sigma)
-            if neighbor is None:
-                continue
-            key = (neighbor[0], neighbor[1])
-            if key not in facets:
-                facets[key] = neighbor[2]
-                queue.append(neighbor)
-    return [(nk[0], nk[1], t) for nk, t in sorted(facets.items())]
-
-
-def _facets_brute(pts):
-    """Facet enumeration by hyperplane candidates; any dimension, small sets."""
-    d = len(pts[0])
-    from itertools import combinations
-
-    found = {}
-    for combo in combinations(range(len(pts)), d):
-        base = pts[combo[0]]
-        dirs = [vsub(pts[i], base) for i in combo[1:]]
-        if matrix_rank(dirs) != d - 1:
-            continue
-        ns = null_space(dirs, d)
-        if len(ns) != 1:
-            continue
-        n = ns[0]
-        off = vdot(n, base)
-        sides = [vdot(n, q) - off for q in pts]
-        if all(s <= 0 for s in sides):
-            pass
-        elif all(s >= 0 for s in sides):
-            n, off = tuple(-x for x in n), -off
-        else:
-            continue
-        n = primitive(n)
-        off = vdot(n, base)
-        key = (n, off)
-        if key not in found:
-            found[key] = [i for i, q in enumerate(pts) if vdot(n, q) == off]
-    return [(k[0], k[1], t) for k, t in sorted(found.items())]
-
-
 def _project_points(pts):
     """Project onto pivot coordinates of the affine hull (injective there)."""
     rank, pivots = _affine_pivots(_dedupe(pts))
@@ -376,6 +239,18 @@ def _int_scaled(pts):
     return [tuple(int(x * den) for x in q) for q in pts], den
 
 
+def _facets_polar(pts):
+    """Facets of conv(pts), full-rank integer points: each ray (c0, c) of
+    the polar cone {(c0, c) : c0 + <c, q> >= 0} is the facet <-c, x> <= c0."""
+    _, rays = _polar_cone(pts)
+    out = []
+    for c in rays:
+        normal = tuple(-x for x in c[1:])
+        tight = [i for i, q in enumerate(pts) if vdot(normal, q) == c[0]]
+        out.append((normal, c[0], tight))
+    return sorted(out)
+
+
 def _facets_fullrank(pts):
     d = len(pts[0])
     scaled, den = _int_scaled(pts)
@@ -383,23 +258,11 @@ def _facets_fullrank(pts):
         out = _facets_1d(scaled)
     elif d == 2:
         out = _facets_2d(scaled)
-    elif d == 3:
-        out = _facets_3d(scaled)
     else:
-        out = _facets_brute(scaled)
+        out = _facets_polar(scaled)
     if den == 1:
         return out
     return [(n, F(off, den), t) for n, off, t in out]
-
-
-def facet_sets(points):
-    """Tight index sets of the facets of conv(points), in intrinsic rank."""
-    pts = [to_frac_point(p) for p in points]
-    rank, _ = _affine_pivots(_dedupe(pts))
-    if rank == 0:
-        return []
-    proj = _project_points(pts)
-    return [tuple(t) for _, _, t in _facets_fullrank(proj)]
 
 
 def all_faces(points):
@@ -433,76 +296,92 @@ def all_faces(points):
 def _dd_cone(rows, dim):
     """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers.
 
-    Zero-set masks are recomputed exactly after every insertion so the
-    combinatorial adjacency test never sees stale tightness information.
+    The double description method (Fukuda & Prodon 1996) in integer
+    arithmetic.  Rows are scaled to primitive integers.  Every ray carries
+    the exact set of processed rows it is tight on as a bit mask, kept
+    exact incrementally when row k is inserted:
+
+    - a ray that survives row k gains bit k exactly when it is zero on it;
+    - a new ray sp*vn - sn*vp is a positive combination of two rays that
+      are feasible on the earlier rows, so it is tight exactly where both
+      are, plus row k: mask (mp & mn) | bit k;
+    - while a line is eliminated, the rebuilt rays keep their mask and gain
+      bit k, and the eliminated line becomes a ray tight on every earlier
+      row.
+
+    Two rays are adjacent when no third ray is tight on every row they
+    share; exact masks make that combinatorial test exact.
     """
-    lines = [tuple(F(1) if j == i else F(0) for j in range(dim)) for i in range(dim)]
-    rays = []  # list of (vector, zero-mask)
-    processed = []
-
-    def exact_mask(vec):
-        m = 0
-        for i, r in enumerate(processed):
-            if vdot(vec, r) == 0:
-                m |= 1 << i
-        return m
-
-    for row in rows:
-        row = to_frac_point(row)
+    lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    rays = []  # (vector, zero-mask) pairs
+    for k, row in enumerate(rows):
+        row = primitive(row)
+        bit = 1 << k
         nz = [l for l in lines if vdot(l, row) != 0]
         if nz:
             l0 = nz[0]
-            if vdot(l0, row) < 0:
-                l0 = vscale(l0, -1)
             d0 = vdot(l0, row)
+            if d0 < 0:
+                l0, d0 = vscale(l0, -1), -d0
             new_lines = [l for l in lines if vdot(l, row) == 0]
             for l in nz[1:]:
                 new_lines.append(vsub(vscale(l, d0), vscale(l0, vdot(l, row))))
-            new_rays = [vsub(vscale(v, d0), vscale(l0, vdot(v, row))) for v, _ in rays]
-            new_rays.append(l0)
-            lines = [tuple(F(x) for x in primitive(l)) for l in new_lines]
-            cand = [tuple(F(x) for x in primitive(v)) for v in new_rays]
+            lines = [primitive(l) for l in new_lines]
+            cand = [
+                (vsub(vscale(v, d0), vscale(l0, vdot(v, row))), m | bit) for v, m in rays
+            ]
+            cand.append((l0, bit - 1))
         else:
             pos, zero, neg = [], [], []
             for vec, mask in rays:
                 s = vdot(vec, row)
                 (pos if s > 0 else zero if s == 0 else neg).append((vec, mask, s))
-            cand = [v for v, _, _ in pos + zero]
+            cand = [(v, m) for v, m, _ in pos] + [(v, m | bit) for v, m, _ in zero]
+            masks = [m for _, m in rays]
             for vp, mp, sp in pos:
                 for vn, mn, sn in neg:
                     common = mp & mn
-                    adjacent = True
-                    for vo, mo in rays:
-                        if vo is vp or vo is vn:
-                            continue
-                        if (mo & common) == common:
-                            adjacent = False
-                            break
-                    if not adjacent:
-                        continue
-                    w = vsub(vscale(vn, sp), vscale(vp, sn))
-                    cand.append(tuple(F(x) for x in primitive(w)))
-        processed.append(row)
+                    # vp and vn are tight on common; a third such ray
+                    # means they are not adjacent
+                    hits = 0
+                    for mo in masks:
+                        if mo & common == common:
+                            hits += 1
+                            if hits > 2:
+                                break
+                    else:
+                        w = vsub(vscale(vn, sp), vscale(vp, sn))
+                        cand.append((w, common | bit))
         seen = set()
         rays = []
-        for vec in cand:
-            if vec in seen or all(x == 0 for x in vec):
+        for vec, mask in cand:
+            vec = primitive(vec)
+            if vec in seen or not any(vec):
                 continue
             seen.add(vec)
-            rays.append((vec, exact_mask(vec)))
-    out_lines = sorted(primitive(l) for l in lines)
-    out_rays = sorted(primitive(v) for v, _ in rays)
-    return out_lines, out_rays
+            rays.append((vec, mask))
+    return sorted(lines), sorted(v for v, _ in rays)
 
 
-def hrep_generators(ineqs, eqs, ambient):
-    """V-data (vertices, rays, lines) of {x: ineqs hold, eqs hold}."""
+def _polar_cone(points, rays=(), lines=()):
+    """(lines, rays) of the cone of (c0, c) with c0 + <c, q> >= 0 on the
+    points, <c, r> >= 0 on the rays and <c, l> = 0 on the lines: each
+    generator (c0, c) with c != 0 is a valid inequality <-c, x> <= c0."""
+    rows = [(1,) + tuple(q) for q in points]
+    rows += [(0,) + tuple(r) for r in rays]
+    for l in lines:
+        rows.append((0,) + tuple(l))
+        rows.append((0,) + tuple(-x for x in l))
+    return _dd_cone(rows, len(points[0]) + 1)
+
+
+def hrep_generators(ineqs, ambient):
+    """V-data (vertices, rays, lines) of {x: <u, x> <= a for (u, a) in
+    ineqs}, integer u; the DD rows are (a, -u) cleared of a's denominator."""
     rows = []
-    for u, a in eqs:
-        rows.append((a,) + tuple(-F(x) for x in u))
-        rows.append((-a,) + tuple(F(x) for x in u))
     for u, a in ineqs:
-        rows.append((a,) + tuple(-F(x) for x in u))
+        a = F(a)
+        rows.append((a.numerator,) + tuple(-x * a.denominator for x in u))
     rows.append((1,) + (0,) * ambient)
     lines, rays = _dd_cone(rows, ambient + 1)
     vertices, crays, clines = [], [], []
@@ -538,18 +417,16 @@ class QPolyhedron:
 
     @staticmethod
     def from_hrep(ineqs, eqs=(), ambient=None) -> "QPolyhedron":
-        ineqs = [(tuple(int(x) for x in primitive(u)), _rescaled_offset(u, a)) for u, a in ineqs]
-        folded = list(ineqs)
+        folded = [_normalized(u, a) for u, a in ineqs]
         for u, a in eqs:
-            up = tuple(int(x) for x in primitive(u))
-            ap = _rescaled_offset(u, a)
+            up, ap = _normalized(u, a)
             folded.append((up, ap))
             folded.append((tuple(-x for x in up), -ap))
         if ambient is None:
             if not folded:
                 raise ValueError("ambient dimension required for an empty H-rep")
             ambient = len(folded[0][0])
-        vertices, rays, lines = hrep_generators(folded, (), ambient)
+        vertices, rays, lines = hrep_generators(folded, ambient)
         return QPolyhedron(
             ambient,
             tuple(folded),
@@ -749,15 +626,17 @@ class QPolyhedron:
         )
 
 
-def _rescaled_offset(u, a):
+def _normalized(u, a):
+    """The inequality <u, x> <= a rescaled to a primitive integer normal."""
     pu = primitive(u)
-    fu = [F(x) for x in u]
-    nz = next((i for i, x in enumerate(fu) if x != 0), None)
+    nz = next((i for i, x in enumerate(pu) if x != 0), None)
     if nz is None:
         if F(a) < 0:
             raise ValueError("inconsistent trivial inequality")
-        return F(a)
-    return F(a) * pu[nz] / fu[nz]
+        return pu, F(a)
+    if pu == tuple(u):  # already normalized: intersections pass carried rows
+        return pu, F(a)
+    return pu, F(a) * pu[nz] / F(u[nz])
 
 
 def _hull_of_points(points, ambient):
@@ -793,18 +672,13 @@ def _hull_of_points(points, ambient):
         active = [normals[k] for k, (u, a) in enumerate(ineqs) if vdot(u, q) == a]
         if matrix_rank(active) == ambient:
             verts.append(q)
-    ineqs = [(tuple(int(x) for x in primitive(u)), _rescaled_offset(u, a)) for u, a in ineqs]
+    ineqs = [_normalized(u, a) for u, a in ineqs]
     return QPolyhedron(ambient, tuple(sorted(ineqs)), tuple(sorted(verts)), (), ())
 
 
 def _hull_with_rays(points, rays, lines, ambient):
     """Facets of conv(points) + cone(rays) + span(lines) via the polar cone."""
-    rows = [(1,) + tuple(p) for p in points]
-    rows += [(0,) + tuple(F(x) for x in r) for r in rays]
-    for l in lines:
-        rows.append((0,) + tuple(F(x) for x in l))
-        rows.append((0,) + tuple(-F(x) for x in l))
-    dlines, drays = _dd_cone(rows, ambient + 1)
+    dlines, drays = _polar_cone(points, rays, lines)
     ineqs = []
     for c in drays:
         u = tuple(-x for x in c[1:])
@@ -868,18 +742,18 @@ def lower_hull(lifted):
     lift = [p + (h,) for p, h in items]
     rank, _ = _affine_pivots(_dedupe(lift))
 
-    lower_facet_sets = []
+    lower_facets = []
     if rank == n + 1:
         for normal, off, tight in _facets_fullrank(lift):
             if normal[-1] < 0:
-                lower_facet_sets.append(tuple(tight))
+                lower_facets.append(tuple(tight))
     else:
         # all lifted points affinely dependent: heights are an affine
         # function of the points, every face of the projected hull is lower
-        lower_facet_sets.append(tuple(range(len(lift))))
+        lower_facets.append(tuple(range(len(lift))))
 
     seen = set()
-    for tight in lower_facet_sets:
+    for tight in lower_facets:
         for face in all_faces([lift[i] for i in tight]):
             seen.add(frozenset(tight[i] for i in face))
 

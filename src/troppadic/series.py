@@ -920,15 +920,13 @@ class ParamSeries:
         return ParamSeries(self.p, self.nx - 1, self.nparams, coeffs, self.param_domain)
 
     def canonical_key(self):
-        parts = []
-        for exps in sorted(self.coeffs):
-            s = self.coeffs[exps]
-            body = tuple(
-                (i, c.valuation(), c.unit_digits(1) if not c.is_zero() else 0)
-                for i, c in sorted(s.terms.items())
-            )
-            parts.append((exps, body))
-        return (self.p, self.nx, self.nparams, tuple(parts))
+        """Hashable key of the exact coefficient data: every stored
+        coefficient of every coefficient series, and its tail bound."""
+        parts = tuple(
+            (exps, tuple(sorted(s.terms.items())), None if s.tail.is_empty else s.tail)
+            for exps, s in sorted(self.coeffs.items())
+        )
+        return (self.p, self.nx, self.nparams, parts)
 
     def __repr__(self):
         return f"ParamSeries(p={self.p}, nx={self.nx}, nparams={self.nparams}, support={self.support()})"

@@ -81,6 +81,19 @@ def test_registered_oracle_values():
     assert oracle.d_for(f) == 9
 
 
+def test_registered_oracle_key_is_exact():
+    # same coefficient valuations and first unit digits, different series
+    p = 5
+    f = pseries(p, 1, 0, {(0,): 1, (1,): 1, (2,): 5})
+    g = pseries(p, 1, 0, {(0,): 6, (1,): 11, (2,): 5})
+    assert f.canonical_key() != g.canonical_key()
+    assert f.canonical_key() == pseries(p, 1, 0, {(0,): 1, (1,): 1, (2,): 5}).canonical_key()
+    oracle = WBoundOracle()
+    oracle.register(f.canonical_key(), 9)
+    assert oracle.d_for(f) == 9
+    assert oracle.d_for(g) == oracle.compute_d(g) != 9
+
+
 def test_oracle_missing_for_inexact_representation():
     from troppadic.series import TailBound
 

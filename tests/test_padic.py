@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from troppadic.errors import DivisionByZero, PrecisionExhausted
-from troppadic.padic import INF, PadicScaled, arith, difference_floor, valuation
+from troppadic.padic import INF, PadicScaled, difference_floor, valuation
 
 F = Fraction
 
@@ -20,7 +20,7 @@ def test_valuation_examples():
 
 
 def test_add_carry_across_uniformizer():
-    s = arith(ex(2), ex(3), "add")
+    s = ex(2) + ex(3)
     assert s.rational_value() == 5
     assert s.valuation() == 1
     assert s.unit_digits(3) == 1
@@ -29,27 +29,27 @@ def test_add_carry_across_uniformizer():
 def test_mul_valuations_add():
     a = PadicScaled.approx(5, 2, 7, 6)
     b = PadicScaled.approx(5, 3, 11, 6)
-    assert arith(a, b, "mul").valuation() == 5
+    assert (a * b).valuation() == 5
 
 
 def test_div_geometric_series_digits():
     # oracle: 1/(1-5) has unit digits sum(5^k, k<4) * (unit of -1/4 inverse);
     # directly: -1/4 mod 5^4 computed with modular inverse
-    got = arith(ex(1), ex(1) - ex(5), "div")
+    got = ex(1) / (ex(1) - ex(5))
     oracle = (-pow(4, -1, 5**4)) % 5**4
     assert got.unit_digits(4) == oracle == 156
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        arith(ex(1), PadicScaled.zero(5), "div")
+        ex(1) / PadicScaled.zero(5)
 
 
 def test_precision_exhausted_on_full_cancellation():
     a = PadicScaled.approx(5, 0, 7, 4)
     b = PadicScaled.approx(5, 0, 7, 4)
     with pytest.raises(PrecisionExhausted) as exc:
-        arith(a, b, "sub")
+        a - b
     assert exc.value.floor == 4
     assert difference_floor(a, b) == 4
 
@@ -99,7 +99,7 @@ def test_div_mul_roundtrip_within_precision():
         p = 5
         a = PadicScaled.approx(p, rng.randint(-3, 3), unit(p), 6)
         b = PadicScaled.approx(p, rng.randint(-3, 3), unit(p), 6)
-        back = arith(arith(a, b, "div"), b, "mul")
+        back = (a / b) * b
         assert difference_floor(back, a) >= a.valuation() + 6
 
 

@@ -1,22 +1,26 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
     PolyComplex,
     QPolyhedron,
     _decompose_simplices,
-    _facets_brute,
+    _facets_fullrank,
     convex_hull,
     det,
     epsilon_thicken,
     lower_hull,
+    matrix_rank,
     minkowski_sum,
     mixed_volume,
+    null_space,
+    primitive,
     vdot,
     volume,
     vsub,
@@ -24,8 +28,50 @@ from troppadic.polyhedra import (
 
 F = Fraction
 
+# Deterministic draws, so a tier-1 run never differs from the last one.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def point_sets(d, lo, hi, min_size, max_size):
+    return st.lists(
+        st.tuples(*[st.integers(lo, hi)] * d),
+        min_size=min_size,
+        max_size=max_size,
+        unique=True,
+    )
+
 
 # --------------------------------------------------------------- oracles
+
+
+def _facets_brute(pts):
+    """Facet enumeration by hyperplane candidates: every d-subset of the
+    points that spans a hyperplane with all points on one side."""
+    d = len(pts[0])
+    found = {}
+    for combo in combinations(range(len(pts)), d):
+        base = pts[combo[0]]
+        dirs = [vsub(pts[i], base) for i in combo[1:]]
+        if matrix_rank(dirs) != d - 1:
+            continue
+        ns = null_space(dirs, d)
+        if len(ns) != 1:
+            continue
+        n = ns[0]
+        off = vdot(n, base)
+        sides = [vdot(n, q) - off for q in pts]
+        if all(s <= 0 for s in sides):
+            pass
+        elif all(s >= 0 for s in sides):
+            n, off = tuple(-x for x in n), -off
+        else:
+            continue
+        n = primitive(n)
+        off = vdot(n, base)
+        key = (n, off)
+        if key not in found:
+            found[key] = [i for i, q in enumerate(pts) if vdot(n, q) == off]
+    return [(k[0], k[1], t) for k, t in sorted(found.items())]
 
 
 def brute_hull_vertices(points):
@@ -37,10 +83,7 @@ def brute_hull_vertices(points):
     verts = set()
     for n, off, tight in facets:
         for i in tight:
-            others = [(u, a) for u, a, t in facets if i in t]
-            rows = [u for u, _ in others]
-            from troppadic.polyhedra import matrix_rank
-
+            rows = [u for u, a, t in facets if i in t]
             if matrix_rank(rows) == len(pts[0]):
                 verts.add(pts[i])
     return sorted(verts)
@@ -142,14 +185,22 @@ def test_hull_degenerate_coplanar_3d():
     assert sorted(hull.vertices) == [(0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 4)]
 
 
-def test_hv_roundtrip_property():
-    rng = random.Random(77)
-    for _ in range(10):
-        pts = rand_points(rng, rng.choice([2, 3]), 12)
-        hull = convex_hull(pts)
-        back = QPolyhedron.from_hrep(hull.ineqs, ambient=hull.ambient)
-        assert back.same_set(hull)
-        assert sorted(back.vertices) == sorted(hull.vertices)
+@PROPERTY
+@given(st.integers(3, 4).flatmap(lambda d: point_sets(d, -3, 3, d + 1, 10)))
+def test_facets_match_brute_force_oracle(pts):
+    d = len(pts[0])
+    assume(matrix_rank([vsub(q, pts[0]) for q in pts[1:]]) == d)
+    assert _facets_fullrank(pts) == _facets_brute(pts)
+
+
+@PROPERTY
+@given(st.integers(2, 4).flatmap(lambda d: point_sets(d, -6, 6, 1, 12)))
+def test_hv_roundtrip_property(pts):
+    """V -> H -> V: the hull's inequalities give back its vertices."""
+    hull = convex_hull(pts)
+    back = QPolyhedron.from_hrep(hull.ineqs, ambient=hull.ambient)
+    assert back.same_set(hull)
+    assert back.vertices == hull.vertices
 
 
 # --------------------------------------------------------------- lower hull
@@ -269,9 +320,12 @@ def test_volume_unbounded_raises():
 
 
 def test_mixed_volume_simplex_pair():
-    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
-    # vol((l1+l2) tri) = (l1+l2)^2/2: coefficient of l1 l2 is 1
-    assert mixed_volume([tri, tri]) == 1
+    for n in (2, 4):
+        simplex = convex_hull(
+            [(0,) * n] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        )
+        # vol((l1+...+ln) simplex) = (l1+...+ln)^n/n!: coefficient of l1...ln is 1
+        assert mixed_volume([simplex] * n) == 1
 
 
 def test_mixed_volume_segments():
@@ -282,8 +336,8 @@ def test_mixed_volume_segments():
 
 def test_mixed_volume_diagonal_is_factorial_times_volume():
     rng = random.Random(2024)
-    for n in (2, 3):
-        for _ in range(4):
+    for n, count in ((2, 4), (3, 4), (4, 1)):
+        for _ in range(count):
             p = convex_hull(rand_points(rng, n, n + 4))
             mv = mixed_volume([p] * n)
             assert mv == math.factorial(n) * volume(p)
