@@ -7,7 +7,9 @@ From d the recursive box E(f) confines every specialized Newton support;
 boxes give the isolated bounds D1 (a cap on codimension-one cells) and
 D2 = E^n (a cap on per-point multiplicities), and the stable-intersection
 sum S(f) = sum over components of i(C, ...) gives the reported bound, with
-T = T1*T2 as a box-only cross-check.
+T = D1*T2 as a box-only cross-check.  Each i(C, ...) is a sum of mixed
+volumes at the vertices of the common refinement inside C, so the bound
+involves no random choice: the seed only reaches the pointedness repair.
 
 Mixed volumes enter in coefficient (unnormalized) mode throughout, the
 larger of the two readings, so every reported bound stays sound under
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .errors import GenericityFailure, OracleMissing
 from .padic import PadicScaled
-from .polyhedra import _row_reduce, convex_hull, epsilon_thicken, mixed_volume
+from .polyhedra import _row_reduce, convex_hull, mixed_volume
 from .series import ParamSeries, RestrictedSeries, shift_variable
 from .tropical import connected_components, trop_complex, vert_nu
 
@@ -297,9 +299,6 @@ def _dual_polytope(f: RestrictedSeries, nu):
 
 @dataclass
 class MultiplicityTranscript:
-    epsilon: Fraction = None
-    thicken: Fraction = None
-    shift_vectors: list = None
     points: list = field(default_factory=list)  # (nu, mv)
 
 
@@ -310,122 +309,24 @@ def _as_int(mv) -> int:
     return int(mv)
 
 
-def stable_multiplicity(fs, datas, component, rng, others=(), max_retries=32):
+def stable_multiplicity(fs, component):
     """i(C, Trop(f_1)...Trop(f_n)) for one connected component.
 
-    An isolated point contributes the coefficient-mode mixed volume of the
-    dual cells directly.  A positive-dimensional component is thickened
-    (shrinking until the thickening separates it from every other
-    component), then the complexes are shifted by eps*v_i until every
-    intersection surviving inside the thickening is a transverse point in
-    its interior coming from one of the component's own pieces.
+    The stable intersection of tropical hypersurfaces is carried by the
+    vertices nu of their common refinement, and its multiplicity at nu is
+    the mixed volume of the initial Newton polytopes conv(vert_nu(f_i))
+    (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.6).  The
+    refinement's cells inside C are the component's pieces, so the sum runs
+    over their distinct vertices.  At any other point of C the initial
+    polytopes all lie orthogonal to the piece through it and add zero.
     """
-    n = fs[0].nvars
     transcript = MultiplicityTranscript()
-    if component and all(p.affine_dim() == 0 for p in component):
-        points = sorted({p.vertices[0] for p in component})
-        if len(points) == 1:
-            nu = points[0]
-            duals = [_dual_polytope(f, nu) for f in fs]
-            mv = _as_int(mixed_volume(duals))
-            transcript.epsilon = F(0)
-            transcript.points.append((nu, mv))
-            return mv, transcript
-
-    eps0 = F(1, 2)
-    for _ in range(24):
-        thick = [epsilon_thicken(piece, eps0) for piece in component]
-        if all(
-            other.intersection(tp).is_empty()
-            for other in others
-            for tp in thick
-        ):
-            break
-        eps0 /= 2
-    else:
-        raise GenericityFailure("cannot separate the component by thickening")
-
-    from itertools import product as iproduct
-
-    cell_lists = [[c.cell for c in d.cells] for d in datas]
-
-    def chain_intersect(cells):
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if cells[i].surely_disjoint_from(cells[j]):
-                    return None
-        inter = cells[0]
-        for c in cells[1:]:
-            inter = inter.intersection(c)
-            if inter.is_empty():
-                return None
-        return inter
-
-    own_combos = set()
-    for combo_idx in iproduct(*(range(len(cl)) for cl in cell_lists)):
-        inter = chain_intersect([cell_lists[i][ci] for i, ci in enumerate(combo_idx)])
-        if inter is None:
-            continue
-        if any(not inter.intersection(tp).is_empty() for tp in thick):
-            own_combos.add(combo_idx)
-
-    q = 2 ** 18  # keep eps*v_i small from the first attempt
-    for attempt in range(max_retries):
-        vs = [tuple(rng.randrange(1, 2 ** 16) for _ in range(n)) for _ in fs]
-        eps = F(1, q)
-        shifted = [
-            [cell.translate(tuple(eps * x for x in v)) for cell in cl]
-            for cl, v in zip(cell_lists, vs)
-        ]
-        ok = True
-        found = {}
-        for combo_idx in iproduct(*(range(len(cl)) for cl in cell_lists)):
-            inter = chain_intersect([shifted[i][ci] for i, ci in enumerate(combo_idx)])
-            if inter is None:
-                continue
-            for piece in thick:
-                y = inter.intersection(piece)
-                if y.is_empty():
-                    continue
-                if y.affine_dim() > 0 or combo_idx not in own_combos:
-                    ok = False
-                    break
-                pt = y.vertices[0]
-                if not any(tp.contains_strictly(pt) for tp in thick):
-                    ok = False
-                    break
-                found[pt] = True
-            if not ok:
-                break
-        if ok:
-            total = 0
-            points = []
-            for pt in sorted(found):
-                duals = []
-                generic = True
-                for f, v in zip(fs, vs):
-                    back = tuple(x - eps * w for x, w in zip(pt, v))
-                    dual = _dual_polytope(f, back)
-                    if dual.affine_dim() != 1:
-                        generic = False
-                        break
-                    duals.append(dual)
-                if not generic:
-                    ok = False
-                    break
-                mv = _as_int(mixed_volume(duals))
-                total += mv
-                points.append((pt, mv))
-            if ok:
-                transcript.epsilon = eps
-                transcript.thicken = eps0
-                transcript.shift_vectors = vs
-                transcript.points = points
-                return total, transcript
-        q *= 2
-    raise GenericityFailure(
-        f"no transverse shift found after {max_retries} retries"
-    )
+    total = 0
+    for nu in sorted({v for piece in component for v in piece.vertices}):
+        mv = _as_int(mixed_volume([_dual_polytope(f, nu) for f in fs]))
+        total += mv
+        transcript.points.append((nu, mv))
+    return total, transcript
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +343,6 @@ class BoundReport:
     e_boxes: list
     d1: int
     d2: int
-    t1: int
     t2: int
     t_cross: int
     s_bound: int
@@ -450,7 +350,7 @@ class BoundReport:
     transforms: dict
     cross_check_ok: bool
     normalization: str = "coefficient"
-    schema_version: int = 1
+    schema_version: int = 2
 
     def to_dict(self):
         return {
@@ -462,11 +362,9 @@ class BoundReport:
             "e_boxes": list(self.e_boxes),
             "d1": self.d1,
             "d2": self.d2,
-            "t1": self.t1,
             "t2": self.t2,
             "t_cross": self.t_cross,
             "s_bound": self.s_bound,
-            "sum_multiplicities": self.s_bound,
             "cross_check_ok": self.cross_check_ok,
             "components": self.components,
             "transforms": self.transforms,
@@ -484,9 +382,11 @@ def _frac_str(x) -> str:
 def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
     """Run the whole pipeline on an n x n system of parameterized series.
 
-    Returns a BoundReport whose s_bound dominates the number of roots with
-    all coordinate valuations in the domain, whenever that number is
-    finite; an infinite solution set is not detected.
+    Returns a BoundReport whose s_bound dominates the number of roots in
+    the torus, whenever that number is finite; an infinite solution set is
+    not detected.  A domain clips the complexes, and a component cut by its
+    boundary is counted only at the vertices inside it, for which no
+    soundness argument is made.
     """
     n = system[0].nx
     if len(system) != n:
@@ -501,38 +401,29 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
     es = [box_E(f, oracle) for f in transformed]
     e = max(es)
     d1, d2 = isolated_bounds(transformed, oracle)
-    t1 = d1
     t2 = math.factorial(n) * e ** n
-    t_cross = t1 * t2
+    t_cross = d1 * t2
 
-    datas = [trop_complex(f) for f in fs]
-    comps = connected_components(datas)
-
-    def run_component(idx):
-        crng = random.Random(f"{seed}|component|{idx}")
-        others = [piece for j, c in enumerate(comps) if j != idx for piece in c]
-        return stable_multiplicity(fs, datas, comps[idx], crng, others=others)
-
-    results = [run_component(i) for i in range(len(comps))]
-
+    comps = connected_components([trop_complex(f) for f in fs])
     total = 0
     comp_records = []
-    for idx, (mult, tr) in enumerate(results):
+    for idx, comp in enumerate(comps):
+        mult, tr = stable_multiplicity(fs, comp)
         total += mult
         comp_records.append(
             {
                 "index": idx,
                 "multiplicity": mult,
-                "epsilon": _frac_str(tr.epsilon) if tr.epsilon is not None else None,
-                "thickening": _frac_str(tr.thicken) if tr.thicken is not None else None,
-                "shift_vectors": [list(v) for v in tr.shift_vectors]
-                if tr.shift_vectors
-                else None,
+                # fixed since schema 2; the benchmark's report reader
+                # (perfbench/spans.py) still reads them by name
+                "epsilon": "0",
+                "thickening": None,
+                "shift_vectors": None,
                 "points": [
                     {"nu": [_frac_str(x) for x in pt], "mv": mv}
                     for pt, mv in tr.points
                 ],
-                "pieces": len(comps[idx]),
+                "pieces": len(comp),
             }
         )
     transforms = {
@@ -551,7 +442,6 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
         e_boxes=es,
         d1=d1,
         d2=d2,
-        t1=t1,
         t2=t2,
         t_cross=t_cross,
         s_bound=total,

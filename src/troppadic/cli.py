@@ -22,6 +22,7 @@ from .errors import (
 from .formats import (
     dump_json,
     frac_str,
+    is_prime,
     load_json_file,
     parse_frac,
     polytope_from_dict,
@@ -38,51 +39,51 @@ from .tropical import render_svg, trop_complex
 SEED_ENV = "TROPPADIC_SEED"
 
 
-def _common_flags(sp):
-    sp.add_argument("--prime", type=int, help="override the ambient prime")
+def build_parser():
+    ap = argparse.ArgumentParser(prog="troppadic")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("-o", "--output", help="write the JSON report here")
+        return sp
+
+    def domain_flag(sp):
+        sp.add_argument("--domain", help="comma list of rationals or 'none' per variable")
+
+    sp = command("trop", "tropicalization report (and SVG at n=2)")
+    sp.add_argument("input")
+    sp.add_argument("--svg", help="write a deterministic SVG here")
+    domain_flag(sp)
+
+    sp = command("bound-system", "uniform root-count bound report")
+    sp.add_argument("inputs", nargs="+")
+    sp.add_argument("--seed", help=f"random seed (or {SEED_ENV}); required")
+
+    sp = command("strassmann", "unit-ball zero count")
+    sp.add_argument("input")
+    domain_flag(sp)
+
+    sp = command("wdiv", "Weierstrass division report")
+    sp.add_argument("divisor")
+    sp.add_argument("dividend")
     sp.add_argument("--prec", type=int, default=16, help="valuation budget")
     sp.add_argument("--deg", type=int, default=12, help="degree budget")
-    sp.add_argument("--domain", help="comma list of rationals or 'none' per variable")
-    sp.add_argument("--seed", help="random seed (bound-system requires one)")
+    domain_flag(sp)
+
+    sp = command("mixed-volume", "mixed volume of polytopes")
+    sp.add_argument("inputs", nargs="+")
     sp.add_argument(
         "--normalization",
         choices=("coefficient", "normalized"),
         default="coefficient",
     )
-    sp.add_argument("-o", "--output", help="write the JSON report here")
 
-
-def build_parser():
-    ap = argparse.ArgumentParser(prog="troppadic")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("trop", help="tropicalization report (and SVG at n=2)")
-    sp.add_argument("input")
-    sp.add_argument("--svg", help="write a deterministic SVG here")
-    _common_flags(sp)
-
-    sp = sub.add_parser("bound-system", help="uniform root-count bound report")
-    sp.add_argument("inputs", nargs="+")
-    _common_flags(sp)
-
-    sp = sub.add_parser("strassmann", help="unit-ball zero count")
-    sp.add_argument("input")
-    _common_flags(sp)
-
-    sp = sub.add_parser("wdiv", help="Weierstrass division report")
-    sp.add_argument("divisor")
-    sp.add_argument("dividend")
-    _common_flags(sp)
-
-    sp = sub.add_parser("mixed-volume", help="mixed volume of polytopes")
-    sp.add_argument("inputs", nargs="+")
-    _common_flags(sp)
-
-    sp = sub.add_parser("term-deriv", help="derivative of a term expression")
+    sp = command("term-deriv", "derivative of a term expression")
     sp.add_argument("expr")
+    sp.add_argument("--prime", type=int, default=5, help="prime of the term registry")
     sp.add_argument("--var", help="variable name (default: first)")
     sp.add_argument("--order", type=int, default=1)
-    _common_flags(sp)
 
     return ap
 
@@ -128,8 +129,10 @@ def cmd_bound_system(args):
     seed = args.seed or os.environ.get(SEED_ENV)
     if seed is None:
         raise FormatError("bound-system requires --seed or TROPPADIC_SEED")
-    fs = [_load_series(path, args) for path in args.inputs]
-    system = [ParamSeries.from_series(f) for f in fs]
+    system = [
+        ParamSeries.from_series(series_from_dict(load_json_file(path)))
+        for path in args.inputs
+    ]
     report = system_root_bound(system, WBoundOracle(), seed)
     _emit(args, report.to_json())
     return 0
@@ -161,6 +164,11 @@ def cmd_wdiv(args):
 
 def cmd_mixed_volume(args):
     polys = [polytope_from_dict(load_json_file(path)) for path in args.inputs]
+    if any(poly.ambient != len(polys) for poly in polys):
+        dims = sorted({poly.ambient for poly in polys})
+        raise FormatError(
+            f"mixed volume needs n polytopes in dimension n, got {len(polys)} in {dims}"
+        )
     mv = mixed_volume(polys, args.normalization)
     _emit(
         args,
@@ -176,7 +184,9 @@ def cmd_mixed_volume(args):
 
 
 def cmd_term_deriv(args):
-    p = args.prime or 5
+    p = args.prime
+    if not is_prime(p):
+        raise FormatError(f"prime {p} is not a prime")
     registry = default_registry(p)
     term, names = parse_term(args.expr, registry=registry)
     if not names:

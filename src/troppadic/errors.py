@@ -55,7 +55,7 @@ class OracleMissing(TropPadicError):
 
 
 class GenericityFailure(TropPadicError):
-    """No transverse shift found within the retry budget."""
+    """No shift making the common support pointed within the redraw budget."""
 
 
 class Unbounded(TropPadicError):

@@ -39,6 +39,30 @@ def parse_frac(s) -> Fraction:
         raise FormatError(f"bad rational {s!r}") from exc
 
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _coeff_to_json(c: PadicScaled):
     if c.is_exact:
         if c._shift == 0:
@@ -86,6 +110,8 @@ def series_to_dict(f: RestrictedSeries) -> dict:
 def series_from_dict(obj) -> RestrictedSeries:
     try:
         p = int(obj["prime"])
+        if not is_prime(p):
+            raise ValueError(f"prime {p} is not a prime")
         nvars = int(obj["nvars"])
         domain = tuple(
             None if r is None else parse_frac(r) for r in obj["domain"]

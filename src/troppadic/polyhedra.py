@@ -2,8 +2,7 @@
 
 Conventions: an H-representation is a list of inequalities (u, a) meaning
 <u, x> <= a with primitive integer u and rational a; equalities are stored
-as inequality pairs so that epsilon-thickening relaxes them into slabs like
-every other constraint.  V-representations carry rational vertices plus
+as inequality pairs.  V-representations carry rational vertices plus
 primitive integer rays and lines.
 
 One engine does the polyhedral work: an integer double-description cone
@@ -479,26 +478,11 @@ class QPolyhedron:
         point = to_frac_point(point)
         return all(vdot(u, point) <= a for u, a in self.ineqs)
 
-    def contains_strictly(self, point) -> bool:
-        """Interior membership with respect to the carried inequalities."""
-        point = to_frac_point(point)
-        return all(vdot(u, point) < a for u, a in self.ineqs)
-
     def intersection(self, other: "QPolyhedron") -> "QPolyhedron":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
         return QPolyhedron.from_hrep(
             tuple(self.ineqs) + tuple(other.ineqs), ambient=self.ambient
-        )
-
-    def translate(self, w) -> "QPolyhedron":
-        w = to_frac_point(w)
-        return QPolyhedron(
-            self.ambient,
-            tuple((u, a + vdot(u, w)) for u, a in self.ineqs),
-            tuple(vadd(v, w) for v in self.vertices),
-            self.rays,
-            self.lines,
         )
 
     def implicit_equality_mask(self):
@@ -884,18 +868,6 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
     if normalization != "coefficient":
         raise ValueError("normalization must be 'coefficient' or 'normalized'")
     return total
-
-
-def epsilon_thicken(obj, eps):
-    """Relax every carried inequality offset by eps (> 0)."""
-    eps = F(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if isinstance(obj, PolyComplex):
-        return PolyComplex([epsilon_thicken(c, eps) for c in obj.cells])
-    return QPolyhedron.from_hrep(
-        tuple((u, a + eps) for u, a in obj.ineqs), ambient=obj.ambient
-    )
 
 
 # ---------------------------------------------------------------------------

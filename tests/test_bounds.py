@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oracle_roots import torus_root_count
 from troppadic.bounds import (
@@ -17,6 +18,7 @@ from troppadic.bounds import (
     weierstrass_bound_1_to_n,
 )
 from troppadic.errors import OracleMissing
+from troppadic.polyhedra import convex_hull, mixed_volume
 from troppadic.series import (
     MonomialRule,
     ParamSeries,
@@ -270,40 +272,35 @@ def line_series(p, v0, v1, v2):
 
 def test_stable_multiplicity_transverse_point():
     p = 5
-    rng = random.Random(9)
     fs = [line_series(p, 0, 0, 0), line_series(p, 2, 1, 0)]
-    datas = [trop_complex(f) for f in fs]
-    comps = connected_components(datas)
+    comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, tr = stable_multiplicity(fs, datas, comps[0], rng)
+    mult, tr = stable_multiplicity(fs, comps[0])
     assert mult == 1
-    assert tr.epsilon == 0  # isolated point needs no shift
+    assert [mv for _, mv in tr.points] == [1]  # one transverse crossing
 
 
 def test_stable_multiplicity_overlapping_lines():
     # two unit-coefficient lines share their whole complex: the stable
     # count along the single component is still the Bernstein number 1
+    # at the shared vertex, carried by the mixed volume of the two triangles
     p = 5
-    rng = random.Random(10)
     fs = [line_series(p, 0, 0, 0), line_series(p, 0, 0, 0)]
-    datas = [trop_complex(f) for f in fs]
-    comps = connected_components(datas)
+    comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, tr = stable_multiplicity(fs, datas, comps[0], rng)
+    mult, tr = stable_multiplicity(fs, comps[0])
     assert mult == 1
-    assert tr.shift_vectors is not None
+    assert tr.points == [((0, 0), 1)]
 
 
 def test_stable_multiplicity_shared_ray():
     # f1 = x + y gives the full diagonal; paired with a generic line the
-    # component is the shared ray; after shifting the crossings sum to 1
+    # component is the shared ray, whose vertex carries the count 1
     p = 5
-    rng = random.Random(11)
     fs = [poly(p, 2, {(1, 0): 1, (0, 1): 1}), line_series(p, 0, 0, 0)]
-    datas = [trop_complex(f) for f in fs]
-    comps = connected_components(datas)
+    comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, _ = stable_multiplicity(fs, datas, comps[0], rng)
+    mult, _ = stable_multiplicity(fs, comps[0])
     assert mult == 1
 
 
@@ -371,17 +368,57 @@ def test_report_determinism_and_seed_independence_of_multiplicities():
         c["multiplicity"] for c in r3.components
     ]
     assert r1.s_bound == r3.s_bound
-    # the seed moves only the transcript; a system with overlapping
-    # complexes takes the shift path, so its vectors must actually differ
+    # overlapping complexes: the seed reaches no component record
     overlap = [
         to_param(p, {(0, 0): 1, (1, 0): 1, (0, 1): 1}),
         to_param(p, {(0, 0): 3, (1, 0): 2, (0, 1): 1}),
     ]
     s1 = system_root_bound(overlap, WBoundOracle(), seed="a")
     s3 = system_root_bound(overlap, WBoundOracle(), seed="b")
-    shifted1 = [c["shift_vectors"] for c in s1.components if c["shift_vectors"]]
-    shifted3 = [c["shift_vectors"] for c in s3.components if c["shift_vectors"]]
-    assert shifted1 and shifted1 != shifted3
-    assert [c["multiplicity"] for c in s1.components] == [
-        c["multiplicity"] for c in s3.components
+    assert s1.components == s3.components
+
+
+def test_positive_dimensional_component_counts_every_vertex():
+    # f1 = 3X^2 + 100Y^2, f2 = 3 - (12/5)X^3Y - 60XY^3 at p = 5: the complexes
+    # share a ray from (1/2, -1/2), and Res_Y = 3X^8 + 2500 gives 8 torus roots
+    p = 5
+    f1 = {(2, 0): 3, (0, 2): 100}
+    f2 = {(0, 0): 3, (3, 1): F(-12, 5), (1, 3): -60}
+    assert torus_root_count(f1, f2) == 8
+    reports = [
+        system_root_bound([to_param(p, f1), to_param(p, f2)], WBoundOracle(), seed=s)
+        for s in ("1", "2", "alpha")
     ]
+    assert [r.s_bound for r in reports] == [8, 8, 8]
+    assert reports[0].components == reports[1].components == reports[2].components
+
+
+def _scaled_units():
+    unit = st.sampled_from([c for c in range(-20, 21) if c % 5])
+    scale = st.sampled_from([F(1), F(5), F(25), F(1, 5)])
+    return st.builds(lambda u, s: u * s, unit, scale)
+
+
+def _sparse_support():
+    return st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        _scaled_units(),
+        min_size=2,
+        max_size=4,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_sparse_support(), _sparse_support())
+def test_sparse_systems_with_valuations_are_sound(f1, f2):
+    want = torus_root_count(f1, f2)
+    assume(want is not None)
+    report = system_root_bound(
+        [to_param(5, f1), to_param(5, f2)], WBoundOracle(), seed="prop"
+    )
+    assert report.s_bound >= want
+    assert report.cross_check_ok
+    # tropical Bernstein: the stable intersection has degree MV(Newton polygons)
+    if not report.transforms["unit_factors"] and report.transforms["shift"] is None:
+        newton = [convex_hull(sorted(f)) for f in (f1, f2)]
+        assert report.s_bound == mixed_volume(newton)

@@ -141,6 +141,27 @@ def test_cmd_trop_malformed_series_exit_code(capsys, tmp_path, exps):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["trop", "strassmann"])
+def test_non_prime_series_exit_code(capsys, tmp_path, command):
+    p = tmp_path / "four.series"
+    p.write_text(
+        dump_json(
+            {
+                "schema_version": 1,
+                "prime": 4,
+                "nvars": 1,
+                "domain": ["0"],
+                "terms": [{"exps": [0], "coeff": "1"}, {"exps": [1], "coeff": "1"}],
+                "tail": {"cutoff": 1, "slope": "1", "offset": "inf"},
+            }
+        )
+    )
+    code, out, err = run(capsys, command, str(p))
+    assert code == 2
+    assert not out
+    assert "not a prime" in err
+
+
 def test_cmd_strassmann_precision_exit_code(capsys, tmp_path):
     # the tail line sits below the stored minimum: counting must refuse
     p = tmp_path / "shallow.series"
@@ -205,10 +226,30 @@ def test_cmd_mixed_volume(capsys, tmp_path):
     assert json.loads(out)["value"] == "1/2"
 
 
+def test_cmd_mixed_volume_count_must_match_dimension(capsys, tmp_path):
+    tri = tmp_path / "tri.json"
+    tri.write_text(
+        dump_json(
+            {"schema_version": 1, "dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+        )
+    )
+    code, out, err = run(capsys, "mixed-volume", str(tri))
+    assert code == 2
+    assert not out
+    assert err.startswith("input error: mixed volume needs n polytopes")
+
+
 def test_cmd_term_deriv(capsys):
     code, out, _ = run(capsys, "term-deriv", "Ep(x)", "--prime", "5")
     assert code == 0
     assert json.loads(out)["derivative"] == "5*Ep(x)"
+
+
+def test_cmd_term_deriv_rejects_non_prime(capsys):
+    code, out, err = run(capsys, "term-deriv", "Ep(x)", "--prime", "4")
+    assert code == 2
+    assert not out
+    assert "not a prime" in err
 
 
 # --------------------------------------------------------------- bound-system
@@ -221,6 +262,23 @@ def test_cmd_bound_system_requires_seed(capsys, monkeypatch):
     )
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-system", "a", "b", "--seed", "1", "--prime", "7"],
+        ["bound-system", "a", "b", "--seed", "1", "--domain", "0,0"],
+        ["trop", "a", "--seed", "1"],
+        ["mixed-volume", "a", "--prec", "3"],
+        ["term-deriv", "Ep(x)", "--domain", "0"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cmd_bound_system_deterministic(capsys, tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from troppadic.polyhedra import (
     _facets_fullrank,
     convex_hull,
     det,
-    epsilon_thicken,
     lower_hull,
     matrix_rank,
     minkowski_sum,
@@ -368,53 +367,6 @@ def test_mixed_volume_symmetry():
     p = convex_hull(rand_points(rng, 2, 5))
     q = convex_hull(rand_points(rng, 2, 5))
     assert mixed_volume([p, q]) == mixed_volume([q, p])
-
-
-# --------------------------------------------------------------- thickening
-
-
-def test_thicken_unit_square():
-    sq = QPolyhedron.from_hrep(
-        [((1, 0), F(1)), ((-1, 0), F(0)), ((0, 1), F(1)), ((0, -1), F(0))]
-    )
-    fat = epsilon_thicken(sq, F(1, 2))
-    assert sorted(fat.vertices) == [
-        (F(-1, 2), F(-1, 2)),
-        (F(-1, 2), F(3, 2)),
-        (F(3, 2), F(-1, 2)),
-        (F(3, 2), F(3, 2)),
-    ]
-
-
-def test_thicken_halfline():
-    hl = QPolyhedron.from_hrep([((-1,), F(-2))])  # [2, oo)
-    fat = epsilon_thicken(hl, F(1, 3))
-    assert fat.vertices == ((F(5, 3),),)
-    assert fat.rays == ((1,),)
-
-
-def test_thicken_complex_is_cellwise():
-    a = convex_hull([(0, 0), (1, 0)])
-    b = convex_hull([(1, 0), (1, 1)])
-    fat = epsilon_thicken(PolyComplex([a, b]), F(1, 4))
-    assert len(fat) == 2
-    for cell, orig in zip(fat.cells, (a, b)):
-        assert orig.is_subset_of(cell)
-        assert cell.affine_dim() == 2
-
-
-def test_thicken_contains_original_and_ball_property():
-    rng = random.Random(12)
-    for _ in range(6):
-        p = convex_hull(rand_points(rng, 2, 6))
-        eps = F(rng.randint(1, 4), rng.randint(1, 3))
-        fat = epsilon_thicken(p, eps)
-        assert p.is_subset_of(fat)
-        # each inequality relaxed by exactly eps: boundary points moved
-        # inward by eps/|u| in the normal metric stay inside
-        for u, a in p.ineqs:
-            for v in p.vertices:
-                assert vdot(u, v) <= a + eps
 
 
 # --------------------------------------------------------------- complexes
