@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GenericityFailure, OracleMissing
+from .formats import frac_str
 from .padic import PadicScaled
 from .polyhedra import _row_reduce, convex_hull, mixed_volume
 from .series import ParamSeries, RestrictedSeries, shift_variable
@@ -374,28 +375,19 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _frac_str(x) -> str:
-    x = F(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
+def system_root_bound(system, oracle: WBoundOracle, seed, ys=()):
     """Run the whole pipeline on an n x n system of parameterized series.
 
     Returns a BoundReport whose s_bound dominates the number of roots in
     the torus, whenever that number is finite; an infinite solution set is
-    not detected.  A domain clips the complexes, and a component cut by its
-    boundary is counted only at the vertices inside it, for which no
-    soundness argument is made.
+    not detected.  The series are specialized over the whole torus.
     """
     n = system[0].nx
     if len(system) != n:
         raise ValueError("need n series in n variables")
     p = system[0].p
-    if domain is None:
-        domain = (None,) * n
     rng = random.Random(f"{seed}|pointed")
-    fs = [ps.specialize(ys, x_domain=domain) for ps in system]
+    fs = [ps.specialize(ys, x_domain=(None,) * n) for ps in system]
     fs, pointed_transcript = make_pointed(fs, rng)
     transformed = [ParamSeries.from_series(f) for f in fs]
     es = [box_E(f, oracle) for f in transformed]
@@ -420,7 +412,7 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=(), domain=None):
                 "thickening": None,
                 "shift_vectors": None,
                 "points": [
-                    {"nu": [_frac_str(x) for x in pt], "mv": mv}
+                    {"nu": [frac_str(x) for x in pt], "mv": mv}
                     for pt, mv in tr.points
                 ],
                 "pieces": len(comp),

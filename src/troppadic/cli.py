@@ -129,10 +129,15 @@ def cmd_bound_system(args):
     seed = args.seed or os.environ.get(SEED_ENV)
     if seed is None:
         raise FormatError("bound-system requires --seed or TROPPADIC_SEED")
-    system = [
-        ParamSeries.from_series(series_from_dict(load_json_file(path)))
-        for path in args.inputs
-    ]
+    system = []
+    for path in args.inputs:
+        f = series_from_dict(load_json_file(path))
+        if any(r is not None for r in f.domain):
+            raise FormatError(
+                f"{path}: bound-system bounds roots over the whole torus, "
+                "so every domain entry must be null"
+            )
+        system.append(ParamSeries.from_series(f))
     report = system_root_bound(system, WBoundOracle(), seed)
     _emit(args, report.to_json())
     return 0
@@ -203,7 +208,7 @@ def cmd_term_deriv(args):
                 "input": args.expr,
                 "variable": var,
                 "order": args.order,
-                "derivative": print_term(d, names, prime=p),
+                "derivative": print_term(d, names),
             }
         ),
     )

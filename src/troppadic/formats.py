@@ -172,26 +172,23 @@ def trop_data_to_dict(data) -> dict:
             }
         )
     newton = []
-    for k, nc in enumerate(data.newton_cells):
+    for k, c in enumerate(data.cells):
+        nc = c.newton()
         newton.append(
             {
                 "index": k,
-                "dim": nc.dim(),
-                "vertices": [[frac_str(x) for x in v] for v in nc.poly.vertices],
+                "dim": nc.affine_dim(),
+                "vertices": [[frac_str(x) for x in v] for v in nc.vertices],
             }
         )
-    support = None
-    if data.newton_support is not None:
-        support = {
-            "vertices": [
-                [frac_str(x) for x in v] for v in data.newton_support.vertices
-            ]
-        }
+    support = data.newton_support()
+    if support is not None:
+        support = {"vertices": [[frac_str(x) for x in v] for v in support.vertices]}
     return {
         "schema_version": SCHEMA_VERSION,
         "prime": data.series.p,
         "nvars": data.series.nvars,
-        "domain": [None if r is None else frac_str(r) for r in data.domain],
+        "domain": [None if r is None else frac_str(r) for r in data.series.domain],
         "cells": cells,
         "newton_cells": newton,
         "newton_support": support,

@@ -74,12 +74,6 @@ def val_min(*vals):
     return m
 
 
-def val_add(a, b):
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
 def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -160,10 +154,6 @@ class PadicScaled:
         if u % p == 0:
             raise ValueError("unit digits must be coprime to p")
         return cls(p, _v=v, _u=u, _N=prec)
-
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "PadicScaled":
-        return cls.exact(p, n)
 
     # -- basic queries -----------------------------------------------
 

@@ -624,9 +624,8 @@ def _normalized(u, a):
 
 
 def _hull_of_points(points, ambient):
-    rank, _ = _affine_pivots(points)
+    rank, pivots = _affine_pivots(points)
     ineqs = []
-    eq_normals = []
     if rank < ambient:
         base = points[0]
         dirs = [vsub(q, base) for q in points[1:]]
@@ -634,28 +633,22 @@ def _hull_of_points(points, ambient):
             c = vdot(w, base)
             ineqs.append((w, c))
             ineqs.append((tuple(-x for x in w), -c))
-            eq_normals.append(w)
     if rank == 0:
         return QPolyhedron(ambient, tuple(ineqs), (points[0],), (), ())
-    rank, pivots = _affine_pivots(points)
     proj = [tuple(q[c] for c in pivots) for q in points]
-    facets = _facets_fullrank(proj)
-    tight_map = []
-    for n, off, tight in facets:
+    # the smallest face through a point is the meet of the facets through
+    # it; the point is a vertex exactly when that face holds it alone
+    meet = [None] * len(points)
+    for n, _, tight in _facets_fullrank(proj):
         # lift the projected inequality back to ambient coordinates
         u = [F(0)] * ambient
         for c, x in zip(pivots, n):
             u[c] = F(x)
-        a = vdot(u, points[tight[0]])
-        ineqs.append((tuple(u), a))
-        tight_map.append(set(tight))
-    # vertices: points whose tight facet normals (plus equalities) span
-    normals = [primitive(u) for u, _ in ineqs]
-    verts = []
-    for i, q in enumerate(points):
-        active = [normals[k] for k, (u, a) in enumerate(ineqs) if vdot(u, q) == a]
-        if matrix_rank(active) == ambient:
-            verts.append(q)
+        ineqs.append((tuple(u), vdot(u, points[tight[0]])))
+        tight_set = set(tight)
+        for i in tight:
+            meet[i] = tight_set if meet[i] is None else meet[i] & tight_set
+    verts = [q for i, q in enumerate(points) if meet[i] == {i}]
     ineqs = [_normalized(u, a) for u, a in ineqs]
     return QPolyhedron(ambient, tuple(sorted(ineqs)), tuple(sorted(verts)), (), ())
 

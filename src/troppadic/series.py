@@ -164,10 +164,6 @@ class RestrictedSeries:
     # -- constructors --
 
     @classmethod
-    def from_terms(cls, p, nvars, mapping, domain=None, tail=None):
-        return cls(p, nvars, dict(mapping), tail=tail, domain=domain)
-
-    @classmethod
     def constant(cls, p, value, nvars=1, domain=None):
         return cls(p, nvars, {(0,) * nvars: value}, domain=domain)
 
@@ -189,17 +185,6 @@ class RestrictedSeries:
 
     def is_certified_zero(self) -> bool:
         return not self.terms and self.tail.is_empty
-
-    def coeff_valuations(self):
-        return {i: c.valuation() for i, c in self.terms.items()}
-
-    def gauss_valuation(self):
-        """min of v(a_I) over all coefficients, tail included."""
-        m = val_min(*(c.valuation() for c in self.terms.values()))
-        t = self.tail.floor_at(F(0))
-        if t is None:
-            raise PrecisionExhausted("tail valuation unbounded below")
-        return val_min(m, t)
 
     def axis_coeffs(self, axis=None):
         """Coefficients of pure powers of one variable: {j: a_(j on axis)}."""
@@ -413,13 +398,6 @@ def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
 # derivation
 
 
-def _falling(n, k):
-    out = 1
-    for j in range(k):
-        out *= n - j
-    return out
-
-
 def derivative(f: RestrictedSeries, i: int, k: int = 1) -> RestrictedSeries:
     """k-th formal partial derivative in variable i.
 
@@ -434,7 +412,7 @@ def derivative(f: RestrictedSeries, i: int, k: int = 1) -> RestrictedSeries:
     for exps, c in f.terms.items():
         if exps[i] < k:
             continue
-        mult = _falling(exps[i], k)
+        mult = math.perm(exps[i], k)
         new = list(exps)
         new[i] -= k
         terms[tuple(new)] = c * PadicScaled.exact(f.p, mult)
@@ -448,40 +426,6 @@ def derivative(f: RestrictedSeries, i: int, k: int = 1) -> RestrictedSeries:
 
 # ---------------------------------------------------------------------------
 # substitutions
-
-
-@dataclass(frozen=True)
-class Shift:
-    """X_i -> X_i - c."""
-
-    var: int
-    c: PadicScaled
-
-
-@dataclass(frozen=True)
-class Scale:
-    """X_i -> X_i * xi^{-1} with v(xi) = t (valuation bookkeeping)."""
-
-    var: int
-    t: Fraction
-
-
-@dataclass(frozen=True)
-class MonomialRule:
-    """X_i -> Z_i - Z_n^(d^(n-i)) for i < n, X_n -> Z_n."""
-
-    d: int
-    degree_budget: int
-
-
-def substitute(f: RestrictedSeries, rule) -> RestrictedSeries:
-    if isinstance(rule, Shift):
-        return shift_variable(f, rule.var, rule.c)
-    if isinstance(rule, Scale):
-        return scale_variable(f, rule.var, rule.t)
-    if isinstance(rule, MonomialRule):
-        return monomial_substitution(f, rule.d, rule.degree_budget)
-    raise TypeError(f"unknown substitution rule {rule!r}")
 
 
 def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSeries:

@@ -155,17 +155,6 @@ def subst_vars(t: Term, mapping) -> Term:
     return cls(tuple(subst_vars(a, mapping) for a in t.args))
 
 
-def term_variables(t: Term):
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, Const):
-        return set()
-    out = set()
-    for a in t.args:
-        out |= term_variables(a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # function symbols
 
@@ -420,23 +409,21 @@ def _tokenize(text):
     return toks
 
 
-def print_term(t: Term, var_names, prime=None) -> str:
+def print_term(t: Term, var_names) -> str:
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Var):
         return var_names[t.index]
     if isinstance(t, App):
-        inner = ", ".join(print_term(a, var_names, prime) for a in t.args)
+        inner = ", ".join(print_term(a, var_names) for a in t.args)
         return f"{t.symbol}({inner})"
     if isinstance(t, Mul):
-        return "*".join(
-            _wrap(a, var_names, prime) for a in t.args
-        )
-    return " + ".join(print_term(a, var_names, prime) for a in t.args)
+        return "*".join(_wrap(a, var_names) for a in t.args)
+    return " + ".join(print_term(a, var_names) for a in t.args)
 
 
-def _wrap(t, var_names, prime):
-    s = print_term(t, var_names, prime)
+def _wrap(t, var_names):
+    s = print_term(t, var_names)
     return f"({s})" if isinstance(t, Add) else s
 
 
@@ -469,13 +456,6 @@ class DefiningSystem:
             s = realize(eq, ectx)
             out.append(evaluate(s, point))
         return out
-
-
-def _falling(i, t):
-    out = 1
-    for j in range(t):
-        out *= i - j
-    return out
 
 
 def _power(base: Term, e: int) -> Term:
@@ -535,7 +515,7 @@ def coefficient_defining_systems(f: Term, g: Term, d: int, nx: int, registry=Non
                 # sum_i A_i * (i)_t * alpha^(i-t) = d^t g / dY^t (alpha)
                 lhs = []
                 for i in range(d):
-                    c = _falling(i, t)
+                    c = math.perm(i, t)
                     if c == 0:
                         continue
                     lhs.append(
@@ -570,7 +550,7 @@ def matrix_row_values(d: int, t: int, alpha: PadicScaled):
     row = []
     one = PadicScaled.exact(alpha.p, 1)
     for i in range(d):
-        c = _falling(i, t)
+        c = math.perm(i, t)
         if c == 0:
             row.append(PadicScaled.zero(alpha.p))
         else:

@@ -3,9 +3,10 @@
 The complex of a series is computed through the regular subdivision route:
 lift the stored support by coefficient valuations, take all faces of the
 lower hull, and dualize each face F to the cell of directions whose
-weighted minimum is attained exactly on F, clipped to the domain.  Newton
-cells are the projected convex hulls of the faces; the two families are
-dual (complementary dimensions, orthogonal spans, reversed face order).
+weighted minimum is attained exactly on F, clipped to the domain.  The
+Newton cell of a cell is the projected convex hull of its face, built
+where it is read (TropCell.newton); the two families are dual
+(complementary dimensions, orthogonal spans, reversed face order).
 
 Series with a nonempty tail get a per-cell certificate that the tail can
 never reach the minimum anywhere on the cell (an exact linear program over
@@ -42,28 +43,23 @@ class TropCell:
     def dim(self):
         return self.cell.affine_dim()
 
-
-@dataclass(frozen=True)
-class NewtonCell:
-    """Projected hull of a vert set, dual to its TropCell."""
-
-    poly: QPolyhedron
-    trop_index: int
-
-    def dim(self):
-        return self.poly.affine_dim()
+    def newton(self) -> QPolyhedron:
+        """The dual Newton cell: the hull of the vert exponents."""
+        return convex_hull([i for i, _ in self.vert])
 
 
 class TropicalData:
-    """All cells of one series over its domain, with the dual cells."""
+    """All cells of one series over its domain."""
 
-    def __init__(self, series, domain, cells, newton_cells, newton_support):
+    def __init__(self, series, cells):
         self.series = series
-        self.domain = domain
         self.cells = list(cells)
-        self.newton_cells = list(newton_cells)
-        self.newton_support = newton_support
         self.complex = PolyComplex([c.cell for c in self.cells])
+
+    def newton_support(self):
+        """The hull of every exponent on a cell; None without cells."""
+        pts = {i for c in self.cells for i, _ in c.vert}
+        return convex_hull(sorted(pts)) if pts else None
 
     def is_empty(self):
         return not self.cells
@@ -147,52 +143,39 @@ def is_in_tropicalization(f: RestrictedSeries, nu) -> bool:
     return len(vert_nu(f, nu)) >= 2
 
 
-def trop_complex(f: RestrictedSeries, domain=None) -> TropicalData:
+def trop_complex(f: RestrictedSeries) -> TropicalData:
     """The full cell complex of the series over its domain."""
     if f.is_certified_zero():
         raise ZeroSeries("the zero series has no tropicalization")
     if not f.terms:
         raise PrecisionExhausted("no stored terms")
-    if domain is None:
-        domain = f.domain
     items = _support_items(f)
     n = f.nvars
     if len(items) == 1:
-        return TropicalData(f, domain, [], [], None)
+        return TropicalData(f, [])
 
-    faces = lower_hull(items)
-    unclipped = all(r is None for r in domain)
+    # nu_j >= r_j for every bounded coordinate of the domain
+    clip = tuple(
+        (tuple(-1 if k == j else 0 for k in range(n)), -F(r))
+        for j, r in enumerate(f.domain)
+        if r is not None
+    )
     cells = []
-    for face in faces:
+    for face in lower_hull(items):
         if len(face.points) < 2:
             continue
-        pts = [(tuple(int(x) for x in q), h) for q, h in face.points]
-        base_pt, base_val = pts[0]
-        inside = {q for q, _ in pts}
-        if unclipped:
-            cell = face.cell
-            witness = face.witness
-            vert = frozenset(
-                (q, h) for q, h in ((tuple(int(x) for x in a), b) for a, b in face.points)
-            )
-        else:
-            clip = []
-            for j, r in enumerate(domain):
-                if r is None:
-                    continue
-                row = [0] * n
-                row[j] = -1
-                clip.append((tuple(row), -F(r)))
-            cell = QPolyhedron.from_hrep(
-                tuple(face.cell.ineqs) + tuple(clip), ambient=n
-            )
+        vert = frozenset((tuple(int(x) for x in q), h) for q, h in face.points)
+        if clip:
+            cell = QPolyhedron.from_hrep(tuple(face.cell.ineqs) + clip, ambient=n)
             if cell.is_empty():
                 continue
             witness = cell.relint_point()
-            vert = frozenset(vert_nu(f, witness))
-            if {i for i, _ in vert} != inside:
+            if frozenset(vert_nu(f, witness)) != vert:
                 continue  # the clipped remnant belongs to a finer cell
+        else:
+            cell, witness = face.cell, face.witness
         if not f.tail.is_empty:
+            base_pt, base_val = face.points[0]
             margin = _tail_floor_on_cell(f, cell, base_pt, base_val)
             if margin is None or margin <= 0:
                 raise PrecisionExhausted(
@@ -201,14 +184,7 @@ def trop_complex(f: RestrictedSeries, domain=None) -> TropicalData:
         cells.append(TropCell(witness, vert, cell))
 
     cells.sort(key=lambda c: c.witness)
-    newton_cells = []
-    support_pts = set()
-    for k, c in enumerate(cells):
-        proj = [i for i, _ in c.vert]
-        support_pts.update(proj)
-        newton_cells.append(NewtonCell(convex_hull(proj), k))
-    support = convex_hull(sorted(support_pts)) if support_pts else None
-    return TropicalData(f, domain, cells, newton_cells, support)
+    return TropicalData(f, cells)
 
 
 def shift_trop(f: RestrictedSeries, t, direction) -> RestrictedSeries:
@@ -221,7 +197,7 @@ def shift_trop(f: RestrictedSeries, t, direction) -> RestrictedSeries:
     return out
 
 
-def connected_components(datas, domain=None):
+def connected_components(datas):
     """Components of the intersection of several tropicalizations.
 
     Returns a list of components, each a list of nonempty intersection
@@ -246,15 +222,13 @@ def connected_components(datas, domain=None):
             inter = inter.intersection(c.cell)
             if inter.is_empty():
                 break
-        if domain is not None and not inter.is_empty():
-            inter = inter.intersection(domain)
         if not inter.is_empty():
             pieces.append(inter)
     pieces.sort(key=lambda p: p.key())
-    # drop exact duplicates to keep the union-find small
+    # drop exact duplicates, adjacent once sorted, to keep the union-find small
     uniq = []
     for p in pieces:
-        if not any(p.key() == q.key() for q in uniq):
+        if not uniq or p.key() != uniq[-1].key():
             uniq.append(p)
     parent = list(range(len(uniq)))
 
@@ -366,29 +340,31 @@ def render_svg(data: TropicalData, size=600) -> str:
     parts.append("</g>")
 
     # panel 2: Newton cells
+    newton = [c.newton() for c in data.cells]
+    support = data.newton_support()
     xs2, ys2 = [F(0)], [F(0)]
-    for nc in data.newton_cells:
-        xs2 += [p[0] for p in nc.poly.vertices]
-        ys2 += [p[1] for p in nc.poly.vertices]
+    for nc in newton:
+        xs2 += [p[0] for p in nc.vertices]
+        ys2 += [p[1] for p in nc.vertices]
     mp2 = _map_factory(xs2, ys2, size, margin)
 
     def shift(sxy):
         return str(float(sxy[0]) + size), sxy[1]
 
     parts.append('<g id="newton">')
-    if data.newton_support is not None and data.newton_support.affine_dim() == 2:
-        cyc = _polygon_cycle(data.newton_support)
+    if support is not None and support.affine_dim() == 2:
+        cyc = _polygon_cycle(support)
         path = " ".join(
             ("M" if i == 0 else "L") + f"{shift(mp2(p))[0]},{shift(mp2(p))[1]}"
             for i, p in enumerate(cyc)
         )
         parts.append(f'<path d="{path} Z" fill="#dddddd" stroke="none"/>')
-    for k, nc in enumerate(data.newton_cells):
-        vs = list(nc.poly.vertices)
-        if nc.poly.affine_dim() >= 1:
-            cyc = _polygon_cycle(nc.poly) if nc.poly.affine_dim() == 2 else vs
+    for k, nc in enumerate(newton):
+        vs = list(nc.vertices)
+        if nc.affine_dim() >= 1:
+            cyc = _polygon_cycle(nc) if nc.affine_dim() == 2 else vs
             m = len(cyc)
-            for i in range(m if nc.poly.affine_dim() == 2 else m - 1):
+            for i in range(m if nc.affine_dim() == 2 else m - 1):
                 a, b = cyc[i], cyc[(i + 1) % m]
                 (x1, y1), (x2, y2) = shift(mp2(a)), shift(mp2(b))
                 parts.append(

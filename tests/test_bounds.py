@@ -20,11 +20,10 @@ from troppadic.bounds import (
 from troppadic.errors import OracleMissing
 from troppadic.polyhedra import convex_hull, mixed_volume
 from troppadic.series import (
-    MonomialRule,
     ParamSeries,
     RestrictedSeries,
+    monomial_substitution,
     regular_order,
-    substitute,
 )
 from troppadic.tropical import connected_components, trop_complex
 
@@ -118,7 +117,7 @@ def test_substitution_order_matches_bound_formula():
             continue
         s = monomial_order_bound(exps, d)
         f = poly(p, n, {exps: 1}, domain=(F(0),) * n)
-        g = substitute(f, MonomialRule(d, 4 * s + 8))
+        g = monomial_substitution(f, d, 4 * s + 8)
         assert regular_order(g) == s
 
 

@@ -336,3 +336,18 @@ def test_cmd_bound_system_missing_variable_transcript(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert any(uf["variable"] == 1 for uf in doc["transforms"]["unit_factors"])
+
+
+@pytest.mark.parametrize("domain", [["1", "1"], [None, "0"], ["-1/2", None]])
+def test_cmd_bound_system_rejects_finite_domain(capsys, tmp_path, domain):
+    with open(data_path("line_a.series")) as fh:
+        doc = json.load(fh)
+    doc["domain"] = domain
+    bounded = tmp_path / "bounded.series"
+    bounded.write_text(dump_json(doc))
+    code, out, err = run(
+        capsys, "bound-system", str(bounded), data_path("line_b.series"), "--seed", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "domain" in err and "Traceback" not in err

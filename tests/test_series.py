@@ -13,16 +13,15 @@ from troppadic.errors import (
 from troppadic.padic import INF, PadicScaled, difference_floor
 from troppadic.series import (
     Budget,
-    MonomialRule,
     RestrictedSeries,
-    Scale,
-    Shift,
     TailBound,
     derivative,
     evaluate,
+    monomial_substitution,
     regular_order,
+    scale_variable,
+    shift_variable,
     strassmann_count,
-    substitute,
     weierstrass_divide,
     weierstrass_prepare,
 )
@@ -142,18 +141,18 @@ def test_derivative_leibniz_on_random_polys():
         assert lhs.terms == rhs.terms
 
 
-# --------------------------------------------------------------- substitute
+# --------------------------------------------------------------- substitutions
 
 
 def test_shift_binomial():
     f = poly(5, 1, {(2,): 1})
-    g = substitute(f, Shift(0, ex(5, 5)))
+    g = shift_variable(f, 0, ex(5, 5))
     assert g.terms == poly(5, 1, {(2,): 1, (1,): -10, (0,): 25}).terms
 
 
 def test_scale_moves_valuations():
     f = poly(5, 1, {(1,): 5, (5,): 1})
-    g = substitute(f, Scale(0, F(1)))
+    g = scale_variable(f, 0, F(1))
     assert g.coeff((1,)).valuation() == 0
     assert g.coeff((5,)).valuation() == -5
 
@@ -165,7 +164,7 @@ def test_scale_valuation_shift_property():
         f = poly(p, 2, {(rng.randint(0, 4), rng.randint(0, 4)): p ** rng.randint(0, 3) for _ in range(4)},
                  domain=(None, None))
         t = F(rng.randint(1, 6), rng.randint(1, 3))
-        g = substitute(f, Scale(1, t))
+        g = scale_variable(f, 1, t)
         for exps, c in f.terms.items():
             assert g.coeff(exps).valuation() == c.valuation() - exps[1] * t
 
@@ -173,7 +172,7 @@ def test_scale_valuation_shift_property():
 def test_monomial_substitution_example():
     # X1*X2^2 with d=3, n=2: X1 -> Z1 - Z2^3 gives Z1 Z2^2 - Z2^5
     f = poly(5, 2, {(1, 2): 1})
-    g = substitute(f, MonomialRule(3, 30))
+    g = monomial_substitution(f, 3, 30)
     assert g.terms == poly(5, 2, {(1, 2): 1, (0, 5): -1}).terms
     assert regular_order(g) == 5
 
@@ -181,7 +180,7 @@ def test_monomial_substitution_example():
 def test_monomial_substitution_budget():
     f = poly(5, 2, {(1, 2): 1})
     with pytest.raises(BudgetExceeded):
-        substitute(f, MonomialRule(3, 4))
+        monomial_substitution(f, 3, 4)
 
 
 # --------------------------------------------------------------- regularity

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import ZeroSeries
 from troppadic.polyhedra import vdot
 from troppadic.series import RestrictedSeries
 from troppadic.tropical import (
+    TropCell,
     connected_components,
     initial_form,
     is_in_tropicalization,
@@ -64,7 +66,8 @@ def test_figure_complex():
     assert data.vertices() == [(F(1, 4), F(1, 4))]
     assert data.ray_directions() == sorted([(0, 1), (5, 1), (-1, -1)])
     assert len(data.cells) == 4
-    duals = sorted(tuple(sorted(nc.poly.vertices)) for nc in data.newton_cells)
+    newton = [c.newton() for c in data.cells]
+    duals = sorted(tuple(sorted(nc.vertices)) for nc in newton)
     assert duals == sorted(
         [
             ((1, 0), (5, 0)),
@@ -74,16 +77,16 @@ def test_figure_complex():
         ]
     )
     # index pairing: each Newton cell is dual to the trop cell of equal index
-    for k, nc in enumerate(data.newton_cells):
+    for k, nc in enumerate(newton):
         assert sorted(exps_of(data.cells[k].vert)) == sorted(
-            set(nc.poly.vertices)
+            set(nc.vertices)
             | {v for v, _ in data.cells[k].vert}
         )
         # orthogonality of the paired spans
         for du in data.cells[k].cell.direction_space():
-            for dv in nc.poly.direction_space():
+            for dv in nc.direction_space():
                 assert vdot(du, dv) == 0
-        assert data.cells[k].dim() + nc.dim() == 2
+        assert data.cells[k].dim() + nc.affine_dim() == 2
 
 
 def test_monomial_has_empty_complex():
@@ -194,18 +197,19 @@ def test_duality_on_random_series():
         if len(f.terms) < 2:
             continue
         data = trop_complex(f)
-        for c, nc in zip(data.cells, data.newton_cells):
-            assert c.dim() + nc.dim() == 2
+        newton = [c.newton() for c in data.cells]
+        for c, nc in zip(data.cells, newton):
+            assert c.dim() + nc.affine_dim() == 2
             for du in c.cell.direction_space():
-                for dv in nc.poly.direction_space():
+                for dv in nc.direction_space():
                     assert vdot(du, dv) == 0
         # face reversal over all cell pairs
         for i, ci in enumerate(data.cells):
             for j, cj in enumerate(data.cells):
                 left = ci.cell.is_face_of(cj.cell) and not ci.cell.same_set(cj.cell)
-                right = data.newton_cells[j].poly.is_face_of(
-                    data.newton_cells[i].poly
-                ) and not data.newton_cells[j].poly.same_set(data.newton_cells[i].poly)
+                right = newton[j].is_face_of(newton[i]) and not newton[j].same_set(
+                    newton[i]
+                )
                 if ci.vert > cj.vert:
                     assert left and right
 
@@ -255,6 +259,32 @@ def test_monomial_criterion_matches_support():
         for _ in range(12):
             nu = (F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4))
             assert is_in_tropicalization(f, nu) == data.complex.support_contains(nu)
+
+
+_GRID = [F(k, 4) for k in range(-8, 9)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        st.builds(lambda c, k: c * 5**k, st.integers(1, 4), st.integers(0, 5)),
+        min_size=2,
+        max_size=8,
+    ),
+    st.tuples(*[st.sampled_from([None, F(-1), F(0), F(1, 2)])] * 2),
+)
+def test_clipped_complex_is_the_tropicalization_over_the_domain(terms, domain):
+    f = poly(5, 2, terms, domain=domain)
+    data = trop_complex(f)
+    for nu in ((a, b) for a in _GRID for b in _GRID):
+        inside = all(r is None or x >= r for x, r in zip(nu, domain))
+        on_complex = data.complex.support_contains(nu)
+        assert (inside and is_in_tropicalization(f, nu)) == on_complex
+        if on_complex:
+            # nu lies in the relative interior of its lowest cell
+            lowest = min((c for c in data.cells if c.cell.contains(nu)), key=TropCell.dim)
+            assert lowest.vert == vert_nu(f, nu)
 
 
 def test_vert_union_is_finite_and_covered():
