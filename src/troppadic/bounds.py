@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import GenericityFailure, OracleMissing
 from .formats import frac_str
-from .padic import PadicScaled
+from .padic import PadicScaled, vp_fraction
 from .polyhedra import _row_reduce, convex_hull, mixed_volume
 from .series import ParamSeries, RestrictedSeries, shift_variable
 from .tropical import connected_components, trop_complex, vert_nu
@@ -70,20 +70,8 @@ def _solve_small_combination(target, basis, p):
     sol = [F(0)] * ncols
     for i, c in enumerate(pivots):
         sol[c] = rref[i][ncols]
-    for c in sol:
-        if c != 0:
-            num, den = c.numerator, c.denominator
-            v = 0
-            x = abs(num)
-            while x % p == 0:
-                x //= p
-                v += 1
-            x = den
-            while x % p == 0:
-                x //= p
-                v -= 1
-            if v < 1:
-                return None
+    if any(vp_fraction(c, p) < 1 for c in sol):
+        return None
     return dict(zip(range(ncols), sol))
 
 
@@ -201,12 +189,13 @@ def max_codim1_cells(e: int, n: int) -> int:
 def isolated_bounds(system, oracle: WBoundOracle):
     """(D1, D2): caps on isolated intersection points and on the number of
     roots above each, from the boxes alone."""
-    es = [box_E(f, oracle) for f in system]
-    n = system[0].nx
-    e = max(es)
-    d2 = e ** n
+    return _isolated_from_boxes([box_E(f, oracle) for f in system], system[0].nx)
+
+
+def _isolated_from_boxes(es, n):
+    """(D1, D2) from the boxes E(f_i) of a system in n variables."""
     d1 = math.prod(max_codim1_cells(ei, n) for ei in es)
-    return d1, d2
+    return d1, max(es) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +380,8 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=()):
     fs, pointed_transcript = make_pointed(fs, rng)
     transformed = [ParamSeries.from_series(f) for f in fs]
     es = [box_E(f, oracle) for f in transformed]
-    e = max(es)
-    d1, d2 = isolated_bounds(transformed, oracle)
-    t2 = math.factorial(n) * e ** n
+    d1, d2 = _isolated_from_boxes(es, n)
+    t2 = math.factorial(n) * d2
     t_cross = d1 * t2
 
     comps = connected_components([trop_complex(f) for f in fs])

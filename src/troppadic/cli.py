@@ -225,8 +225,20 @@ HANDLERS = {
 }
 
 
+def _attach_domain(argv):
+    """Rewrite '--domain V' as '--domain=V': argparse reads a V that starts
+    with '-', such as '-1,none', as a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--domain":
+            out[-1] = f"--domain={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_domain(sys.argv[1:] if argv is None else argv))
     try:
         return HANDLERS[args.command](args)
     except FormatError as exc:

@@ -12,6 +12,11 @@ off the rays of the polar cone.  Only the line and the plane keep direct
 code (min/max, monotone chain), which is faster there.  Everything is
 deterministic: canonical primitive normals, lexicographic sorting, no
 randomization anywhere.
+
+Faces come from one facet list: every face of a polytope is the set of
+its points on some of its facets, so the facets of a face are its
+largest proper intersections with the facet tight sets.  ``lower_hull``
+and ``volume`` hull once and walk the faces by these intersections.
 """
 
 from __future__ import annotations
@@ -217,14 +222,6 @@ def _facets_2d(pts):
     return facets
 
 
-def _project_points(pts):
-    """Project onto pivot coordinates of the affine hull (injective there)."""
-    rank, pivots = _affine_pivots(_dedupe(pts))
-    if rank == 0:
-        return [(F(0),) for _ in pts]
-    return [tuple(q[c] for c in pivots) for q in pts]
-
-
 def _int_scaled(pts):
     """Clear denominators globally; plane normals and tight sets are
     invariant under the scaling, and integer arithmetic is much faster."""
@@ -264,28 +261,13 @@ def _facets_fullrank(pts):
     return [(n, F(off, den), t) for n, off, t in out]
 
 
-def all_faces(points):
-    """Every face of conv(points) as a tight index set (the improper face
-    included), recursively through the facet lattice."""
-    pts = [to_frac_point(p) for p in points]
-    idx_all = tuple(range(len(pts)))
-    seen = set()
-
-    def rec(idxs):
-        key = frozenset(idxs)
-        if key in seen:
-            return
-        seen.add(key)
-        sub = [pts[i] for i in idxs]
-        rank, _ = _affine_pivots(_dedupe(sub))
-        if rank == 0:
-            return
-        proj = _project_points(sub)
-        for _, _, tight in _facets_fullrank(proj):
-            rec(tuple(idxs[i] for i in tight))
-
-    rec(idx_all)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+def _subfaces(face, facet_sets):
+    """The facets of a face, as index sets.  Each proper face of the face
+    lies on a facet of the polytope that does not hold the whole face, so
+    the facets of the face are its largest proper nonempty cuts by the
+    polytope's facet tight sets."""
+    cuts = {face & s for s in facet_sets} - {face, frozenset()}
+    return [c for c in cuts if not any(c < d for d in cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -495,30 +477,19 @@ class QPolyhedron:
         return out
 
     def relint_point(self):
-        """A point strictly inside every non-implicit inequality."""
+        """A point strictly inside every non-implicit inequality: the vertex
+        mean, or, when a non-implicit inequality is tight on every vertex
+        (it is then strict on some ray), the mean plus the sum of the rays."""
         if self.is_empty():
             raise ValueError("empty polyhedron has no relative interior")
         n = len(self.vertices)
-        base = tuple(sum(v[i] for v in self.vertices) / n for i in range(self.ambient))
+        mean = tuple(sum(v[i] for v in self.vertices) / n for i in range(self.ambient))
         implicit = self.implicit_equality_mask()
-        ray_sum = (0,) * self.ambient
+        if all(imp or vdot(u, mean) < a for (u, a), imp in zip(self.ineqs, implicit)):
+            return mean
         for r in self.rays:
-            ray_sum = vadd(ray_sum, r)
-        for k in range(len(self.ineqs) + 2):
-            cand = vadd(base, vscale(ray_sum, F(k)))
-            ok = True
-            for (u, a), imp in zip(self.ineqs, implicit):
-                s = vdot(u, cand)
-                if imp:
-                    if s != a:
-                        ok = False
-                        break
-                elif s >= a:
-                    ok = False
-                    break
-            if ok:
-                return cand
-        raise ValueError("no relative interior point found")
+            mean = vadd(mean, r)
+        return mean
 
     def linear_min(self, objective):
         """(min of <objective, x> over self, attained: bool); None if empty."""
@@ -693,12 +664,6 @@ class LowerFace:
     witness: tuple
     cell: object = None
 
-    @property
-    def dim(self):
-        pts = [p for p, _ in self.points]
-        rank, _ = _affine_pivots(_dedupe([to_frac_point(p) for p in pts]))
-        return rank
-
 
 def lower_hull(lifted):
     """All faces of the lower hull, each with a witness nu.
@@ -714,25 +679,26 @@ def lower_hull(lifted):
         if pt not in best or h < best[pt]:
             best[pt] = h
     items = sorted(best.items())
-    pts = [p for p, _ in items]
-    n = len(pts[0]) if pts else 0
+    n = len(items[0][0]) if items else 0
     lift = [p + (h,) for p, h in items]
-    rank, _ = _affine_pivots(_dedupe(lift))
-
-    lower_facets = []
-    if rank == n + 1:
-        for normal, off, tight in _facets_fullrank(lift):
-            if normal[-1] < 0:
-                lower_facets.append(tuple(tight))
-    else:
-        # all lifted points affinely dependent: heights are an affine
-        # function of the points, every face of the projected hull is lower
-        lower_facets.append(tuple(range(len(lift))))
-
+    rank, pivots = _affine_pivots(lift)
+    todo = [frozenset(range(len(lift)))]
+    facet_sets = []
+    if rank > 0:
+        # facets of the lift inside its affine hull; the height is a pivot
+        # coordinate unless the heights are affine on the points, and then
+        # every face is lower
+        proj = [tuple(q[c] for c in pivots) for q in lift]
+        facets = _facets_fullrank(proj)
+        facet_sets = [frozenset(t) for _, _, t in facets]
+        if pivots[-1] == n:
+            todo = [frozenset(t) for normal, _, t in facets if normal[-1] < 0]
     seen = set()
-    for tight in lower_facets:
-        for face in all_faces([lift[i] for i in tight]):
-            seen.add(frozenset(tight[i] for i in face))
+    while todo:
+        face = todo.pop()
+        if face not in seen:
+            seen.add(face)
+            todo.extend(_subfaces(face, facet_sets))
 
     out = []
     for face in sorted(seen, key=lambda s: (len(s), sorted(s))):
@@ -781,31 +747,6 @@ def _face_witness(items, idxs):
 # volume and mixed volume
 
 
-def _decompose_simplices(points):
-    """Simplices covering conv(points) with disjoint interiors, using only
-    the given points: fan from the first point over the facets missing it,
-    recursively within each facet."""
-    pts = _dedupe([tuple(p) for p in points])
-    if len(pts) == 1:
-        return [tuple(pts)]
-    rank, pivots = _affine_pivots(pts)
-    if rank == 0:
-        return [(pts[0],)]
-    if rank == 1:
-        key = lambda q: tuple(q[c] for c in pivots)
-        lo = min(pts, key=key)
-        hi = max(pts, key=key)
-        return [(lo, hi)]
-    proj = [tuple(q[c] for c in pivots) for q in pts]
-    out = []
-    for _, _, tight in _facets_fullrank(proj):
-        if 0 in tight:
-            continue
-        for s in _decompose_simplices([pts[i] for i in tight]):
-            out.append((pts[0],) + s)
-    return out
-
-
 def volume(poly: QPolyhedron) -> Fraction:
     """Exact Euclidean volume; 0 for lower-dimensional input."""
     if not poly.is_bounded():
@@ -816,11 +757,20 @@ def volume(poly: QPolyhedron) -> Fraction:
     if poly.affine_dim() < n:
         return F(0)
     pts, den = _int_scaled([to_frac_point(v) for v in poly.vertices])
+    facet_sets = [frozenset(t) for _, _, t in _facets_fullrank(pts)]
+
+    def pulled(face):
+        # simplices covering the face: its first index coned over the
+        # pulled simplices of the sub-faces that miss it
+        apex = min(face)
+        subs = [s for s in _subfaces(face, facet_sets) if apex not in s]
+        if not subs:
+            return [(apex,)]
+        return [(apex,) + t for s in subs for t in pulled(s)]
+
     total = 0
-    for s in _decompose_simplices(pts):
-        if len(s) != n + 1:
-            continue
-        rows = [vsub(q, s[0]) for q in s[1:]]
+    for s in pulled(frozenset(range(len(pts)))):
+        rows = [vsub(pts[i], pts[s[0]]) for i in s[1:]]
         total += abs(_int_det(rows))
     return F(total, den ** n * math.factorial(n))
 

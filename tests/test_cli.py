@@ -182,6 +182,20 @@ def test_cmd_strassmann_precision_exit_code(capsys, tmp_path):
     assert "precision" in err
 
 
+@pytest.mark.parametrize(
+    "argv, domain",
+    [
+        (["trop", data_path("fig1_p5.series")], "-1,none"),
+        (["strassmann", data_path("strassmann_5x_x5.series")], "-1/2"),
+        (["wdiv", data_path("wdiv_divisor.series"), data_path("wdiv_dividend.series")], "-1/2"),
+    ],
+)
+def test_domain_starting_with_minus_may_follow_a_space(capsys, argv, domain):
+    attached = run(capsys, *argv, f"--domain={domain}")
+    assert attached[0] == 0
+    assert run(capsys, *argv, "--domain", domain) == attached
+
+
 # --------------------------------------------------------------- misc
 
 

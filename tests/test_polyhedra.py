@@ -10,7 +10,6 @@ from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
     PolyComplex,
     QPolyhedron,
-    _decompose_simplices,
     _facets_fullrank,
     convex_hull,
     det,
@@ -20,8 +19,10 @@ from troppadic.polyhedra import (
     mixed_volume,
     null_space,
     primitive,
+    vadd,
     vdot,
     volume,
+    vscale,
     vsub,
 )
 
@@ -131,6 +132,26 @@ def interpolated_volume_poly(polys, _grid_max=None):
     return {mono: m[i][-1] for i, mono in enumerate(monos)}
 
 
+def fan_simplices(pts):
+    """Simplices covering conv(pts), vertices in convex position, with
+    disjoint interiors: the first point coned over the fans of the facets
+    that miss it.  Facets come from _facets_brute on the coordinates that
+    span the affine hull."""
+    dirs = [vsub(q, pts[0]) for q in pts[1:]]
+    if not dirs:
+        return [(pts[0],)]
+    coords = []
+    for c in range(len(pts[0])):
+        if matrix_rank([[d[j] for j in coords + [c]] for d in dirs]) > len(coords):
+            coords.append(c)
+    proj = [tuple(q[c] for c in coords) for q in pts]
+    out = []
+    for _, _, tight in _facets_brute(proj):
+        if 0 not in tight:
+            out += [(pts[0],) + s for s in fan_simplices([pts[i] for i in tight])]
+    return out
+
+
 def signed_simplex_volume(poly):
     """Independent volume oracle: signed cones from an external apex."""
     n = poly.ambient
@@ -143,7 +164,7 @@ def signed_simplex_volume(poly):
         sign = 1 if vdot(u, apex) < a else -1
         if vdot(u, apex) == a:
             continue
-        for s in _decompose_simplices(tight):
+        for s in fan_simplices(tight):
             if len(s) != n:
                 continue
             rows = [vsub(q, apex) for q in s]
@@ -219,40 +240,41 @@ def test_lower_hull_point_above_is_in_no_face():
         assert ((1, 1), 5) not in [(tuple(int(c) for c in p), int(h)) for p, h in f.points]
 
 
-def test_lower_hull_matches_grid_minimization_oracle():
-    rng = random.Random(41)
-    for _ in range(8):
-        lifted = [
-            ((rng.randint(0, 5), rng.randint(0, 5)), F(rng.randint(0, 6)))
-            for _ in range(7)
-        ]
-        ded = {}
-        for pt, h in lifted:
-            if pt not in ded or h < ded[pt]:
-                ded[pt] = h
-        items = sorted(ded.items())
-        faces = lower_hull(items)
-        face_sets = {
-            frozenset(items.index((tuple(p), h)) for p, h in f.points) for f in faces
-        }
-        for a in range(-8, 9, 3):
-            for b in range(-8, 9, 3):
-                nu = (F(a, 4), F(b, 4))
-                assert grid_argmin(items, nu) in face_sets
+@st.composite
+def lifts(draw):
+    """(point, height) pairs in dimension 1-3 with distinct points: free
+    heights, supports on a line, or heights affine on the points."""
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("free", "line", "affine")))
+    if shape == "line":
+        base = draw(st.tuples(*[st.integers(0, 3)] * d))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        count = draw(st.integers(2, 5))
+        pts = list(dict.fromkeys(vadd(base, vscale(step, t)) for t in range(count)))
+    else:
+        pts = draw(point_sets(d, 0, 4, d + 2, 9))
+    if shape == "affine":
+        coeffs = st.fractions(-3, 3, max_denominator=3)
+        c0, *c = draw(st.lists(coeffs, min_size=d + 1, max_size=d + 1))
+        heights = [c0 + vdot(c, q) for q in pts]
+    else:
+        heights = [k % 3 for k in draw(st.permutations(range(len(pts))))]
+    return sorted((tuple(map(F, q)), F(h)) for q, h in zip(pts, heights))
 
 
-def test_lower_hull_witness_is_exact():
-    rng = random.Random(42)
-    lifted = [((rng.randint(0, 4), rng.randint(0, 4)), F(rng.randint(0, 5))) for _ in range(6)]
-    ded = {}
-    for pt, h in lifted:
-        if pt not in ded or h < ded[pt]:
-            ded[pt] = h
-    items = sorted(ded.items())
+@PROPERTY
+@given(lifts())
+def test_lower_hull_faces_are_the_argmin_sets(items):
+    """Each face's witness has exactly that face as its argmin, and every
+    argmin set on a rational grid of directions is a face."""
+    face_sets = set()
     for f in lower_hull(items):
-        got = grid_argmin(items, f.witness)
-        want = frozenset(items.index((tuple(p), h)) for p, h in f.points)
-        assert got == want
+        face = frozenset(items.index(pair) for pair in f.points)
+        assert grid_argmin(items, f.witness) == face
+        face_sets.add(face)
+    grid = [F(a, 4) for a in range(-8, 9, 3)]
+    for nu in product(grid, repeat=len(items[0][0])):
+        assert grid_argmin(items, nu) in face_sets
 
 
 # --------------------------------------------------------------- minkowski
@@ -300,13 +322,12 @@ def test_volume_lower_dimensional_is_zero():
     assert volume(convex_hull([(0, 0, 0), (1, 1, 0), (2, 0, 0)])) == 0
 
 
-def test_volume_matches_signed_simplex_oracle():
-    rng = random.Random(999)
-    for _ in range(8):
-        p = convex_hull(rand_points(rng, 3, 9))
-        if p.affine_dim() < 3:
-            continue
-        assert volume(p) == signed_simplex_volume(p)
+@PROPERTY
+@given(st.integers(2, 4).flatmap(lambda d: point_sets(d, -6, 6, d + 1, 12)))
+def test_volume_matches_signed_simplex_oracle(pts):
+    p = convex_hull(pts)
+    assume(p.affine_dim() == p.ambient)
+    assert volume(p) == signed_simplex_volume(p)
 
 
 def test_volume_unbounded_raises():
