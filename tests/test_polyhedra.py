@@ -240,6 +240,42 @@ def test_lower_hull_point_above_is_in_no_face():
         assert ((1, 1), 5) not in [(tuple(int(c) for c in p), int(h)) for p, h in f.points]
 
 
+def test_lower_hull_matches_grid_minimization_oracle():
+    rng = random.Random(41)
+    for _ in range(8):
+        lifted = [
+            ((rng.randint(0, 5), rng.randint(0, 5)), F(rng.randint(0, 6)))
+            for _ in range(7)
+        ]
+        ded = {}
+        for pt, h in lifted:
+            if pt not in ded or h < ded[pt]:
+                ded[pt] = h
+        items = sorted(ded.items())
+        faces = lower_hull(items)
+        face_sets = {
+            frozenset(items.index((tuple(p), h)) for p, h in f.points) for f in faces
+        }
+        for a in range(-8, 9, 3):
+            for b in range(-8, 9, 3):
+                nu = (F(a, 4), F(b, 4))
+                assert grid_argmin(items, nu) in face_sets
+
+
+def test_lower_hull_witness_is_exact():
+    rng = random.Random(42)
+    lifted = [((rng.randint(0, 4), rng.randint(0, 4)), F(rng.randint(0, 5))) for _ in range(6)]
+    ded = {}
+    for pt, h in lifted:
+        if pt not in ded or h < ded[pt]:
+            ded[pt] = h
+    items = sorted(ded.items())
+    for f in lower_hull(items):
+        got = grid_argmin(items, f.witness)
+        want = frozenset(items.index((tuple(p), h)) for p, h in f.points)
+        assert got == want
+
+
 @st.composite
 def lifts(draw):
     """(point, height) pairs in dimension 1-3 with distinct points: free
