@@ -365,16 +365,26 @@ def valuation(x: PadicScaled):
     return x.valuation()
 
 
-def difference_floor(a: PadicScaled, b: PadicScaled):
-    """A certified lower bound for v(a - b); never raises.
+def sum_floor(values):
+    """A certified lower bound for the valuation of a sum; never raises on
+    cancellation.
 
-    Returns the exact valuation when the difference is representable,
-    +Infinity when a and b are exactly equal, and the cancellation floor
-    when subtraction runs out of certified digits.
+    Returns the exact valuation when the sum is representable and
+    +Infinity when it is exactly zero.  A partial sum that runs out of
+    certified digits is known only to have valuation >= its cancellation
+    floor, so it leaves that floor and the sum goes on from zero.
     """
-    try:
-        return (a - b).valuation()
-    except PrecisionExhausted as exc:
-        if exc.floor is None:
-            raise
-        return exc.floor
+    total, floor = None, INF
+    for x in values:
+        try:
+            total = x if total is None else total + x
+        except PrecisionExhausted as exc:
+            if exc.floor is None:
+                raise
+            floor, total = val_min(floor, exc.floor), None
+    return floor if total is None else val_min(floor, total.valuation())
+
+
+def difference_floor(a: PadicScaled, b: PadicScaled):
+    """A certified lower bound for v(a - b): sum_floor of a and -b."""
+    return sum_floor([a, -b])

@@ -11,10 +11,20 @@ Everything downstream (tropicalization, root counting, effective bounds)
 rests on the operations here, so every transform recomputes a *sound* tail
 bound and every certification failure raises instead of degrading.
 
-Weierstrass division is a successive-approximation contraction in the
-(p, X')-filtration: with ``f = c*Y^d + E`` (c the unit coefficient of the
-regularity order), iterate ``Q <- c^{-1} * high_part(g - Q*E)``.  The
-iteration contracts exactly when every pure-Y coefficient of ``E`` has
+All series arithmetic runs on sparse term dicts ``{exponents: coefficient}``
+and three helpers: ``_acc`` adds a coefficient at a key, ``_dict_mul``
+multiplies two dicts (optionally capped at a total degree), and ``_fold``
+splits a dict at a degree cutoff into kept terms and the (degree,
+valuation) points that the tail bound must absorb.
+
+Weierstrass division is a contraction in the (p, X')-filtration: with
+``f = c*Y^d + E`` (c the unit coefficient of the regularity order), the
+quotient is the fixed point of ``Q <- c^{-1} * high_part(g - Q*E)``.  Its
+iterates are the partial sums of the Neumann series
+``Q_0 + L(Q_0) + L^2(Q_0) + ...`` with ``Q_0 = c^{-1} * high_part(g)`` and
+``L(x) = -c^{-1} * high_part(x*E)``, so each round multiplies only the
+newest term by E; the low parts of the same products sum to the remainder.
+The iteration contracts exactly when every pure-Y coefficient of ``E`` has
 positive valuation; that condition (plus the matching tail certificate) is
 checked up front and its failure raises BudgetExceeded, because without it
 no restricted quotient exists (e.g. dividing by ``Y + Y^2``).
@@ -33,7 +43,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from .padic import INF, PadicScaled, val_min
+from .padic import INF, PadicScaled, sum_floor, val_min
 
 F = Fraction
 
@@ -99,6 +109,41 @@ def _merge_tail_pieces(cutoff, pieces, fold_points):
     if b is INF:
         return TailBound.empty(cutoff)
     return TailBound(cutoff, c, b)
+
+
+# ---------------------------------------------------------------------------
+# sparse term dicts
+
+
+def _acc(terms, k, c):
+    """Add the coefficient c at key k of a sparse term dict."""
+    cur = terms.get(k)
+    terms[k] = c if cur is None else cur + c
+
+
+def _dict_mul(a, b, cap=None):
+    """Product of two term dicts, without terms of total degree above cap."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = tuple(s + t for s, t in zip(i, j))
+            if cap is None or sum(k) <= cap:
+                _acc(out, k, x * y)
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _fold(terms, cutoff):
+    """(nonzero terms of total degree <= cutoff, [(degree, valuation)] of
+    the nonzero terms beyond it)."""
+    kept, folds = {}, []
+    for k, c in terms.items():
+        if c.is_zero():
+            continue
+        if sum(k) > cutoff:
+            folds.append((sum(k), c.valuation()))
+        else:
+            kept[k] = c
+    return kept, folds
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +291,8 @@ class RestrictedSeries:
         cutoff = min(live) if live else max(ta.cutoff, tb.cutoff)
         merged = dict(self.terms)
         for i, c in other.terms.items():
-            cur = merged.get(i)
-            merged[i] = c if cur is None else cur + c
-        kept, folds = {}, []
-        for i, c in merged.items():
-            if c.is_zero():
-                continue
-            if sum(i) > cutoff:
-                folds.append((sum(i), c.valuation()))
-            else:
-                kept[i] = c
+            _acc(merged, i, c)
+        kept, folds = _fold(merged, cutoff)
         tail = _merge_tail_pieces(
             cutoff, [(ta.slope, ta.offset), (tb.slope, tb.offset)], folds
         )
@@ -280,21 +317,7 @@ class RestrictedSeries:
             bounds.append(tb.cutoff + mf)
         bounds = [b for b in bounds if b is not None]
         cutoff = min(bounds) if bounds else ta.cutoff + tb.cutoff
-        prod = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                k = tuple(x + y for x, y in zip(i, j))
-                c = a * b
-                cur = prod.get(k)
-                prod[k] = c if cur is None else cur + c
-        kept, folds = {}, []
-        for k, c in prod.items():
-            if c.is_zero():
-                continue
-            if sum(k) > cutoff:
-                folds.append((sum(k), c.valuation()))
-            else:
-                kept[k] = c
+        kept, folds = _fold(_dict_mul(self.terms, other.terms), cutoff)
         pieces = []
         if not tb.is_empty:
             h = val_min(*(a.valuation() - tb.slope * sum(i) for i, a in self.terms.items()))
@@ -363,6 +386,14 @@ def _with_error_floor(x: PadicScaled, floor):
     if digits < 1:
         raise PrecisionExhausted("no certified digit", floor=floor)
     return PadicScaled.approx(x.p, v, x.unit_digits(digits), digits)
+
+
+def _with_tail_error(terms, floor):
+    """Every coefficient + O(p^floor), the error that unexpanded tail terms
+    leave on the stored ones; a floor of None (unbounded below) raises."""
+    if floor is None:
+        raise PrecisionExhausted("tail valuations are unbounded below on the unit polydisc")
+    return {k: _with_error_floor(v, floor) for k, v in terms.items()}
 
 
 def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
@@ -439,22 +470,14 @@ def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSer
     out = {}
     for exps, a in f.terms.items():
         e = exps[i]
-        base = list(exps)
         for j in range(e + 1):
             coeff = a * PadicScaled.exact(f.p, math.comb(e, j)) * (-c) ** (e - j)
-            if coeff.is_zero():
-                continue
-            base[i] = j
-            k = tuple(base)
-            cur = out.get(k)
-            out[k] = coeff if cur is None else cur + coeff
-        base[i] = e
+            if not coeff.is_zero():
+                _acc(out, exps[:i] + (j,) + exps[i + 1:], coeff)
     out = {k: v for k, v in out.items() if not v.is_zero()}
-    if f.tail.is_empty:
-        return RestrictedSeries(f.p, f.nvars, out, tail=f.tail, domain=f.domain)
-    inj = f.tail.floor_at(F(0))
-    degraded = {k: _with_error_floor(v, inj) for k, v in out.items()}
-    return RestrictedSeries(f.p, f.nvars, degraded, tail=f.tail, domain=f.domain)
+    if not f.tail.is_empty:
+        out = _with_tail_error(out, f.tail.floor_at(F(0)))
+    return RestrictedSeries(f.p, f.nvars, out, tail=f.tail, domain=f.domain)
 
 
 def scale_variable(f: RestrictedSeries, i: int, t) -> RestrictedSeries:
@@ -491,29 +514,22 @@ def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> Re
     out = {}
     for exps, a in f.terms.items():
         partial = {(0,) * (n - 1) + (exps[-1],): a}
-        for i in range(n - 1):
-            e = exps[i]
+        for i, e in enumerate(exps[:-1]):
             if e == 0:
                 continue
-            nxt = {}
-            for j in range(e + 1):
-                cf = PadicScaled.exact(f.p, math.comb(e, j) * (-1) ** (e - j))
-                for k, c in partial.items():
-                    kk = list(k)
-                    kk[i] += j
-                    kk[-1] += (e - j) * exps_of_i[i]
-                    kk = tuple(kk)
-                    if sum(kk) > degree_budget:
-                        raise BudgetExceeded(
-                            f"monomial substitution exceeds degree budget {degree_budget}"
-                        )
-                    c2 = c * cf
-                    cur = nxt.get(kk)
-                    nxt[kk] = c2 if cur is None else cur + c2
-            partial = nxt
+            # (Z_i - Z_n^m)^e reaches total degree e*m (m >= 1) at j = 0
+            if max(map(sum, partial)) + e * exps_of_i[i] > degree_budget:
+                raise BudgetExceeded(
+                    f"monomial substitution exceeds degree budget {degree_budget}"
+                )
+            binomial = {
+                (0,) * i + (j,) + (0,) * (n - 2 - i) + ((e - j) * exps_of_i[i],):
+                PadicScaled.exact(f.p, math.comb(e, j) * (-1) ** (e - j))
+                for j in range(e + 1)
+            }
+            partial = _dict_mul(partial, binomial)
         for k, c in partial.items():
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
+            _acc(out, k, c)
     out = {k: v for k, v in out.items() if not v.is_zero()}
     dom = tuple(F(0) for _ in range(n))
     if f.tail.is_empty:
@@ -521,10 +537,10 @@ def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> Re
     # tail terms land at degree > cutoff with slope divided by the largest
     # exponent the substitution can multiply a degree by
     emax = max(exps_of_i, default=1)
-    inj = f.tail.floor_at(F(0))
-    degraded = {k: _with_error_floor(v, inj) for k, v in out.items()}
     tail = TailBound(degree_budget, f.tail.slope / emax, f.tail.offset)
-    return RestrictedSeries(f.p, n, degraded, tail=tail, domain=dom)
+    return RestrictedSeries(
+        f.p, n, _with_tail_error(out, f.tail.floor_at(F(0))), tail=tail, domain=dom
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,31 +584,6 @@ def _split_high(terms, axis, d):
     return low, high
 
 
-def _dict_mul(p, a, b, degree_budget):
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = tuple(s + t for s, t in zip(i, j))
-            if sum(k) > degree_budget:
-                continue
-            c = x * y
-            cur = out.get(k)
-            out[k] = c if cur is None else cur + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _dict_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        w = -v if cur is None else cur - v
-        if w.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = w
-    return out
-
-
 def _check_division_inputs(f, g, d, budget):
     axis = f.nvars - 1
     for s in (f, g):
@@ -629,39 +620,45 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     _check_division_inputs(f, g, d, budget)
     p, n = f.p, f.nvars
     axis = n - 1
-    c0 = f.terms[(0,) * axis + (d,)]
-    e_dict = dict(f.terms)
     top = (0,) * axis + (d,)
-    rem = e_dict.pop(top) - c0
-    if not rem.is_zero():
-        e_dict[top] = rem
-    one_over = PadicScaled.exact(p, 1) / c0
+    one_over = PadicScaled.exact(p, 1) / f.terms[top]
+    minus_e = {k: -c for k, c in f.terms.items() if k != top}
 
+    # Q is the Neumann sum of term <- c^{-1} * high(-term*E) from
+    # c^{-1} * high(g); the low parts of the same products sum to R - low(g)
     q_cur = {}
-    rounds = budget.prec + budget.degree + 2
-    g_low, g_high = _split_high(g.terms, axis, d)
-    for _ in range(rounds):
-        prod = _dict_mul(p, q_cur, e_dict, budget.degree)
-        h = _dict_sub(g.terms, prod)
-        _, h_high = _split_high(h, axis, d)
-        q_next = {k: v * one_over for k, v in h_high.items()}
-        q_next = {k: v for k, v in q_next.items() if not v.is_zero()}
-        if q_next == q_cur:
+    r_low, g_high = _split_high(g.terms, axis, d)
+    term = {k: c * one_over for k, c in g_high.items()}
+    for _ in range(budget.prec + budget.degree + 2):
+        if not term:
             break
-        q_cur = q_next
+        for k, c in term.items():
+            _acc(q_cur, k, c)
+        low, high = _split_high(_dict_mul(term, minus_e, budget.degree), axis, d)
+        for k, c in low.items():
+            _acc(r_low, k, c)
+        term = {k: c * one_over for k, c in high.items()}
 
-    prod = _dict_mul(p, q_cur, e_dict, budget.degree)
-    h = _dict_sub(g.terms, prod)
-    r_low, _ = _split_high(h, axis, d)
-
-    # residue check: g - Q f - R must vanish to budget below the degree cutoff
-    qf = _dict_mul(p, q_cur, f.terms, budget.degree)
-    res = _dict_sub(_dict_sub(g.terms, qf), r_low)
-    for exps, c in res.items():
-        if sum(exps) < budget.degree and c.valuation() < budget.prec:
-            raise BudgetExceeded(
-                f"division residue at {exps} has valuation {c.valuation()} < {budget.prec}"
-            )
+    # residue check against f itself: g - Q f - R must vanish to budget
+    # below the degree cutoff.  Its terms are listed per key, not summed,
+    # so that a sum cancelling below its certified digits keeps its floor.
+    residue = {}
+    for k, c in g.terms.items():
+        _acc(residue, k, [c])
+    for i, x in q_cur.items():
+        for j, y in f.terms.items():
+            k = tuple(s + t for s, t in zip(i, j))
+            if sum(k) < budget.degree:
+                _acc(residue, k, [-(x * y)])
+    for k, c in r_low.items():
+        _acc(residue, k, [-c])
+    for exps in sorted(residue):
+        if sum(exps) < budget.degree:
+            v = sum_floor(residue[exps])
+            if v < budget.prec:
+                raise BudgetExceeded(
+                    f"division residue at {exps} has valuation {v} < {budget.prec}"
+                )
 
     dom = f._common_domain(g)
     q_series = RestrictedSeries(p, n, q_cur, tail=TailBound.empty(budget.degree), domain=dom)
@@ -763,35 +760,25 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         floor_beyond = c_b * (k_max + 1) + b_b
     acc = {}
     power = {(0,) * g.nvars: PadicScaled.exact(p, 1)}
-    folds = []
     full_degree = max(k_max * deg_g, budget.degree)
     for k in range(k_max + 1):
         a_k = base.coeff((k,))
         if not a_k.is_zero():
             for exps, c in power.items():
-                w = c * a_k
-                cur = acc.get(exps)
-                acc[exps] = w if cur is None else cur + w
+                _acc(acc, exps, c * a_k)
         if k < k_max:
             # powers are never truncated below their true degree, so every
             # overflow term is computed and folded into the tail soundly
-            power = _dict_mul(p, power, g.terms, full_degree)
+            power = _dict_mul(power, g.terms, full_degree)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
-    kept = {}
-    for exps, c in acc.items():
-        if c.is_zero():
-            continue
-        if sum(exps) > budget.degree:
-            folds.append((sum(exps), val_min(c.valuation(), floor_beyond)))
-        else:
-            kept[exps] = c
+    kept, folds = _fold(acc, budget.degree)
+    folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
     pieces = []
     if floor_beyond is not INF and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = _merge_tail_pieces(budget.degree, pieces, folds)
-    if floor_beyond is not INF:
-        kept = {k: _with_error_floor(v, floor_beyond) for k, v in kept.items()}
+    kept = _with_tail_error(kept, floor_beyond)
     return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
 
 

@@ -9,8 +9,8 @@ where it is read (TropCell.newton); the two families are dual
 (complementary dimensions, orthogonal spans, reversed face order).
 
 Series with a nonempty tail get a per-cell certificate that the tail can
-never reach the minimum anywhere on the cell (an exact linear program over
-the cell); failure raises PrecisionExhausted rather than guessing.
+never reach the minimum anywhere on the cell, read off the cell's vertices,
+rays and lines; failure raises PrecisionExhausted rather than guessing.
 """
 
 from __future__ import annotations
@@ -89,27 +89,22 @@ def _support_items(f: RestrictedSeries):
 def _tail_floor_on_cell(f: RestrictedSeries, cell: QPolyhedron, base_point, base_val):
     """Certified min over the cell of (tail floor at nu) - (cell value at nu).
 
-    Works in (nu, t) with t <= nu_j for all j; the tail floor at nu is
-    (cutoff+1) * (slope + t) + offset.  Returns None when unbounded below.
+    On a cell inside the domain the tail floor at nu is
+    d1 * (slope + min_j nu_j) + offset with d1 = cutoff + 1, so the margin
+    is a constant plus g(nu) = d1 * min_j nu_j - <base_point, nu>.  g is
+    concave and positively homogeneous, hence superadditive: its minimum
+    over the cell is attained at a vertex, unless g < 0 on some ray or on
+    either direction of some line, where it is unbounded below (None).
     """
-    tail = f.tail
-    n = f.nvars
-    ineqs = []
-    for u, a in cell.ineqs:
-        ineqs.append((tuple(u) + (0,), a))
-    for j in range(n):
-        row = [0] * (n + 1)
-        row[j] = -1
-        row[n] = 1
-        ineqs.append((tuple(row), F(0)))  # t - nu_j <= 0
-    lifted = QPolyhedron.from_hrep(ineqs, ambient=n + 1)
-    d1 = tail.cutoff + 1
-    # objective: d1*t - <base_point, nu>  (linear part)
-    obj = tuple(-F(x) for x in base_point) + (F(d1),)
-    m, ok = lifted.linear_min(obj)
-    if not ok:
+    d1 = f.tail.cutoff + 1
+
+    def g(nu):
+        return d1 * min(nu) - vdot(base_point, nu)
+
+    directions = [*cell.rays, *cell.lines, *(tuple(-x for x in l) for l in cell.lines)]
+    if any(g(r) < 0 for r in directions):
         return None
-    return m + d1 * tail.slope + tail.offset - base_val
+    return min(g(v) for v in cell.vertices) + d1 * f.tail.slope + f.tail.offset - base_val
 
 
 def vert_nu(f: RestrictedSeries, nu):

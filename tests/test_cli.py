@@ -222,6 +222,27 @@ def test_cmd_wdiv(capsys):
     assert a1.coeff(()).rational_value() == 5
 
 
+def test_cmd_wdiv_approximate_divisor(capsys, tmp_path):
+    # the divisor's unit coefficient 1 + O(5^12): the residue of the right
+    # quotient cancels below its certified digits, and only its floor counts
+    doc = json.loads(open(data_path("wdiv_divisor.series")).read())
+    for t in doc["terms"]:
+        if t["exps"] == [2]:
+            t["coeff"] = {"unit": 1, "val": "0", "prec": 12}
+    divisor = tmp_path / "divisor.series"
+    divisor.write_text(json.dumps(doc))
+    argv = ["wdiv", str(divisor), data_path("wdiv_dividend.series")]
+    code, out, _ = run(capsys, *argv, "--prec", "10")
+    assert code == 0
+    doc = json.loads(out)
+    q = series_from_dict(doc["quotient"])
+    assert q.coeff((1,)) == PadicScaled.approx(5, 0, 1, 12)
+    assert series_from_dict(doc["remainders"][1]).coeff(()) == PadicScaled.approx(5, 1, 1, 12)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "division residue at (1,) has valuation 13 < 16" in err
+
+
 def test_cmd_mixed_volume(capsys, tmp_path):
     seg_x = tmp_path / "sx.json"
     seg_y = tmp_path / "sy.json"

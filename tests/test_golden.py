@@ -1,0 +1,91 @@
+"""Golden CLI outputs: the SHA-256 of every bundled command's output bytes.
+
+The manifest `golden_sha256.json` records the hashes.  A change that is
+meant to keep every output the same keeps this test green; a change that
+alters an output on purpose regenerates the manifest with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which entries moved and why.
+"""
+
+import hashlib
+import json
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from troppadic.cli import main
+
+MANIFEST = Path(__file__).with_name("golden_sha256.json")
+DOMAINS = [None, "0,0", "-1,none", "1/2,-1/3", "none,1"]
+
+
+def data_path(name):
+    return str(resources.files("troppadic") / "data" / name)
+
+
+def golden_commands():
+    """{name: (argv, names of the files it writes)}; the argv's {out} and
+    {svg} are output paths."""
+    cmds = {}
+    for name in ("fig1_p5", "line_a", "line_b"):
+        for dom in DOMAINS:
+            argv = ["trop", data_path(f"{name}.series"), "-o", "{out}", "--svg", "{svg}"]
+            if dom is not None:
+                argv += ["--domain", dom]
+            cmds[f"trop {name} domain={dom}"] = (argv, ("out", "svg"))
+    for dom in (None, "0", "-1", "none"):
+        argv = ["trop", data_path("strassmann_5x_x5.series"), "-o", "{out}"]
+        if dom is not None:
+            argv += ["--domain", dom]
+        cmds[f"trop strassmann_5x_x5 domain={dom}"] = (argv, ("out",))
+    cmds["strassmann strassmann_5x_x5"] = (
+        ["strassmann", data_path("strassmann_5x_x5.series"), "-o", "{out}"],
+        ("out",),
+    )
+    cmds["wdiv wdiv_divisor wdiv_dividend"] = (
+        ["wdiv", data_path("wdiv_divisor.series"), data_path("wdiv_dividend.series"), "-o", "{out}"],
+        ("out",),
+    )
+    cmds["bound-system line_a line_b seed 42"] = (
+        ["bound-system", data_path("line_a.series"), data_path("line_b.series"),
+         "--seed", "42", "-o", "{out}"],
+        ("out",),
+    )
+    cmds["term-deriv Ep(x)"] = (["term-deriv", "Ep(x)", "-o", "{out}"], ("out",))
+    return cmds
+
+
+def run_golden(argv, outputs, workdir: Path):
+    """Run one command and return {output name: SHA-256 of its bytes}."""
+    paths = {k: workdir / f"golden.{k}" for k in ("out", "svg")}
+    code = main([a.format(**paths) for a in argv])
+    assert code == 0, argv
+    return {k: hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in outputs}
+
+
+def _manifest():
+    return json.loads(MANIFEST.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(golden_commands()))
+def test_golden_output(name, tmp_path):
+    argv, outputs = golden_commands()[name]
+    assert run_golden(argv, outputs, tmp_path) == _manifest()[name]
+
+
+def test_manifest_lists_every_command():
+    assert sorted(_manifest()) == sorted(golden_commands())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {
+            name: run_golden(argv, outputs, Path(tmp))
+            for name, (argv, outputs) in sorted(golden_commands().items())
+        }
+    MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

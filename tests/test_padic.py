@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import DivisionByZero, PrecisionExhausted
-from troppadic.padic import INF, PadicScaled, difference_floor, valuation
+from troppadic.padic import INF, PadicScaled, difference_floor, sum_floor, valuation
 
 F = Fraction
 
@@ -129,3 +130,50 @@ def test_pow():
     assert (ex(2) ** 10).rational_value() == 1024
     assert (ex(2) ** 0).rational_value() == 1
     assert (ex(2) ** -2).rational_value() == F(1, 4)
+
+
+def test_sum_floor_keeps_the_floor_of_a_cancelling_partial_sum():
+    a = PadicScaled.approx(5, 0, 7, 3)  # 7 + O(5^3)
+    assert sum_floor([a, -a, ex(5**5)]) == 3
+    assert sum_floor([ex(5**5), a, -a]) == 3
+    assert sum_floor([a, -a, ex(5)]) == 1
+    assert sum_floor([ex(3), ex(-3)]) is INF
+    assert sum_floor([ex(3), ex(22)]) == 2
+
+
+@st.composite
+def approx_with_lift(draw, p):
+    """(x, lift): x approximate with certified digits, lift an exact value
+    in its ball; or an exact value twice."""
+    v = draw(st.integers(-3, 3))
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(1, p**n - 1).filter(lambda u: u % p))
+    lift = PadicScaled.exact(p, F(u + draw(st.integers(-(p**3), p**3)) * p**n) * F(p) ** v)
+    if draw(st.booleans()):
+        return lift, lift
+    return PadicScaled.approx(p, v, u, n), lift
+
+
+OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.tuples(approx_with_lift(p), approx_with_lift(p))
+    ),
+    st.sampled_from(sorted(OPS)),
+)
+def test_approximate_arithmetic_agrees_with_exact_lifts(operands, op):
+    (a, a_lift), (b, b_lift) = operands
+    try:
+        got = OPS[op](a, b)
+    except PrecisionExhausted:
+        return  # no certified digit survives: allowed, never a wrong one
+    certified = got.valuation() + got.precision()
+    assert difference_floor(got, OPS[op](a_lift, b_lift)) >= certified

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import (
     BudgetExceeded,
@@ -169,6 +170,14 @@ def test_scale_valuation_shift_property():
             assert g.coeff(exps).valuation() == c.valuation() - exps[1] * t
 
 
+def test_shift_with_a_tail_unbounded_below_on_the_unit_polydisc_raises():
+    # slope -1/2 converges on [1, oo), but not at valuation 0, where the
+    # expanded tail terms would land on the stored coefficients
+    f = RestrictedSeries(5, 1, {(1,): 1}, tail=TailBound(1, F(-1, 2), F(0)), domain=(F(1),))
+    with pytest.raises(PrecisionExhausted):
+        shift_variable(f, 0, ex(5, 5))
+
+
 def test_monomial_substitution_example():
     # X1*X2^2 with d=3, n=2: X1 -> Z1 - Z2^3 gives Z1 Z2^2 - Z2^5
     f = poly(5, 2, {(1, 2): 1})
@@ -271,6 +280,31 @@ def test_division_residue_and_uniqueness_property():
         for exps, c in res.terms.items():
             if sum(exps) < budget.degree:
                 assert c.valuation() >= budget.prec
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.integers(3, 14))
+def test_approximate_division_agrees_with_exact_lifts(rng, d, digits):
+    p = 5
+    budget = Budget(8, 8)
+    f = _random_regular(rng, p, d)
+    g = poly(p, 2, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-30, 30) for _ in range(4)})
+
+    def blur(s):
+        # about half of the coefficients keep only `digits` unit digits;
+        # s itself is an exact lift of the result
+        terms = {k: c.to_precision(digits) if rng.random() < 0.5 else c for k, c in s.terms.items()}
+        return RestrictedSeries(p, s.nvars, terms)
+
+    try:
+        q_approx, a_approx = weierstrass_divide(blur(f), blur(g), budget)
+    except (BudgetExceeded, PrecisionExhausted):
+        return  # not certifiable from the digits given: allowed
+    q, a = weierstrass_divide(f, g, budget)
+    for approx, exact in [(q_approx, q), *zip(a_approx, a)]:
+        for k in set(approx.terms) | set(exact.terms):
+            got = approx.coeff(k)
+            assert difference_floor(got, exact.coeff(k)) >= got.valuation() + got.precision()
 
 
 # --------------------------------------------------------------- preparation

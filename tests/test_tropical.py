@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troppadic.errors import ZeroSeries
+from troppadic.errors import PrecisionExhausted, ZeroSeries
 from troppadic.polyhedra import vdot
-from troppadic.series import RestrictedSeries
+from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
     connected_components,
@@ -261,10 +261,22 @@ def test_monomial_criterion_matches_support():
             assert is_in_tropicalization(f, nu) == data.complex.support_contains(nu)
 
 
+def test_tail_is_certified_on_each_cell():
+    # 25 + X: one cell at nu = 2, where the tail floor is 2*(1 + 2) + 10 = 16
+    f = RestrictedSeries(5, 1, {(0,): 25, (1,): 1}, tail=TailBound(1, F(1), F(10)))
+    data = trop_complex(f)
+    assert data.vertices() == [(F(2),)]
+    assert exps_of(vert_nu(f, (F(2),))) == {(0,), (1,)}
+    # a tail that reaches the minimum on the cell still raises
+    low = RestrictedSeries(5, 1, {(0,): 25, (1,): 1}, tail=TailBound(1, F(1), F(-5)))
+    with pytest.raises(PrecisionExhausted):
+        trop_complex(low)
+
+
 _GRID = [F(k, 4) for k in range(-8, 9)]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     st.dictionaries(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
@@ -273,18 +285,37 @@ _GRID = [F(k, 4) for k in range(-8, 9)]
         max_size=8,
     ),
     st.tuples(*[st.sampled_from([None, F(-1), F(0), F(1, 2)])] * 2),
+    st.none() | st.tuples(st.sampled_from([F(3, 2), F(2), F(3)]), st.integers(-4, 12)),
 )
-def test_clipped_complex_is_the_tropicalization_over_the_domain(terms, domain):
-    f = poly(5, 2, terms, domain=domain)
-    data = trop_complex(f)
+def test_clipped_complex_is_the_tropicalization_over_the_domain(terms, domain, tail):
+    if tail is None:
+        f = poly(5, 2, terms, domain=domain)
+    else:
+        # a tail needs every domain coordinate bounded below
+        domain = tuple(F(0) if r is None else r for r in domain)
+        cutoff = max(map(sum, terms))
+        f = RestrictedSeries(5, 2, terms, tail=TailBound(cutoff, tail[0], F(tail[1])), domain=domain)
+    try:
+        data = trop_complex(f)
+    except PrecisionExhausted:
+        assert tail is not None  # the tail reaches the minimum on some cell
+        return
     for nu in ((a, b) for a in _GRID for b in _GRID):
         inside = all(r is None or x >= r for x, r in zip(nu, domain))
         on_complex = data.complex.support_contains(nu)
-        assert (inside and is_in_tropicalization(f, nu)) == on_complex
         if on_complex:
-            # nu lies in the relative interior of its lowest cell
+            assert inside
+            # nu lies in the relative interior of its lowest cell, and the
+            # cell's tail certificate lets vert_nu certify there
             lowest = min((c for c in data.cells if c.cell.contains(nu)), key=TropCell.dim)
             assert lowest.vert == vert_nu(f, nu)
+            assert len(lowest.vert) >= 2
+        elif tail is None:
+            assert not (inside and is_in_tropicalization(f, nu))
+    for c in data.cells:
+        # far out along the cell's rays, beyond the grid
+        far = tuple(w + 1000 * sum(r[k] for r in c.cell.rays) for k, w in enumerate(c.witness))
+        assert c.vert == vert_nu(f, far)
 
 
 def test_vert_union_is_finite_and_covered():
