@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -27,16 +28,34 @@ def frac_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schemas' rational pattern
+
+
 def parse_frac(s) -> Fraction:
+    if isinstance(s, int) and not isinstance(s, bool):
+        return F(s)
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise FormatError(f"bad rational {s!r}")
+    num, _, den = s.partition("/")
     try:
-        if isinstance(s, int):
-            return F(s)
-        if "/" in s:
-            num, den = s.split("/")
-            return F(int(num), int(den))
-        return F(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
+        return F(int(num), int(den or 1))
+    except ZeroDivisionError as exc:
         raise FormatError(f"bad rational {s!r}") from exc
+
+
+def _int(x, what, minimum=None) -> int:
+    """An integer field: a JSON integer (never a float, bool or string),
+    at least ``minimum`` when one is given."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, not {x}")
+    return x
+
+
+def _check_version(obj):
+    if _int(obj["schema_version"], "schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}")
 
 
 def is_prime(n: int) -> bool:
@@ -82,9 +101,13 @@ def _coeff_from_json(p, obj) -> PadicScaled:
     if "rational" in obj:
         return PadicScaled.exact(p, parse_frac(obj["rational"]), parse_frac(obj["shift"]))
     try:
-        return PadicScaled.approx(p, parse_frac(obj["val"]), int(obj["unit"]), int(obj["prec"]))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad coefficient {obj!r}") from exc
+        return PadicScaled.approx(
+            p, parse_frac(obj["val"]), _int(obj["unit"], "unit"), _int(obj["prec"], "prec", 1)
+        )
+    except KeyError as exc:
+        raise FormatError(f"bad coefficient {obj!r}: missing {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"bad coefficient {obj!r}: {exc}") from exc
 
 
 def series_to_dict(f: RestrictedSeries) -> dict:
@@ -109,20 +132,23 @@ def series_to_dict(f: RestrictedSeries) -> dict:
 
 def series_from_dict(obj) -> RestrictedSeries:
     try:
-        p = int(obj["prime"])
+        _check_version(obj)
+        p = _int(obj["prime"], "prime")
         if not is_prime(p):
             raise ValueError(f"prime {p} is not a prime")
-        nvars = int(obj["nvars"])
+        nvars = _int(obj["nvars"], "nvars", 0)
         domain = tuple(
             None if r is None else parse_frac(r) for r in obj["domain"]
         )
         terms = {}
         for item in obj["terms"]:
-            exps = tuple(int(e) for e in item["exps"])
+            exps = tuple(_int(e, "exponent", 0) for e in item["exps"])
+            if exps in terms:
+                raise ValueError(f"exponent vector {list(exps)} listed twice")
             terms[exps] = _coeff_from_json(p, item["coeff"])
         t = obj["tail"]
         offset = INF if t["offset"] == "inf" else parse_frac(t["offset"])
-        tail = TailBound(int(t["cutoff"]), parse_frac(t["slope"]), offset)
+        tail = TailBound(_int(t["cutoff"], "cutoff", 0), parse_frac(t["slope"]), offset)
         return RestrictedSeries(p, nvars, terms, tail=tail, domain=domain)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed series document: {exc}") from exc
@@ -140,13 +166,14 @@ def polytope_to_dict(poly: QPolyhedron) -> dict:
 
 def polytope_from_dict(obj) -> QPolyhedron:
     try:
-        dim = int(obj["dim"])
+        _check_version(obj)
+        dim = _int(obj["dim"], "dim", 1)
         vertices = [tuple(parse_frac(x) for x in v) for v in obj["vertices"]]
-        rays = [tuple(int(x) for x in r) for r in obj.get("rays", [])]
-        lines = [tuple(int(x) for x in l) for l in obj.get("lines", [])]
-        for v in vertices:
+        rays = [tuple(_int(x, "ray entry") for x in r) for r in obj.get("rays", [])]
+        lines = [tuple(_int(x, "line entry") for x in l) for l in obj.get("lines", [])]
+        for v in vertices + rays + lines:
             if len(v) != dim:
-                raise ValueError("vertex dimension mismatch")
+                raise ValueError("point or direction dimension mismatch")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed polytope document: {exc}") from exc
     if not vertices:

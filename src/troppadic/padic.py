@@ -14,6 +14,15 @@ A nonzero value is stored in one of two forms:
 
 Zero is a distinguished exact value of valuation +oo.  Values are
 immutable and all operations are pure functions.
+
+Every exact value is built by one normalizer, ``_exact``, which keeps two
+invariants that the arithmetic relies on:
+
+* zero is stored as the module constant ``_ZERO`` (a ``Fraction(0)``) with
+  shift ``_ZERO``, so ``is_zero()`` is the identity test ``_r is _ZERO``;
+* a shift of 0 is stored as that same ``_ZERO`` object, so the common case
+  of two shift-0 operands is recognised by identity and skips the shift sum
+  and the fold of its integer part.
 """
 
 from __future__ import annotations
@@ -62,6 +71,8 @@ class _Infinity:
 
 
 INF = _Infinity()  # a valuation is either a Fraction or INF
+
+_ZERO = Fraction(0)  # the rational of exact zero and every shift of 0
 
 
 def val_min(*vals):
@@ -124,20 +135,11 @@ class PadicScaled:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def exact(cls, p: int, value, shift=Fraction(0)) -> "PadicScaled":
+    def exact(cls, p: int, value, shift=_ZERO) -> "PadicScaled":
         """An exactly known rational value (times p**shift, shift in [0,1))."""
         if p < 2:
             raise ValueError("prime must be >= 2")
-        r = Fraction(value)
-        shift = Fraction(shift)
-        if r == 0:
-            return cls(p, _r=Fraction(0), _shift=Fraction(0))
-        # fold integer part of the shift into the rational
-        k = shift.numerator // shift.denominator
-        if k:
-            r *= Fraction(p) ** k
-            shift -= k
-        return cls(p, _r=r, _shift=shift)
+        return _exact(p, Fraction(value), Fraction(shift))
 
     @classmethod
     def zero(cls, p: int) -> "PadicScaled":
@@ -162,12 +164,12 @@ class PadicScaled:
         return self._r is not None
 
     def is_zero(self) -> bool:
-        return self._r is not None and self._r == 0
+        return self._r is _ZERO
 
     def valuation(self):
         """The valuation v(self); +Infinity for exact zero."""
         if self.is_exact:
-            if self._r == 0:
+            if self._r is _ZERO:
                 return INF
             return vp_fraction(self._r, self.p) + self._shift
         return self._v
@@ -178,7 +180,7 @@ class PadicScaled:
 
     def rational_value(self) -> Fraction:
         """The exact rational value; only for exact values with shift 0."""
-        if not self.is_exact or self._shift != 0:
+        if not self.is_exact or self._shift is not _ZERO:
             raise ValueError("not an exact rational value")
         return self._r
 
@@ -211,20 +213,20 @@ class PadicScaled:
 
     def __neg__(self):
         if self.is_exact:
-            return PadicScaled(self.p, _r=-self._r, _shift=self._shift)
+            return _exact(self.p, -self._r, self._shift)
         m = self.p ** self._N
         return PadicScaled(self.p, _v=self._v, _u=(-self._u) % m, _N=self._N)
 
     def __add__(self, other):
         self._check_same(other)
-        p = self.p
-        if self.is_zero():
+        if self._r is _ZERO:
             return other
-        if other.is_zero():
+        if other._r is _ZERO:
             return self
-        if self.is_exact and other.is_exact:
-            if self._shift == other._shift:
-                return PadicScaled.exact(p, self._r + other._r, self._shift)
+        if self._r is not None and other._r is not None:
+            s = self._shift
+            if s is other._shift or s == other._shift:
+                return _exact(self.p, self._r + other._r, s)
             # distinct fractional shifts never interact at integer spacing
             return self._add_mixed_shift(other)
         return self._add_approx(other)
@@ -288,10 +290,11 @@ class PadicScaled:
     def __mul__(self, other):
         self._check_same(other)
         p = self.p
-        if self.is_zero() or other.is_zero():
-            return PadicScaled.zero(p)
-        if self.is_exact and other.is_exact:
-            return PadicScaled.exact(p, self._r * other._r, self._shift + other._shift)
+        if self._r is _ZERO or other._r is _ZERO:
+            return _exact(p, _ZERO, _ZERO)
+        if self._r is not None and other._r is not None:
+            s, t = self._shift, other._shift
+            return _exact(p, self._r * other._r, s if t is _ZERO else s + t)
         n = min(self.precision(), other.precision())
         n = int(n)
         mod = p ** n
@@ -303,11 +306,11 @@ class PadicScaled:
         p = self.p
         if other.is_zero():
             raise DivisionByZero("division by exact zero")
-        if self.is_zero():
-            return PadicScaled.zero(p)
-        if self.is_exact and other.is_exact:
-            shift = self._shift - other._shift
-            return PadicScaled.exact(p, self._r / other._r, shift)
+        if self._r is _ZERO:
+            return _exact(p, _ZERO, _ZERO)
+        if self._r is not None and other._r is not None:
+            s, t = self._shift, other._shift
+            return _exact(p, self._r / other._r, s if t is _ZERO else s - t)
         n = int(min(self.precision(), other.precision()))
         mod = p ** n
         u = (self.unit_digits(n) * pow(other.unit_digits(n), -1, mod)) % mod
@@ -332,7 +335,7 @@ class PadicScaled:
         if self.is_zero():
             return self
         if self.is_exact:
-            return PadicScaled.exact(self.p, self._r, self._shift + delta)
+            return _exact(self.p, self._r, self._shift + delta)
         return PadicScaled.approx(self.p, self._v + delta, self._u, self._N)
 
     # -- comparisons and helpers -------------------------------------
@@ -358,6 +361,21 @@ class PadicScaled:
             s = f"*{self.p}^{self._shift}" if self._shift else ""
             return f"PadicScaled({self._r}{s}; p={self.p})"
         return f"PadicScaled({self._u}*{self.p}^{self._v} + O({self.p}^{self._v + self._N}))"
+
+
+def _exact(p, r, shift):
+    """The canonical exact value r * p**shift (r, shift Fractions; p >= 2)."""
+    if not r:
+        return PadicScaled(p, _r=_ZERO, _shift=_ZERO)
+    if shift is not _ZERO:
+        # fold the integer part of the shift into the rational
+        k = shift.numerator // shift.denominator
+        if k:
+            r *= Fraction(p) ** k
+            shift -= k
+        if not shift:
+            shift = _ZERO
+    return PadicScaled(p, _r=r, _shift=shift)
 
 
 def valuation(x: PadicScaled):

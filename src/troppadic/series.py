@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -124,11 +125,14 @@ def _acc(terms, k, c):
 def _dict_mul(a, b, cap=None):
     """Product of two term dicts, without terms of total degree above cap."""
     out = {}
+    bs = [(j, y, sum(j)) for j, y in b.items()]
+    if cap is None:
+        cap = math.inf
     for i, x in a.items():
-        for j, y in b.items():
-            k = tuple(s + t for s, t in zip(i, j))
-            if cap is None or sum(k) <= cap:
-                _acc(out, k, x * y)
+        room = cap - sum(i)
+        for j, y, dj in bs:
+            if dj <= room:
+                _acc(out, tuple(map(add, i, j)), x * y)
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

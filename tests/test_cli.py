@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troppadic.cli import main
+from troppadic.errors import FormatError, TropPadicError
 from troppadic.formats import (
     dump_json,
     polytope_from_dict,
@@ -386,3 +394,243 @@ def test_cmd_bound_system_rejects_finite_domain(capsys, tmp_path, domain):
     assert code == 2
     assert out == ""
     assert "domain" in err and "Traceback" not in err
+
+
+# --------------------------------------------------------------- loaders
+
+
+def _line_a():
+    with open(data_path("line_a.series")) as fh:
+        return json.load(fh)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("terms", 1, "exps"), [1.9, 0]),
+        (("terms", 1, "exps"), ["1", 0]),
+        (("prime",), 5.7),
+        (("prime",), 5.0),
+        (("tail", "cutoff"), 1.5),
+        (("tail", "cutoff"), True),
+        (("tail", "slope"), "1_0"),
+        (("domain",), [True, None]),
+        (("schema_version",), 2),
+        (("terms", 0, "coeff"), {"unit": 3, "val": "0", "prec": 0}),
+        (("terms", 0, "coeff"), {"unit": 3.0, "val": "0", "prec": 2}),
+    ],
+    ids=[
+        "exps-float", "exps-string", "prime-float", "prime-integral-float",
+        "cutoff-float", "cutoff-bool", "slope-underscore", "domain-bool",
+        "schema-version", "prec-zero", "unit-float",
+    ],
+)
+def test_series_fields_outside_the_schema_are_input_errors(capsys, tmp_path, path, value):
+    doc = _line_a()
+    _set(doc, path, value)
+    bad = tmp_path / "bad.series"
+    bad.write_text(dump_json(doc))
+    code, out, err = run(capsys, "trop", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_series_with_a_repeated_exponent_vector_is_an_input_error(capsys, tmp_path):
+    doc = _line_a()
+    doc["terms"].append({"exps": [1, 0], "coeff": "2"})
+    bad = tmp_path / "twice.series"
+    bad.write_text(dump_json(doc))
+    code, out, err = run(capsys, "trop", str(bad))
+    assert (code, out) == (2, "")
+    assert "[1, 0] listed twice" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema_version": 1, "dim": 1.0, "vertices": [["0"], ["2"]]},
+        {"schema_version": 1, "dim": True, "vertices": [["0"], ["2"]]},
+        {"schema_version": 1, "dim": 1, "vertices": [["0"], ["2"]], "lines": [[0.0]]},
+        {"schema_version": 1, "dim": 1, "vertices": [["0"], ["2"]], "rays": [[0, 0]]},
+    ],
+)
+def test_polytope_fields_outside_the_schema_are_input_errors(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(doc))
+    code, out, err = run(capsys, "mixed-volume", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: malformed polytope document")
+
+
+RATIONAL = st.integers(-9, 9).map(str) | st.builds(
+    "{}/{}".format, st.integers(-9, 9), st.integers(1, 4)
+)
+COEFF = st.one_of(
+    RATIONAL,
+    st.fixed_dictionaries(
+        {"unit": st.integers(-30, 30), "val": RATIONAL, "prec": st.integers(1, 4)}
+    ),
+    st.fixed_dictionaries({"rational": RATIONAL, "shift": RATIONAL}),
+)
+
+
+@st.composite
+def series_docs(draw):
+    nvars = draw(st.integers(0, 2))
+    exps = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    keys = draw(st.lists(exps, max_size=4, unique_by=tuple))
+    return {
+        "schema_version": 1,
+        "prime": draw(st.sampled_from([2, 3, 5])),
+        "nvars": nvars,
+        "domain": draw(st.lists(st.none() | RATIONAL, min_size=nvars, max_size=nvars)),
+        "terms": [{"exps": e, "coeff": draw(COEFF)} for e in keys],
+        "tail": {
+            "cutoff": draw(st.integers(0, 6)),
+            "slope": draw(RATIONAL),
+            "offset": draw(st.just("inf") | RATIONAL),
+        },
+    }
+
+
+@st.composite
+def polytope_docs(draw):
+    dim = draw(st.integers(1, 3))
+    vec = lambda elems: st.lists(elems, min_size=dim, max_size=dim)  # noqa: E731
+    doc = {
+        "schema_version": 1,
+        "dim": dim,
+        "vertices": draw(st.lists(vec(RATIONAL), min_size=1, max_size=5)),
+    }
+    for key in ("rays", "lines"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.lists(vec(st.integers(-2, 2)), max_size=2))
+    return doc
+
+
+def _integer_fields(doc):
+    """(path, schema minimum or None) of every integer field of a document."""
+    if "dim" in doc:
+        out = [(("dim",), 1)]
+        for key in ("rays", "lines"):
+            out += [((key, i, j), None) for i, v in enumerate(doc.get(key, [])) for j in range(len(v))]
+        return out
+    out = [(("prime",), 2), (("nvars",), 0), (("tail", "cutoff"), 0)]
+    for i, term in enumerate(doc["terms"]):
+        out += [(("terms", i, "exps", j), 0) for j in range(len(term["exps"]))]
+        if isinstance(term["coeff"], dict) and "prec" in term["coeff"]:
+            out += [(("terms", i, "coeff", "unit"), None), (("terms", i, "coeff", "prec"), 1)]
+    return out
+
+
+def _required_keys(doc):
+    if "dim" in doc:
+        return [("schema_version",), ("dim",), ("vertices",)]
+    out = [(k,) for k in doc] + [("tail", k) for k in doc["tail"]]
+    for i, term in enumerate(doc["terms"]):
+        out += [("terms", i, "exps"), ("terms", i, "coeff")]
+        if isinstance(term["coeff"], dict):
+            out += [("terms", i, "coeff", k) for k in term["coeff"]]
+    return out
+
+
+@st.composite
+def mutated(draw, docs):
+    """(document, mutation): a schema-valid document, or one with a single
+    field changed so that the schema rejects it."""
+    doc = draw(docs)
+    kinds = ["none", "float", "bool", "string", "negative", "missing"]
+    if "terms" in doc:
+        kinds.append("duplicate")
+    kind = draw(st.sampled_from(kinds))
+    fields = _integer_fields(doc)
+    if kind == "negative":
+        fields = [(path, m) for path, m in fields if m is not None]
+    if kind in ("float", "bool", "string", "negative"):
+        path, _ = draw(st.sampled_from(fields))
+        old = doc
+        for key in path:
+            old = old[key]
+        new = {
+            "float": draw(st.sampled_from([float(old), old + 0.5])),
+            "bool": draw(st.booleans()),
+            "string": str(old),
+            "negative": -1 - draw(st.integers(0, 3)),
+        }[kind]
+        _set(doc, path, new)
+    elif kind == "missing":
+        path = draw(st.sampled_from(_required_keys(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    elif kind == "duplicate":
+        if not doc["terms"]:
+            doc["terms"].append({"exps": [0] * doc["nvars"], "coeff": "1"})
+        term = draw(st.sampled_from(doc["terms"]))
+        doc["terms"].append({"exps": list(term["exps"]), "coeff": "1"})
+    return doc, kind
+
+
+def _check_loader(doc, kind, schema_name, loader, argv):
+    """The loader raises only library errors, and a FormatError for every
+    mutation; the CLI exits 0, 2 or 3 (2 for every mutation), never with a
+    traceback."""
+    if kind == "none":
+        jsonschema.validate(doc, schema(schema_name))
+    try:
+        loader(json.loads(dump_json(doc)))
+    except FormatError:
+        pass
+    except TropPadicError:
+        assert kind == "none"
+    else:
+        assert kind == "none"
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(dump_json(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv(path))
+    assert code in ((0, 2, 3) if kind == "none" else (2,)), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+LOADER_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@LOADER_PROPERTY
+@given(mutated(series_docs()))
+def test_series_loader_property(case):
+    doc, kind = case
+    _check_loader(doc, kind, "series.schema.json", series_from_dict, lambda path: ["trop", path])
+
+
+@LOADER_PROPERTY
+@given(mutated(polytope_docs()))
+def test_polytope_loader_property(case):
+    doc, kind = case
+    n = doc["dim"] if kind == "none" else 1
+    _check_loader(
+        doc, kind, "polytope.schema.json", polytope_from_dict,
+        lambda path: ["mixed-volume"] + [path] * n,
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(resources.files("troppadic").parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "troppadic", "strassmann", data_path("strassmann_5x_x5.series")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"count": 5, "schema_version": 1}

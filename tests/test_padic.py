@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import DivisionByZero, PrecisionExhausted
-from troppadic.padic import INF, PadicScaled, difference_floor, sum_floor, valuation
+from troppadic.padic import _ZERO, INF, PadicScaled, difference_floor, sum_floor, valuation
 
 F = Fraction
 
@@ -177,3 +178,103 @@ def test_approximate_arithmetic_agrees_with_exact_lifts(operands, op):
         return  # no certified digit survives: allowed, never a wrong one
     certified = got.valuation() + got.precision()
     assert difference_floor(got, OPS[op](a_lift, b_lift)) >= certified
+
+
+# ------------------------------------------------ exact arithmetic, oracle
+# A value r * p**s is kept as the pair (r, s) of plain Fractions with s in
+# [0, 1) and zero as (0, 0); the library must agree on value, valuation and
+# its canonical forms (zero and shift 0 both stored as the _ZERO object).
+
+SHIFTS = [F(0), F(1, 2), F(1, 3)]
+
+
+def _pair(p, r, s):
+    if r == 0:
+        return F(0), F(0)
+    k = math.floor(s)
+    return r * F(p) ** k, s - k
+
+
+def _pair_valuation(p, pair):
+    r, s = pair
+    if r == 0:
+        return INF
+    num, den, v = r.numerator, r.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v + s
+
+
+@st.composite
+def exact_operand(draw, p):
+    """(PadicScaled, oracle pair); the shift is passed with an integer part
+    that the constructor must fold into the rational."""
+    r = draw(st.just(F(0)) | st.fractions(-30, 30, max_denominator=30))
+    r *= F(p) ** draw(st.integers(-2, 2))
+    s = draw(st.sampled_from(SHIFTS))
+    k = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        x = PadicScaled.exact(p, r / F(p) ** k, s + k)
+    else:
+        x = PadicScaled.exact(p, r).shift_valuation(s)
+    return x, _pair(p, r, s)
+
+
+def _assert_canonical(p, x, pair):
+    assert x.is_exact
+    assert (x._r, x._shift) == pair
+    assert x.valuation() == _pair_valuation(p, pair)
+    if pair[1] == 0:
+        assert x._shift is _ZERO
+    if pair[0] == 0:
+        zero = PadicScaled.zero(p)
+        assert x.is_zero() and x._r is _ZERO
+        assert x == zero and hash(x) == hash(zero)
+        assert (-x).is_zero()
+    else:
+        assert not x.is_zero()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3, 5]).flatmap(
+        lambda p: st.tuples(st.just(p), exact_operand(p), exact_operand(p))
+    ),
+    st.sampled_from(["+", "-", "*", "/", "shift"]),
+    st.sampled_from(SHIFTS + [-F(1, 2), F(2, 3), F(1), F(-2), F(5, 3)]),
+)
+def test_exact_arithmetic_agrees_with_a_fraction_oracle(operands, op, delta):
+    p, (a, (ra, sa)), (b, (rb, sb)) = operands
+    for x, pair in ((a, (ra, sa)), (b, (rb, sb))):
+        _assert_canonical(p, x, pair)
+        _assert_canonical(p, x - x, (F(0), F(0)))
+        _assert_canonical(p, -x, _pair(p, -pair[0], pair[1]))
+    if op == "shift":
+        _assert_canonical(p, a.shift_valuation(delta), _pair(p, ra, sa + delta))
+    elif op == "*":
+        _assert_canonical(p, a * b, _pair(p, ra * rb, sa + sb))
+    elif op == "/":
+        if rb == 0:
+            with pytest.raises(DivisionByZero):
+                a / b
+        else:
+            _assert_canonical(p, a / b, _pair(p, ra / rb, sa - sb))
+    else:
+        sign = 1 if op == "+" else -1
+        if ra == 0:
+            _assert_canonical(p, OPS[op](a, b), _pair(p, sign * rb, sb))
+        elif rb == 0 or sa == sb:
+            _assert_canonical(p, OPS[op](a, b), _pair(p, ra + sign * rb, sa))
+        else:
+            # incommensurable valuations: an approximate value at the
+            # smaller one, or no certified digit at all
+            try:
+                got = OPS[op](a, b)
+            except PrecisionExhausted:
+                return
+            assert not got.is_exact
+            assert got.valuation() == min(
+                _pair_valuation(p, (ra, sa)), _pair_valuation(p, (rb, sb))
+            )
