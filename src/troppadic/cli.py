@@ -114,6 +114,18 @@ def _load_series(path, args):
     return f
 
 
+def _same_ring(named):
+    """Each (path, series) pair must have the first one's prime and
+    variable count."""
+    (path0, f0), *rest = named
+    for path, f in rest:
+        if (f.p, f.nvars) != (f0.p, f0.nvars):
+            raise FormatError(
+                f"{path}: prime {f.p} in {f.nvars} variables, but {path0} "
+                f"has prime {f0.p} in {f0.nvars} variables"
+            )
+
+
 def cmd_trop(args):
     f = _load_series(args.input, args)
     data = trop_complex(f)
@@ -129,9 +141,16 @@ def cmd_bound_system(args):
     seed = args.seed or os.environ.get(SEED_ENV)
     if seed is None:
         raise FormatError("bound-system requires --seed or TROPPADIC_SEED")
+    named = [(path, series_from_dict(load_json_file(path))) for path in args.inputs]
+    _same_ring(named)
+    path0, f0 = named[0]
+    if len(named) != f0.nvars:
+        raise FormatError(
+            f"bound-system needs one series per variable: {len(named)} series, "
+            f"but {path0} has {f0.nvars} variables"
+        )
     system = []
-    for path in args.inputs:
-        f = series_from_dict(load_json_file(path))
+    for path, f in named:
         if any(r is not None for r in f.domain):
             raise FormatError(
                 f"{path}: bound-system bounds roots over the whole torus, "
@@ -145,6 +164,8 @@ def cmd_bound_system(args):
 
 def cmd_strassmann(args):
     f = _load_series(args.input, args)
+    if f.nvars != 1:
+        raise FormatError(f"{args.input}: strassmann needs a one-variable series, got {f.nvars}")
     n = strassmann_count(f)
     _emit(args, dump_json({"schema_version": 1, "count": n}))
     return 0
@@ -153,6 +174,9 @@ def cmd_strassmann(args):
 def cmd_wdiv(args):
     f = _load_series(args.divisor, args)
     g = _load_series(args.dividend, args)
+    if f.nvars == 0:
+        raise FormatError(f"{args.divisor}: Weierstrass division needs at least one variable")
+    _same_ring([(args.divisor, f), (args.dividend, g)])
     q, a = weierstrass_divide(f, g, Budget(args.prec, args.deg))
     _emit(
         args,
@@ -192,6 +216,8 @@ def cmd_term_deriv(args):
     p = args.prime
     if not is_prime(p):
         raise FormatError(f"prime {p} is not a prime")
+    if args.order < 0:
+        raise FormatError(f"--order must be >= 0, got {args.order}")
     registry = default_registry(p)
     term, names = parse_term(args.expr, registry=registry)
     if not names:

@@ -227,23 +227,8 @@ class PadicScaled:
             s = self._shift
             if s is other._shift or s == other._shift:
                 return _exact(self.p, self._r + other._r, s)
-            # distinct fractional shifts never interact at integer spacing
-            return self._add_mixed_shift(other)
+        # exact values at distinct shifts have a non-integer valuation gap
         return self._add_approx(other)
-
-    def _add_mixed_shift(self, other):
-        # Both exact, different shifts: valuations differ by a non-integer,
-        # so the sum's valuation is the smaller one; digits beyond the gap
-        # are not representable in a single unit.
-        a, b = (self, other) if self.valuation() < other.valuation() else (other, self)
-        gap = b.valuation() - a.valuation()
-        n = int(gap)  # floor; gap > 0 and non-integer
-        if n < 1:
-            raise PrecisionExhausted(
-                "sum of incommensurable-valuation values has no certified digit",
-                floor=a.valuation(),
-            )
-        return PadicScaled.approx(self.p, a.valuation(), a.unit_digits(n), n)
 
     def _add_approx(self, other):
         p = self.p
@@ -263,7 +248,7 @@ class PadicScaled:
                 )
             return PadicScaled.approx(p, vmin, a.unit_digits(n), n)
         delta = int(delta)
-        if floor is INF:  # unreachable: both exact handled by caller
+        if floor is INF:  # unreachable: two exact values here differ by a non-integer
             raise AssertionError
         m_digits = floor - vmin
         if m_digits <= 0:

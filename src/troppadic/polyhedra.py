@@ -17,6 +17,12 @@ Faces come from one facet list: every face of a polytope is the set of
 its points on some of its facets, so the facets of a face are its
 largest proper intersections with the facet tight sets.  ``lower_hull``
 and ``volume`` hull once and walk the faces by these intersections.
+
+Combinatorics and geometry of a regular subdivision are separate:
+``lower_hull`` returns the lower faces only, and ``face_cell`` builds the
+dual cell of one face (directions whose weighted minimum is attained on
+it), clipped if asked, with one H-to-V conversion.  Callers build cells
+for the faces they keep and for no others.
 """
 
 from __future__ import annotations
@@ -651,26 +657,13 @@ def convex_hull(points) -> QPolyhedron:
 # lower hulls (regular subdivisions)
 
 
-@dataclass(frozen=True)
-class LowerFace:
-    """A face of the lower hull of lifted points, with a witness functional.
-
-    ``points`` are the lifted (point, height) pairs on the face; ``witness``
-    is a rational vector nu such that (nu, 1) attains its minimum exactly on
-    the face, and ``cell`` is the full polyhedron of such directions.
-    """
-
-    points: tuple  # ((coords...), height) pairs
-    witness: tuple
-    cell: object = None
-
-
 def lower_hull(lifted):
-    """All faces of the lower hull, each with a witness nu.
+    """The faces of the lower hull, each the sorted tuple of its (point,
+    height) pairs, smallest faces first.
 
     Input: (point in Z^n or Q^n, height in Q) pairs.  Duplicate points keep
     their minimal height (the rest can never support a minimizing
-    functional).
+    functional).  ``face_cell`` builds the dual cell of a face.
     """
     best = {}
     for pt, h in lifted:
@@ -679,7 +672,9 @@ def lower_hull(lifted):
         if pt not in best or h < best[pt]:
             best[pt] = h
     items = sorted(best.items())
-    n = len(items[0][0]) if items else 0
+    if not items:
+        return []
+    n = len(items[0][0])
     lift = [p + (h,) for p, h in items]
     rank, pivots = _affine_pivots(lift)
     todo = [frozenset(range(len(lift)))]
@@ -699,46 +694,43 @@ def lower_hull(lifted):
         if face not in seen:
             seen.add(face)
             todo.extend(_subfaces(face, facet_sets))
-
-    out = []
-    for face in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        idxs = sorted(face)
-        witness, cell = _face_witness(items, idxs)
-        if witness is None:
-            continue
-        out.append(
-            LowerFace(
-                tuple((items[i][0], items[i][1]) for i in idxs), witness, cell
-            )
-        )
-    out.sort(key=lambda f: (len(f.points), f.points))
-    return out
+    return sorted(
+        (tuple(items[i] for i in sorted(face)) for face in seen),
+        key=lambda f: (len(f), f),
+    )
 
 
-def _face_witness(items, idxs):
-    """(nu, cell) with argmin of <(nu,1), lifted> exactly the index set."""
+def face_cell(items, face, clip=()):
+    """(nu, cell): the cell of directions nu whose weighted minimum
+    <(nu, 1), (q, h)> over the items is attained on the whole face, cut by
+    the ``clip`` inequalities, and a witness nu in it whose argmin is
+    exactly the face; (None, None) when the cell is empty or the witness
+    finds a larger argmin.
+
+    ``items`` are (point, height) pairs with distinct points and ``face``
+    is a tuple of some of them.  The cell's rows are the points off the
+    face, then the equality pairs of the points on it, then ``clip``; the
+    double description's bases, and so every cell, follow that order.
+    """
     n = len(items[0][0])
-    base_pt, base_h = items[idxs[0]]
-    ineqs = []
-    eqs = []
-    for j in idxs[1:]:
-        q, hq = items[j]
-        eqs.append((vsub(q, base_pt), base_h - hq))
-    inside = set(idxs)
-    for j, (q, hq) in enumerate(items):
-        if j in inside:
-            continue
+    base_pt, base_h = face[0]
+    inside = set(face)
+    rows = [
         # (hq - base_h) + <q - base_pt, nu> >= 0, strictly for exactness
-        ineqs.append((vsub(base_pt, q), hq - base_h))
-    cell = QPolyhedron.from_hrep(ineqs, eqs, ambient=n)
+        (vsub(base_pt, q), hq - base_h)
+        for q, hq in items
+        if (q, hq) not in inside
+    ]
+    for q, hq in face[1:]:
+        rows.append((vsub(q, base_pt), base_h - hq))
+        rows.append((vsub(base_pt, q), hq - base_h))
+    cell = QPolyhedron.from_hrep(rows + list(clip), ambient=n)
     if cell.is_empty():
         return None, None
     nu = cell.relint_point()
-    # verify exact attainment
     vals = [hq + vdot(q, nu) for q, hq in items]
     m = min(vals)
-    argmin = {j for j, v in enumerate(vals) if v == m}
-    if argmin != inside:
+    if {pair for pair, v in zip(items, vals) if v == m} != inside:
         return None, None
     return nu, cell
 

@@ -344,7 +344,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
             e = take("int")[1]
             if e < 0:
                 raise FormatError("negative powers are not terms")
-            node = Const(1) if e == 0 else Mul(tuple([node] * e)) if e > 1 else node
+            node = _power(node, e)
         return node
 
     def parse_atom():
@@ -370,6 +370,10 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
                     take()
                     args.append(parse_expr())
                 take(")")
+                if len(args) != registry[name].arity:
+                    raise FormatError(
+                        f"{name} expects {registry[name].arity} arguments, got {len(args)}"
+                    )
                 return App(name, tuple(args))
             if name not in index:
                 raise FormatError(f"unknown variable {name!r}")
@@ -466,6 +470,11 @@ def _power(base: Term, e: int) -> Term:
     return Mul(tuple([base] * e))
 
 
+def _inverse_equation(w: Term, a: Term, b: Term) -> Term:
+    """w*(a - b) - 1: a != b, witnessed by the explicit inverse w."""
+    return simplify(Add((Mul((w, Add((a, Mul((Const(-1), b)))))), Const(-1))))
+
+
 def _partitions_desc(d):
     """Partitions of d ordered by decreasing largest part (reverse lex)."""
 
@@ -529,17 +538,7 @@ def coefficient_defining_systems(f: Term, g: Term, d: int, nx: int, registry=Non
             for j2 in range(j1 + 1, r):
                 # alpha_j1 != alpha_j2, witnessed by an explicit inverse
                 names = names + (f"w{j1 + 1}{j2 + 1}",)
-                w = Var(len(names) - 1)
-                eqs.append(
-                    simplify(
-                        Add(
-                            (
-                                Mul((w, Add((Var(a_idx[j1]), Mul((Const(-1), Var(a_idx[j2]))))))),
-                                Const(-1),
-                            )
-                        )
-                    )
-                )
+                eqs.append(_inverse_equation(Var(len(names) - 1), Var(a_idx[j1]), Var(a_idx[j2])))
         config = "multiplicities " + "+".join(str(m) for m in part)
         out.append(DefiningSystem(config, names, tuple(eqs), tuple(rows)))
     return out
@@ -548,7 +547,6 @@ def coefficient_defining_systems(f: Term, g: Term, d: int, nx: int, registry=Non
 def matrix_row_values(d: int, t: int, alpha: PadicScaled):
     """The derivative row ((i)_t alpha^(i-t))_{i<d} used by the systems."""
     row = []
-    one = PadicScaled.exact(alpha.p, 1)
     for i in range(d):
         c = math.perm(i, t)
         if c == 0:
@@ -591,16 +589,6 @@ def distinctness_root_system(P: Term, f: Term, g: Term, s: int):
     k = 0
     for i in range(s + 1):
         for j in range(i + 1, s + 1):
-            tij = Var(ij_base + k)
+            eqs.append(_inverse_equation(Var(ij_base + k), Var(t_idx[i]), Var(t_idx[j])))
             k += 1
-            eqs.append(
-                simplify(
-                    Add(
-                        (
-                            Mul((tij, Add((Var(t_idx[i]), Mul((Const(-1), Var(t_idx[j]))))))),
-                            Const(-1),
-                        )
-                    )
-                )
-            )
     return DefiningSystem(f"distinct-roots s={s}", tuple(names), tuple(eqs))

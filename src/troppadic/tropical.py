@@ -1,9 +1,10 @@
 """Tropicalization of restricted series.
 
 The complex of a series is computed through the regular subdivision route:
-lift the stored support by coefficient valuations, take all faces of the
-lower hull, and dualize each face F to the cell of directions whose
-weighted minimum is attained exactly on F, clipped to the domain.  The
+lift the stored support by coefficient valuations, take the faces of the
+lower hull with at least two points, and dualize each face F once
+(polyhedra.face_cell) to the cell of directions whose weighted minimum is
+attained exactly on F, clipped to the domain.  The
 Newton cell of a cell is the projected convex hull of its face, built
 where it is read (TropCell.newton); the two families are dual
 (complementary dimensions, orthogonal spans, reversed face order).
@@ -23,6 +24,7 @@ from .polyhedra import (
     PolyComplex,
     QPolyhedron,
     convex_hull,
+    face_cell,
     lower_hull,
     primitive,
     vdot,
@@ -157,25 +159,19 @@ def trop_complex(f: RestrictedSeries) -> TropicalData:
     )
     cells = []
     for face in lower_hull(items):
-        if len(face.points) < 2:
+        if len(face) < 2:
             continue
-        vert = frozenset((tuple(int(x) for x in q), h) for q, h in face.points)
-        if clip:
-            cell = QPolyhedron.from_hrep(tuple(face.cell.ineqs) + clip, ambient=n)
-            if cell.is_empty():
-                continue
-            witness = cell.relint_point()
-            if frozenset(vert_nu(f, witness)) != vert:
-                continue  # the clipped remnant belongs to a finer cell
-        else:
-            cell, witness = face.cell, face.witness
+        witness, cell = face_cell(items, face, clip)
+        if cell is None:
+            continue  # empty, or a clipped remnant of a larger face's cell
         if not f.tail.is_empty:
-            base_pt, base_val = face.points[0]
+            base_pt, base_val = face[0]
             margin = _tail_floor_on_cell(f, cell, base_pt, base_val)
             if margin is None or margin <= 0:
                 raise PrecisionExhausted(
                     "tail bound cannot be excluded over a cell", floor=margin
                 )
+        vert = frozenset((tuple(int(x) for x in q), h) for q, h in face)
         cells.append(TropCell(witness, vert, cell))
 
     cells.sort(key=lambda c: c.witness)

@@ -204,6 +204,60 @@ def test_domain_starting_with_minus_may_follow_a_space(capsys, argv, domain):
     assert run(capsys, *argv, "--domain", domain) == attached
 
 
+@pytest.mark.parametrize(
+    "command, shapes, culprit",
+    [
+        ("strassmann", [(5, 2)], 0),
+        ("wdiv", [(5, 1), (5, 2)], 1),
+        ("wdiv", [(5, 1), (7, 1)], 1),
+        ("wdiv", [(5, 0), (5, 0)], 0),
+        ("bound-system", [(5, 2)], 0),
+        ("bound-system", [(5, 2), (5, 2), (5, 2)], 0),
+        ("bound-system", [(5, 2), (5, 1)], 1),
+        ("bound-system", [(5, 2), (7, 2)], 1),
+    ],
+)
+def test_series_that_do_not_fit_the_command_are_input_errors(
+    capsys, tmp_path, command, shapes, culprit
+):
+    # one file per (prime, nvars) shape, holding 1 + x_1 + ... + x_n;
+    # bound-system takes only unbounded domains
+    paths = []
+    for k, (prime, nvars) in enumerate(shapes):
+        path = tmp_path / f"s{k}.series"
+        exps = [[0] * nvars] + [[int(j == i) for j in range(nvars)] for i in range(nvars)]
+        doc = {
+            "schema_version": 1,
+            "prime": prime,
+            "nvars": nvars,
+            "domain": [None if command == "bound-system" else "0"] * nvars,
+            "terms": [{"exps": e, "coeff": "1"} for e in exps],
+            "tail": {"cutoff": 3, "slope": "1", "offset": "inf"},
+        }
+        path.write_text(dump_json(doc))
+        paths.append(str(path))
+    seed = ["--seed", "1"] if command == "bound-system" else []
+    code, out, err = run(capsys, command, *paths, *seed)
+    assert code == 2
+    assert not out
+    assert err.startswith("input error: ")
+    assert paths[culprit] in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["Ep(x, y)"], "Ep expects 1 arguments, got 2"),
+        (["Ep(x)", "--order", "-1"], "--order must be >= 0"),
+    ],
+)
+def test_cmd_term_deriv_rejects_malformed_terms(capsys, argv, message):
+    code, out, err = run(capsys, "term-deriv", *argv)
+    assert code == 2
+    assert not out
+    assert message in err
+
+
 # --------------------------------------------------------------- misc
 
 

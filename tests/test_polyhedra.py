@@ -13,6 +13,7 @@ from troppadic.polyhedra import (
     _facets_fullrank,
     convex_hull,
     det,
+    face_cell,
     lower_hull,
     matrix_rank,
     minkowski_sum,
@@ -227,17 +228,37 @@ def test_hv_roundtrip_property(pts):
 
 
 def test_lower_hull_figure_data():
-    faces = lower_hull([((1, 0), 1), ((5, 0), 0), ((0, 5), 0)])
-    sizes = sorted(len(f.points) for f in faces)
+    items = [((0, 5), 0), ((1, 0), 1), ((5, 0), 0)]
+    faces = lower_hull(items)
+    sizes = sorted(len(f) for f in faces)
     assert sizes == [1, 1, 1, 2, 2, 2, 3]
-    top = next(f for f in faces if len(f.points) == 3)
-    assert top.witness == (F(1, 4), F(1, 4))
+    top = next(f for f in faces if len(f) == 3)
+    witness, cell = face_cell(items, top)
+    assert witness == (F(1, 4), F(1, 4))
+    assert cell.vertices == ((F(1, 4), F(1, 4)),)
 
 
 def test_lower_hull_point_above_is_in_no_face():
     faces = lower_hull([((0, 0), 0), ((2, 0), 0), ((0, 2), 0), ((1, 1), 5)])
     for f in faces:
-        assert ((1, 1), 5) not in [(tuple(int(c) for c in p), int(h)) for p, h in f.points]
+        assert ((1, 1), 5) not in f
+
+
+def test_lower_hull_of_nothing_is_empty():
+    assert lower_hull([]) == []
+
+
+def test_face_cell_rejects_non_faces_and_finer_remnants():
+    # the middle point lies above the segment: no direction isolates it
+    assert face_cell([((0,), 0), ((1,), 1), ((2,), 0)], (((1,), 1),)) == (None, None)
+    # min(0, nu_1, nu_2): the cell of {x, y} is the ray nu_1 = nu_2 <= 0, and
+    # the clip nu >= 0 leaves only its vertex, where all three terms tie
+    items = [((0, 0), 0), ((0, 1), 0), ((1, 0), 0)]
+    face = (((0, 1), 0), ((1, 0), 0))
+    witness, cell = face_cell(items, face)
+    assert witness == (-1, -1) and cell.rays == ((-1, -1),)
+    clip = (((-1, 0), 0), ((0, -1), 0))
+    assert face_cell(items, face, clip) == (None, None)
 
 
 def test_lower_hull_matches_grid_minimization_oracle():
@@ -253,9 +274,7 @@ def test_lower_hull_matches_grid_minimization_oracle():
                 ded[pt] = h
         items = sorted(ded.items())
         faces = lower_hull(items)
-        face_sets = {
-            frozenset(items.index((tuple(p), h)) for p, h in f.points) for f in faces
-        }
+        face_sets = {frozenset(items.index((tuple(p), h)) for p, h in f) for f in faces}
         for a in range(-8, 9, 3):
             for b in range(-8, 9, 3):
                 nu = (F(a, 4), F(b, 4))
@@ -271,8 +290,9 @@ def test_lower_hull_witness_is_exact():
             ded[pt] = h
     items = sorted(ded.items())
     for f in lower_hull(items):
-        got = grid_argmin(items, f.witness)
-        want = frozenset(items.index((tuple(p), h)) for p, h in f.points)
+        witness, _ = face_cell(items, f)
+        got = grid_argmin(items, witness)
+        want = frozenset(items.index((tuple(p), h)) for p, h in f)
         assert got == want
 
 
@@ -305,8 +325,10 @@ def test_lower_hull_faces_are_the_argmin_sets(items):
     argmin set on a rational grid of directions is a face."""
     face_sets = set()
     for f in lower_hull(items):
-        face = frozenset(items.index(pair) for pair in f.points)
-        assert grid_argmin(items, f.witness) == face
+        face = frozenset(items.index(pair) for pair in f)
+        witness, cell = face_cell(items, f)
+        assert grid_argmin(items, witness) == face
+        assert cell.contains(witness)
         face_sets.add(face)
     grid = [F(a, 4) for a in range(-8, 9, 3)]
     for nu in product(grid, repeat=len(items[0][0])):

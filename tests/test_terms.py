@@ -177,6 +177,8 @@ def test_parse_errors():
         parse_term("x +")
     with pytest.raises(FormatError):
         parse_term("Ep(x")
+    with pytest.raises(FormatError, match="Ep expects 1 arguments"):
+        parse_term("Ep(x, y)")
 
 
 # --------------------------------------------------------------- systems

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import PrecisionExhausted, ZeroSeries
-from troppadic.polyhedra import vdot
+from troppadic.polyhedra import QPolyhedron, vdot
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
@@ -124,6 +124,28 @@ def test_clipping_keeps_face_pairing():
     assert len(seg) == 1
     vs = sorted(seg[0].cell.vertices)
     assert vs == [(F(0), F(0)), (F(1, 4), F(1, 4))]
+
+
+@pytest.mark.parametrize(
+    "domain", [(None, None), (F(0), F(0)), (F(-1), None), (F(1, 2), F(-1, 3))]
+)
+def test_one_cell_construction_per_lower_face(monkeypatch, domain):
+    # faces of one point have no cell, and a clipped cell is built once
+    terms = {(1, 0): 5, (5, 0): 1, (0, 5): 1, (2, 2): 1}
+    # over the whole plane every lower face of at least 2 points is a cell
+    faces = len(trop_complex(poly(5, 2, terms)).cells)
+    f = RestrictedSeries(5, 2, terms, domain=domain)
+    calls = []
+    build = QPolyhedron.from_hrep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(QPolyhedron, "from_hrep", staticmethod(counting))
+    data = trop_complex(f)
+    assert len(calls) == faces
+    assert data.cells
 
 
 # --------------------------------------------------------------- shifting
