@@ -177,6 +177,9 @@ def cmd_wdiv(args):
     if f.nvars == 0:
         raise FormatError(f"{args.divisor}: Weierstrass division needs at least one variable")
     _same_ring([(args.divisor, f), (args.dividend, g)])
+    for path, s in ((args.divisor, f), (args.dividend, g)):
+        if any(c.valuation() < 0 for c in s.terms.values()):
+            raise FormatError(f"{path}: Weierstrass division needs integral coefficients")
     q, a = weierstrass_divide(f, g, Budget(args.prec, args.deg))
     _emit(
         args,

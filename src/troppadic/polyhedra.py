@@ -16,7 +16,9 @@ randomization anywhere.
 Faces come from one facet list: every face of a polytope is the set of
 its points on some of its facets, so the facets of a face are its
 largest proper intersections with the facet tight sets.  ``lower_hull``
-and ``volume`` hull once and walk the faces by these intersections.
+hulls once and walks the faces by these intersections, ``volume`` walks
+them off the polytope's own inequalities, and ``mixed_volume`` hulls
+each subset sum once.
 
 Combinatorics and geometry of a regular subdivision are separate:
 ``lower_hull`` returns the lower faces only, and ``face_cell`` builds the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import Unbounded
 
@@ -98,12 +101,6 @@ def _row_reduce(rows):
     return r, pivots, mat[:r]
 
 
-def matrix_rank(rows):
-    if not rows:
-        return 0
-    return _row_reduce(rows)[0]
-
-
 def null_space(rows, dim):
     """Basis of {w : <row, w> = 0 for all rows}, primitive integer vectors."""
     if not rows:
@@ -118,26 +115,6 @@ def null_space(rows, dim):
             w[pc] = -rref[i][fc]
         basis.append(primitive(w))
     return basis
-
-
-def det(rows):
-    mat = [list(map(F, r)) for r in rows]
-    n = len(mat)
-    out = F(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return F(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            out = -out
-        out *= mat[c][c]
-        inv = F(1) / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return out
 
 
 def _int_det(rows):
@@ -171,12 +148,18 @@ def _dedupe(points):
 
 
 def _affine_pivots(points):
-    """(rank, pivot coordinate indices) of the affine hull of the points."""
-    if len(points) <= 1:
-        return 0, []
-    dirs = [vsub(q, points[0]) for q in points[1:]]
-    rank, pivots, _ = _row_reduce(dirs)
-    return rank, pivots
+    """(rank, pivot coordinate indices) of the affine hull of the points, by
+    fraction-free elimination (pivots do not depend on the echelon form)."""
+    pts, _ = _int_scaled(points)
+    zero = (0,) * len(pts[0])
+    rows = {vsub(q, pts[0]) for q in pts[1:]} - {zero}
+    pivots = []
+    for c in range(len(zero)):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is not None:
+            pivots.append(c)
+            rows = {primitive(vsub(vscale(r, piv[c]), vscale(piv, r[c]))) for r in rows} - {zero}
+    return len(pivots), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +427,8 @@ class QPolyhedron:
         if self.is_empty():
             return -1
         base = self.vertices[0]
-        dirs = [vsub(v, base) for v in self.vertices[1:]]
-        dirs += [to_frac_point(r) for r in self.rays]
-        dirs += [to_frac_point(l) for l in self.lines]
-        return matrix_rank(dirs) if dirs else 0
+        pts = list(self.vertices) + [vadd(base, r) for r in self.rays + self.lines]
+        return _affine_pivots(pts)[0]
 
     def direction_space(self):
         """Primitive basis of the linear space parallel to the affine hull."""
@@ -746,10 +727,17 @@ def volume(poly: QPolyhedron) -> Fraction:
     if poly.is_empty():
         return F(0)
     n = poly.ambient
-    if poly.affine_dim() < n:
+    pts, den = _int_scaled(poly.vertices)
+    if _affine_pivots(pts)[0] < n:
         return F(0)
-    pts, den = _int_scaled([to_frac_point(v) for v in poly.vertices])
-    facet_sets = [frozenset(t) for _, _, t in _facets_fullrank(pts)]
+    # a full-dimensional polytope's inequalities include every facet; the
+    # tight sets of the others are smaller faces, which _subfaces drops
+    facet_sets = []
+    for u, a in poly.ineqs:
+        a *= den
+        if a.denominator == 1:  # else no scaled (integer) vertex is tight
+            a = a.numerator
+            facet_sets.append(frozenset(i for i, q in enumerate(pts) if vdot(u, q) == a))
 
     def pulled(face):
         # simplices covering the face: its first index coned over the
@@ -781,10 +769,9 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
     """The lambda_1...lambda_n coefficient of vol(sum lambda_i P_i).
 
     Inclusion-exclusion: MV = sum over nonempty S of (-1)^(n-|S|) vol(sum_S P_i).
-    ``normalized`` mode divides by n!.
+    Each subset sum is one Minkowski sum: the sum of its prefix and its last
+    polytope.  ``normalized`` mode divides by n!.
     """
-    from itertools import combinations
-
     n = len(polys)
     for p in polys:
         if p.ambient != n:
@@ -792,12 +779,12 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
         if not p.is_bounded():
             raise Unbounded("mixed volume needs bounded polytopes")
     total = F(0)
+    sums = {(i,): p for i, p in enumerate(polys)}
     for k in range(1, n + 1):
         for combo in combinations(range(n), k):
-            s = polys[combo[0]]
-            for i in combo[1:]:
-                s = minkowski_sum(s, polys[i])
-            total += (-1) ** (n - k) * volume(s)
+            if k > 1:
+                sums[combo] = minkowski_sum(sums[combo[:-1]], polys[combo[-1]])
+            total += (-1) ** (n - k) * volume(sums[combo])
     if normalization == "normalized":
         return total / math.factorial(n)
     if normalization != "coefficient":

@@ -30,6 +30,8 @@ from .series import (
 
 F = Fraction
 
+MAX_EXPONENT = 256  # the largest '^' exponent: a power parses as that many factors
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -344,6 +346,8 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
             e = take("int")[1]
             if e < 0:
                 raise FormatError("negative powers are not terms")
+            if e > MAX_EXPONENT:
+                raise FormatError(f"exponent {e} is above the limit {MAX_EXPONENT}")
             node = _power(node, e)
         return node
 

@@ -24,6 +24,7 @@ from troppadic.formats import (
 from troppadic.padic import PadicScaled
 from troppadic.polyhedra import convex_hull
 from troppadic.series import RestrictedSeries, TailBound
+from troppadic.terms import MAX_EXPONENT
 
 F = Fraction
 
@@ -244,11 +245,41 @@ def test_series_that_do_not_fit_the_command_are_input_errors(
     assert paths[culprit] in err
 
 
+@pytest.mark.parametrize("culprit", [0, 1])
+def test_wdiv_non_integral_series_is_an_input_error(capsys, tmp_path, culprit):
+    # divisor Y^2 - 5 and dividend x*Y^3 in (x, Y); the culprit gains the
+    # coefficient 1/5 at x, off the pure Y axis that regularity reads
+    terms = [
+        [{"exps": [0, 2], "coeff": "1"}, {"exps": [0, 0], "coeff": "-5"}],
+        [{"exps": [1, 3], "coeff": "1"}],
+    ]
+    terms[culprit].append({"exps": [1, 0], "coeff": "1/5"})
+    paths = []
+    for k, ts in enumerate(terms):
+        path = tmp_path / f"s{k}.series"
+        doc = {
+            "schema_version": 1,
+            "prime": 5,
+            "nvars": 2,
+            "domain": ["0", "0"],
+            "terms": ts,
+            "tail": {"cutoff": 4, "slope": "1", "offset": "inf"},
+        }
+        path.write_text(dump_json(doc))
+        paths.append(str(path))
+    code, out, err = run(capsys, "wdiv", *paths)
+    assert code == 2
+    assert not out
+    assert err.startswith("input error: " + paths[culprit])
+    assert "needs integral coefficients" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["Ep(x, y)"], "Ep expects 1 arguments, got 2"),
         (["Ep(x)", "--order", "-1"], "--order must be >= 0"),
+        ([f"x^{MAX_EXPONENT + 1}"], f"exponent {MAX_EXPONENT + 1} is above the limit"),
     ],
 )
 def test_cmd_term_deriv_rejects_malformed_terms(capsys, argv, message):

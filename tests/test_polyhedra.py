@@ -6,16 +6,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
     PolyComplex,
     QPolyhedron,
+    _affine_pivots,
     _facets_fullrank,
     convex_hull,
-    det,
     face_cell,
     lower_hull,
-    matrix_rank,
     minkowski_sum,
     mixed_volume,
     null_space,
@@ -43,6 +43,39 @@ def point_sets(d, lo, hi, min_size, max_size):
 
 
 # --------------------------------------------------------------- oracles
+
+
+def row_echelon(rows):
+    """(rank, pivot columns) by Fraction Gauss-Jordan elimination."""
+    mat = [[F(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c] / mat[r][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return len(pivots), pivots
+
+
+def matrix_rank(rows):
+    return row_echelon(rows)[0]
+
+
+def det(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * F(x) * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x != 0
+    )
 
 
 def _facets_brute(pts):
@@ -212,6 +245,29 @@ def test_facets_match_brute_force_oracle(pts):
     d = len(pts[0])
     assume(matrix_rank([vsub(q, pts[0]) for q in pts[1:]]) == d)
     assert _facets_fullrank(pts) == _facets_brute(pts)
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Rational points in dimension 1-4 on a random affine subspace of
+    dimension 0 to d (a line, a plane, ...), duplicates allowed."""
+    d = draw(st.integers(1, 4))
+    coords = st.fractions(-4, 4, max_denominator=3)
+    base = draw(st.tuples(*[coords] * d))
+    k = draw(st.integers(0, d))
+    dirs = draw(st.lists(st.tuples(*[coords] * d), min_size=k, max_size=k))
+    steps = st.lists(st.fractions(-2, 2, max_denominator=2), min_size=k, max_size=k)
+    ts = draw(st.lists(steps, min_size=1, max_size=9))
+    pts = [vadd(base, tuple(sum((t * w[j] for t, w in zip(tt, dirs)), F(0)) for j in range(d)))
+           for tt in ts]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@PROPERTY
+@given(affine_point_sets())
+def test_affine_pivots_match_fraction_row_reduction(pts):
+    dirs = [vsub(q, pts[0]) for q in pts[1:]]
+    assert _affine_pivots(pts) == (row_echelon(dirs) if dirs else (0, []))
 
 
 @PROPERTY
@@ -388,6 +444,28 @@ def test_volume_matches_signed_simplex_oracle(pts):
     assert volume(p) == signed_simplex_volume(p)
 
 
+@PROPERTY
+@given(
+    st.integers(2, 4).flatmap(lambda d: point_sets(d, -4, 4, d + 1, 10)),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 3)), max_size=6),
+)
+def test_volume_reads_facets_among_extra_rows(pts, den, picks):
+    """Rows tight on a lower face (the sum of two facet rows) or slack
+    change neither the polytope nor its volume."""
+    hull = convex_hull([tuple(F(x, den) for x in q) for q in pts])
+    assume(hull.affine_dim() == hull.ambient)
+    rows = list(hull.ineqs)
+    extra = []
+    for i, j, slack in picks:
+        (u, a), (w, b) = rows[i % len(rows)], rows[j % len(rows)]
+        if vadd(u, w) != (0,) * hull.ambient:
+            extra.append((vadd(u, w), a + b + F(slack, 2)))
+    poly = QPolyhedron.from_hrep(extra + rows + extra, ambient=hull.ambient)
+    assert poly.vertices == hull.vertices
+    assert volume(poly) == volume(hull) == signed_simplex_volume(hull)
+
+
 def test_volume_unbounded_raises():
     ray = QPolyhedron.from_hrep([((-1, 0), F(0)), ((0, -1), F(0)), ((0, 1), F(1))])
     with pytest.raises(Unbounded):
@@ -439,6 +517,36 @@ def test_mixed_volume_monotonicity():
         outer1 = convex_hull(list(inner1.vertices) + rand_points(rng, 2, 3, -2, 6))
         outer2 = convex_hull(list(inner2.vertices) + rand_points(rng, 2, 3, -2, 6))
         assert mixed_volume([inner1, inner2]) <= mixed_volume([outer1, outer2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mixed_volume_hulls_each_subset_sum_once(monkeypatch, n):
+    rng = random.Random(70 + n)
+    polys = [convex_hull(rand_points(rng, n, n + 1, 0, 2)) for _ in range(n)]
+    calls = {"minkowski_sum": 0, "_facets_fullrank": 0}
+
+    def counted(name):
+        inner = getattr(polyhedra, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(polyhedra, name, wrapper)
+
+    counted("minkowski_sum")
+    counted("_facets_fullrank")
+    mixed_volume(polys)
+    # one hull per Minkowski sum and none inside volume
+    assert calls["minkowski_sum"] == 2**n - 1 - n
+    assert calls["_facets_fullrank"] == calls["minkowski_sum"]
+
+    def no_facets(pts):
+        raise AssertionError("volume re-hulled its polytope")
+
+    monkeypatch.setattr(polyhedra, "_facets_fullrank", no_facets)
+    for p in polys:
+        volume(p)
 
 
 def test_mixed_volume_symmetry():

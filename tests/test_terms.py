@@ -181,6 +181,21 @@ def test_parse_errors():
         parse_term("Ep(x, y)")
 
 
+def test_parse_rejects_exponents_above_the_limit(monkeypatch):
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    t, _ = parse_term(f"x^{terms.MAX_EXPONENT}")
+    assert t == Mul((Var(0),) * terms.MAX_EXPONENT)
+
+    def no_power(base, e):
+        raise AssertionError("a power was built")
+
+    monkeypatch.setattr(terms, "_power", no_power)
+    with pytest.raises(FormatError, match="above the limit"):
+        parse_term(f"x^{terms.MAX_EXPONENT + 1}")
+
+
 # --------------------------------------------------------------- systems
 
 
