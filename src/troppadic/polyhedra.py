@@ -530,34 +530,6 @@ class QPolyhedron:
         )
         return cut.same_set(self)
 
-    def coordinate_intervals(self):
-        """Per-coordinate (lo, hi) bounds from the V-data; None is infinite."""
-        out = []
-        for j in range(self.ambient):
-            lo = min((v[j] for v in self.vertices), default=None)
-            hi = max((v[j] for v in self.vertices), default=None)
-            for r in self.rays:
-                if r[j] < 0:
-                    lo = None
-                elif r[j] > 0:
-                    hi = None
-            for l in self.lines:
-                if l[j] != 0:
-                    lo = hi = None
-            out.append((lo, hi))
-        return out
-
-    def surely_disjoint_from(self, other) -> bool:
-        """Cheap exact reject: separated coordinate intervals."""
-        for (alo, ahi), (blo, bhi) in zip(
-            self.coordinate_intervals(), other.coordinate_intervals()
-        ):
-            if ahi is not None and blo is not None and ahi < blo:
-                return True
-            if bhi is not None and alo is not None and bhi < alo:
-                return True
-        return False
-
     def key(self):
         return (self.vertices, self.rays, self.lines)
 
@@ -791,35 +763,3 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
         raise ValueError("normalization must be 'coefficient' or 'normalized'")
     return total
 
-
-# ---------------------------------------------------------------------------
-# complexes
-
-
-class PolyComplex:
-    """A finite list of cells; face compatibility is verified on demand."""
-
-    def __init__(self, cells):
-        self.cells = list(cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def dim(self):
-        return max((c.affine_dim() for c in self.cells), default=-1)
-
-    def support_contains(self, point) -> bool:
-        return any(c.contains(point) for c in self.cells)
-
-    def verify_face_compatible(self) -> bool:
-        for i, a in enumerate(self.cells):
-            for b in self.cells[i + 1:]:
-                x = a.intersection(b)
-                if x.is_empty():
-                    continue
-                if not (x.is_face_of(a) and x.is_face_of(b)):
-                    return False
-        return True

@@ -31,6 +31,8 @@ from .series import (
 F = Fraction
 
 MAX_EXPONENT = 256  # the largest '^' exponent: a power parses as that many factors
+MAX_POWER_LEAVES = 1024  # the most leaves the powers of one term build, in all
+MAX_LITERAL_DIGITS = 4300  # CPython's default limit on int() of a digit string
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         names = list(var_names)
     index = {nm: i for i, nm in enumerate(names)}
     pos = 0
+    built = 0  # leaves built by the powers so far: e copies of the base each
 
     def peek():
         return toks[pos] if pos < len(toks) else ("end", "")
@@ -340,6 +343,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         return node
 
     def parse_pow():
+        nonlocal built
         node = parse_atom()
         if peek()[0] == "^":
             take()
@@ -348,6 +352,11 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
                 raise FormatError("negative powers are not terms")
             if e > MAX_EXPONENT:
                 raise FormatError(f"exponent {e} is above the limit {MAX_EXPONENT}")
+            built += e * _leaves(node)
+            if built > MAX_POWER_LEAVES:
+                raise FormatError(
+                    f"powers build {built} leaves, above the limit {MAX_POWER_LEAVES}"
+                )
             node = _power(node, e)
         return node
 
@@ -401,6 +410,10 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise FormatError(
+                    f"integer literal of {j - i} digits, above the limit {MAX_LITERAL_DIGITS}"
+                )
             toks.append(("int", int(text[i:j])))
             i = j
         elif c.isalpha() or c == "_":
@@ -464,6 +477,13 @@ class DefiningSystem:
             s = realize(eq, ectx)
             out.append(evaluate(s, point))
         return out
+
+
+def _leaves(t: Term) -> int:
+    """The constants and variables of a term, counted with repetition."""
+    if isinstance(t, (Var, Const)):
+        return 1
+    return sum(_leaves(a) for a in t.args)
 
 
 def _power(base: Term, e: int) -> Term:

@@ -12,16 +12,22 @@ where it is read (TropCell.newton); the two families are dual
 Series with a nonempty tail get a per-cell certificate that the tail can
 never reach the minimum anywhere on the cell, read off the cell's vertices,
 rays and lines; failure raises PrecisionExhausted rather than guessing.
+
+The components of an intersection of tropicalizations come from one lower
+hull of the lifted Minkowski sum of the supports: its lower faces are the
+cells of the common refinement, each the intersection of one cell from
+every complex, and two cells meet exactly when one face holds another.
+This is the torus case only; no piece is clipped to a finite domain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import PrecisionExhausted, ZeroSeries
 from .polyhedra import (
-    PolyComplex,
     QPolyhedron,
     convex_hull,
     face_cell,
@@ -56,7 +62,6 @@ class TropicalData:
     def __init__(self, series, cells):
         self.series = series
         self.cells = list(cells)
-        self.complex = PolyComplex([c.cell for c in self.cells])
 
     def newton_support(self):
         """The hull of every exponent on a cell; None without cells."""
@@ -189,58 +194,59 @@ def shift_trop(f: RestrictedSeries, t, direction) -> RestrictedSeries:
 
 
 def connected_components(datas):
-    """Components of the intersection of several tropicalizations.
+    """Components of the intersection of several tropicalizations, over
+    the torus.
 
-    Returns a list of components, each a list of nonempty intersection
-    pieces (one cell from each complex, intersected), grouped by exact
-    topological connectivity.
+    The cells of the intersection form the common refinement, dual to the
+    regular mixed subdivision of the lifted Minkowski sum of the supports,
+    so one lower hull of that sum gives them all.  A lower face G splits
+    as G_1+...+G_n: G_i, the i-th summands of the least-height
+    decompositions of G's points, is the face of lifted N(f_i) with the
+    same normal.  G is a piece when every G_i has two points or more, and
+    the piece is the intersection of the cells whose vert is G_i.  The
+    pieces form a complex, so two of them meet exactly when some piece is
+    a face of both; a piece whose G is a proper subset of another's has
+    that one as a face.
+
+    Returns a list of components, each the key-sorted list of its pieces,
+    ordered by their largest piece key.  A finite domain raises ValueError.
     """
-    from itertools import product as iproduct
-
-    cell_lists = [d.cells for d in datas]
-    if any(not cl for cl in cell_lists):
+    if any(r is not None for d in datas for r in d.series.domain):
+        raise ValueError("components are computed over the torus only")
+    if any(d.is_empty() for d in datas):
         return []
-    pieces = []
-    for combo in iproduct(*cell_lists):
-        if any(
-            combo[i].cell.surely_disjoint_from(combo[j].cell)
-            for i in range(len(combo))
-            for j in range(i + 1, len(combo))
-        ):
+    cells = [{c.vert: c.cell for c in d.cells} for d in datas]
+    summands = {}  # summed point -> (least height, every tuple reaching it)
+    for combo in product(*(_support_items(d.series) for d in datas)):
+        pt = tuple(map(sum, zip(*(i for i, _ in combo))))
+        h = sum(v for _, v in combo)
+        if pt not in summands or h < summands[pt][0]:
+            summands[pt] = (h, [combo])
+        elif h == summands[pt][0]:
+            summands[pt][1].append(combo)
+    groups = []  # (faces G, pieces) of each component found so far
+    for face in lower_hull([(pt, h) for pt, (h, _) in summands.items()]):
+        parts = [
+            frozenset(combo[i] for q, _ in face for combo in summands[q][1])
+            for i in range(len(datas))
+        ]
+        if any(len(part) < 2 for part in parts):
             continue
-        inter = combo[0].cell
-        for c in combo[1:]:
-            inter = inter.intersection(c.cell)
-            if inter.is_empty():
-                break
-        if not inter.is_empty():
-            pieces.append(inter)
-    pieces.sort(key=lambda p: p.key())
-    # drop exact duplicates, adjacent once sorted, to keep the union-find small
-    uniq = []
-    for p in pieces:
-        if not uniq or p.key() != uniq[-1].key():
-            uniq.append(p)
-    parent = list(range(len(uniq)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(uniq)):
-        for j in range(i + 1, len(uniq)):
-            if find(i) == find(j):
-                continue
-            if uniq[i].surely_disjoint_from(uniq[j]):
-                continue
-            if not uniq[i].intersection(uniq[j]).is_empty():
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(uniq)):
-        groups.setdefault(find(i), []).append(uniq[i])
-    return [groups[k] for k in sorted(groups, key=lambda k: uniq[k].key())]
+        piece = cells[0][parts[0]]
+        for by_vert, part in zip(cells[1:], parts[1:]):
+            piece = piece.intersection(by_vert[part])
+        # lower_hull lists smaller faces first, so the pieces that have
+        # this one as a face are already grouped
+        g = frozenset(q for q, _ in face)
+        faces, pieces = {g}, [piece]
+        for k in reversed(range(len(groups))):
+            if any(other < g for other in groups[k][0]):
+                other_faces, other_pieces = groups.pop(k)
+                faces |= other_faces
+                pieces += other_pieces
+        groups.append((faces, pieces))
+    comps = [sorted(pieces, key=QPolyhedron.key) for _, pieces in groups]
+    return sorted(comps, key=lambda comp: comp[-1].key())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,29 @@ def test_system_bound_two_lines():
     assert report.s_bound >= 1
     assert report.cross_check_ok
     assert report.d2 == max(report.e_boxes) ** 2
+
+
+def test_system_bound_planted_triangular_3x3():
+    # f1 = (x-1)(x-2)(x-3), f2 = y - x - 5x^2, f3 = z - y - xy - 25: each
+    # root of f1 fixes y and then z, so the roots are counted from x alone
+    p = 5
+    planted = 0
+    for x in (1, 2, 3):
+        y = x + 5 * x * x
+        z = y + x * y + 25
+        planted += x != 0 and y != 0 and z != 0
+    assert planted == 3
+    fs = [
+        {(3, 0, 0): 1, (2, 0, 0): -6, (1, 0, 0): 11, (0, 0, 0): -6},
+        {(0, 1, 0): 1, (1, 0, 0): -1, (2, 0, 0): -5},
+        {(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 0): -1, (0, 0, 0): -25},
+    ]
+    t0 = time.monotonic()
+    sys_ = [ParamSeries.from_series(poly(p, 3, f)) for f in fs]
+    report = system_root_bound(sys_, WBoundOracle(), seed="triangular")
+    assert report.s_bound >= planted
+    assert report.cross_check_ok
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_system_bound_figure_series_with_line():

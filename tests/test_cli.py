@@ -280,6 +280,7 @@ def test_wdiv_non_integral_series_is_an_input_error(capsys, tmp_path, culprit):
         (["Ep(x, y)"], "Ep expects 1 arguments, got 2"),
         (["Ep(x)", "--order", "-1"], "--order must be >= 0"),
         ([f"x^{MAX_EXPONENT + 1}"], f"exponent {MAX_EXPONENT + 1} is above the limit"),
+        (["7" * 5000], "integer literal of 5000 digits"),
     ],
 )
 def test_cmd_term_deriv_rejects_malformed_terms(capsys, argv, message):

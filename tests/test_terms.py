@@ -196,6 +196,39 @@ def test_parse_rejects_exponents_above_the_limit(monkeypatch):
         parse_term(f"x^{terms.MAX_EXPONENT + 1}")
 
 
+def test_parse_caps_the_leaves_that_powers_build(monkeypatch):
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    t, _ = parse_term("x^256*y^256*x^256*y^256")
+    assert t == Mul((Var(0),) * 512 + (Var(1),) * 512)
+
+    build = terms._power
+    built = []
+
+    def bounded(base, e):
+        built.append(e * terms._leaves(base))
+        if sum(built) > terms.MAX_POWER_LEAVES:
+            raise AssertionError("a power above the limit was built")
+        return build(base, e)
+
+    monkeypatch.setattr(terms, "_power", bounded)
+    for text in ["(x^32)^32", "(x+y+z+u+v)^256", "x^256*y^256*x^256*y^256*x^2"]:
+        built.clear()
+        with pytest.raises(FormatError, match="above the limit"):
+            parse_term(text)
+
+
+def test_parse_rejects_long_integer_literals():
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    digits = "7" * terms.MAX_LITERAL_DIGITS
+    assert parse_term(digits)[0] == Const(int(digits))
+    with pytest.raises(FormatError, match="5000 digits"):
+        parse_term("7" * 5000 + "*x")
+
+
 # --------------------------------------------------------------- systems
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,11 @@ def fig_series(p=5):
 
 def exps_of(vert):
     return {i for i, _ in vert}
+
+
+def on_complex(data, point):
+    """Whether some cell of the complex holds the point."""
+    return any(c.cell.contains(point) for c in data.cells)
 
 
 # --------------------------------------------------------------- vert sets
@@ -201,6 +207,72 @@ def test_shared_ray_component():
     assert any(piece.rays for piece in comps[0])
 
 
+def test_components_refuse_a_finite_domain():
+    clipped = trop_complex(poly(5, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, domain=(F(0), None)))
+    with pytest.raises(ValueError, match="torus"):
+        connected_components([clipped, trop_complex(line_series(5, 2, 1, 0))])
+
+
+def test_one_intersection_per_piece(monkeypatch):
+    # each piece is one intersection of two cells: no empty tuple is tried
+    # and no two pieces are intersected to link them.  Here the pieces are
+    # a shared ray and its vertex.
+    fs = [poly(5, 2, {(1, 0): 1, (0, 1): 1}), line_series(5, 0, 0, 0)]
+    datas = [trop_complex(f) for f in fs]
+    calls = []
+    build = QPolyhedron.from_hrep
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(QPolyhedron, "from_hrep", staticmethod(counting))
+    comps = connected_components(datas)
+    assert [len(c) for c in comps] == [2]
+    assert len(calls) == 2
+
+
+def components_oracle(datas):
+    """The components by brute force: intersect every tuple of cells, then
+    join two pieces whenever they intersect."""
+    pieces = {}
+    for combo in product(*(d.cells for d in datas)):
+        inter = combo[0].cell
+        for c in combo[1:]:
+            inter = inter.intersection(c.cell)
+        if not inter.is_empty():
+            pieces[inter.key()] = inter
+    comps = []
+    for piece in pieces.values():
+        touching = [c for c in comps if any(not piece.intersection(q).is_empty() for q in c)]
+        comps = [c for c in comps if c not in touching] + [[piece] + sum(touching, [])]
+    return comps
+
+
+def torus_system(n):
+    """n random series in n variables over the torus."""
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * n),
+        st.builds(lambda c, k: c * 5**k, st.integers(1, 4), st.integers(0, 1)),
+    )
+    one = st.lists(term, min_size=2, max_size=4, unique_by=lambda t: t[0])
+    return st.lists(one, min_size=n, max_size=n).map(
+        lambda fs: [poly(5, n, dict(f)) for f in fs]
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3).flatmap(torus_system))
+def test_components_match_the_brute_force_oracle(fs):
+    datas = [trop_complex(f) for f in fs]
+    comps = connected_components(datas)
+    keys = {frozenset(p.key() for p in c) for c in comps}
+    assert keys == {frozenset(p.key() for p in c) for c in components_oracle(datas)}
+    for c in comps:
+        assert [p.key() for p in c] == sorted(p.key() for p in c)
+    assert [c[-1].key() for c in comps] == sorted(c[-1].key() for c in comps)
+
+
 # --------------------------------------------------------------- properties
 
 
@@ -255,7 +327,7 @@ def test_planted_roots_lie_on_the_complex():
             f = f * poly(p, 1, {(1,): 1, (0,): -a})
         data = trop_complex(f)
         for a in roots:
-            assert data.complex.support_contains((_val_int(a, p),))
+            assert on_complex(data, (_val_int(a, p),))
 
 
 def test_planted_roots_bivariate():
@@ -268,7 +340,7 @@ def test_planted_roots_bivariate():
         f = poly(p, 2, {(1, 0): 1, (0, 0): -a}) * poly(p, 2, {(0, 1): 1, (0, 0): -b})
         f = f * unit
         data = trop_complex(f)
-        assert data.complex.support_contains((_val_int(a, p), _val_int(b, p)))
+        assert on_complex(data, (_val_int(a, p), _val_int(b, p)))
 
 
 def test_monomial_criterion_matches_support():
@@ -280,7 +352,7 @@ def test_monomial_criterion_matches_support():
         data = trop_complex(f)
         for _ in range(12):
             nu = (F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4))
-            assert is_in_tropicalization(f, nu) == data.complex.support_contains(nu)
+            assert is_in_tropicalization(f, nu) == on_complex(data, nu)
 
 
 def test_tail_is_certified_on_each_cell():
@@ -324,8 +396,7 @@ def test_clipped_complex_is_the_tropicalization_over_the_domain(terms, domain, t
         return
     for nu in ((a, b) for a in _GRID for b in _GRID):
         inside = all(r is None or x >= r for x, r in zip(nu, domain))
-        on_complex = data.complex.support_contains(nu)
-        if on_complex:
+        if on_complex(data, nu):
             assert inside
             # nu lies in the relative interior of its lowest cell, and the
             # cell's tail certificate lets vert_nu certify there
