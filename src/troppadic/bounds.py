@@ -29,9 +29,12 @@ from .formats import frac_str
 from .padic import PadicScaled, vp_fraction
 from .polyhedra import _row_reduce, convex_hull, mixed_volume
 from .series import ParamSeries, RestrictedSeries, shift_variable
-from .tropical import connected_components, trop_complex, vert_nu
+from .tropical import connected_components, trop_complex
 
 F = Fraction
+
+SHIFT_EXPONENT = 16  # make_pointed's first shift exponent t, and its step every 2 redraws
+MAX_REDRAWS = 8  # the shifts make_pointed draws before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +235,7 @@ class PointedTranscript:
     shift_z: list = None
 
 
-def make_pointed(system, rng, t_default=16, max_redraws=8):
+def make_pointed(system, rng):
     """Transform the system until the common support is pointed.
 
     Missing variables are fixed by unit factors (1 + p^s X_i); if the
@@ -262,8 +265,8 @@ def make_pointed(system, rng, t_default=16, max_redraws=8):
                 transcript.unit_factors.append((j, i, s_exp))
     if pointed_check(out):
         return out, transcript
-    t = t_default
-    for attempt in range(max_redraws):
+    t = SHIFT_EXPONENT
+    for attempt in range(MAX_REDRAWS):
         zs = [rng.randrange(1, p) for _ in range(n)]
         shifted = out
         for i in range(n):
@@ -274,22 +277,12 @@ def make_pointed(system, rng, t_default=16, max_redraws=8):
             transcript.shift_z = zs
             return shifted, transcript
         if attempt % 2 == 1:
-            t += t_default
+            t += SHIFT_EXPONENT
     raise GenericityFailure("could not make the common support pointed")
 
 
 # ---------------------------------------------------------------------------
 # stable multiplicities
-
-
-def _dual_polytope(f: RestrictedSeries, nu):
-    vs = vert_nu(f, nu)
-    return convex_hull(sorted(i for i, _ in vs))
-
-
-@dataclass
-class MultiplicityTranscript:
-    points: list = field(default_factory=list)  # (nu, mv)
 
 
 def _as_int(mv) -> int:
@@ -299,24 +292,23 @@ def _as_int(mv) -> int:
     return int(mv)
 
 
-def stable_multiplicity(fs, component):
-    """i(C, Trop(f_1)...Trop(f_n)) for one connected component.
+def stable_multiplicity(component):
+    """i(C, Trop(f_1)...Trop(f_n)) for one connected component, and its
+    points: (nu, mixed volume) at each vertex nu of C, sorted by nu.
 
     The stable intersection of tropical hypersurfaces is carried by the
     vertices nu of their common refinement, and its multiplicity at nu is
     the mixed volume of the initial Newton polytopes conv(vert_nu(f_i))
-    (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.6).  The
-    refinement's cells inside C are the component's pieces, so the sum runs
-    over their distinct vertices.  At any other point of C the initial
-    polytopes all lie orthogonal to the piece through it and add zero.
+    (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.6): the
+    Newton cells of the cells that the 0-dimensional piece at nu was cut
+    from.  Elsewhere in C they lie orthogonal to the piece and add zero.
     """
-    transcript = MultiplicityTranscript()
-    total = 0
-    for nu in sorted({v for piece in component for v in piece.vertices}):
-        mv = _as_int(mixed_volume([_dual_polytope(f, nu) for f in fs]))
-        total += mv
-        transcript.points.append((nu, mv))
-    return total, transcript
+    points = sorted(
+        (piece.cell.vertices[0], _as_int(mixed_volume([c.newton() for c in piece.cells])))
+        for piece in component
+        if piece.cell.affine_dim() == 0
+    )
+    return sum(mv for _, mv in points), points
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +380,7 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=()):
     total = 0
     comp_records = []
     for idx, comp in enumerate(comps):
-        mult, tr = stable_multiplicity(fs, comp)
+        mult, points = stable_multiplicity(comp)
         total += mult
         comp_records.append(
             {
@@ -401,7 +393,7 @@ def system_root_bound(system, oracle: WBoundOracle, seed, ys=()):
                 "shift_vectors": None,
                 "points": [
                     {"nu": [frac_str(x) for x in pt], "mv": mv}
-                    for pt, mv in tr.points
+                    for pt, mv in points
                 ],
                 "pieces": len(comp),
             }

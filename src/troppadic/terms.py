@@ -33,6 +33,8 @@ F = Fraction
 MAX_EXPONENT = 256  # the largest '^' exponent: a power parses as that many factors
 MAX_POWER_LEAVES = 1024  # the most leaves the powers of one term build, in all
 MAX_LITERAL_DIGITS = 4300  # CPython's default limit on int() of a digit string
+MAX_NESTING = 100  # the deepest nest of parentheses, unary minuses and call arguments
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +82,17 @@ def _key(t):
     return (4, tuple(_key(a) for a in t.args))
 
 
+def _fold(value: int) -> int:
+    """A folded integer constant, refused past MAX_LITERAL_DIGITS digits."""
+    if abs(value) >= _LITERAL_BOUND:
+        raise FormatError(f"a folded constant exceeds {MAX_LITERAL_DIGITS} digits")
+    return value
+
+
 def simplify(t: Term) -> Term:
     """Conservative syntactic normal form: flatten, fold integer constants,
-    collect equal summands; no analytic identities."""
+    collect equal summands; no analytic identities.  A folded constant of
+    more than MAX_LITERAL_DIGITS digits raises FormatError."""
     if isinstance(t, (Var, Const)):
         return t
     if isinstance(t, App):
@@ -90,18 +100,12 @@ def simplify(t: Term) -> Term:
     if isinstance(t, Mul):
         coeff = 1
         factors = []
-        stack = [simplify(a) for a in t.args]
-        for a in stack:
-            if isinstance(a, Const):
-                coeff *= a.value
-            elif isinstance(a, Mul):
-                for b in a.args:
-                    if isinstance(b, Const):
-                        coeff *= b.value
-                    else:
-                        factors.append(b)
-            else:
-                factors.append(a)
+        for a in (simplify(x) for x in t.args):
+            for b in a.args if isinstance(a, Mul) else (a,):
+                if isinstance(b, Const):
+                    coeff = _fold(coeff * b.value)
+                else:
+                    factors.append(b)
         if coeff == 0:
             return Const(0)
         factors.sort(key=_key)
@@ -117,13 +121,9 @@ def simplify(t: Term) -> Term:
     counts = {}
     reps = {}
     for a in (simplify(x) for x in t.args):
-        if isinstance(a, Const):
-            const += a.value
-            continue
-        parts = a.args if isinstance(a, Add) else (a,)
-        for b in parts:
+        for b in a.args if isinstance(a, Add) else (a,):
             if isinstance(b, Const):
-                const += b.value
+                const = _fold(const + b.value)
                 continue
             c = 1
             core = b
@@ -295,7 +295,10 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
     """Parse infix syntax (+, -, *, ^, integer literals, symbol calls).
 
     Returns (term, var_names).  Unknown identifiers become variables; when
-    var_names is None they are assigned indices in alphabetical order.
+    var_names is None they are assigned indices in alphabetical order.  A
+    chain of + and - parses to one Add, a chain of * to one Mul, and a nest
+    of parentheses, unary minuses and call arguments deeper than
+    MAX_NESTING raises FormatError, so no term is deeper than its nesting.
     """
     if registry is None:
         registry = default_registry(p) if p is not None else default_registry(2)
@@ -313,6 +316,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
     index = {nm: i for i, nm in enumerate(names)}
     pos = 0
     built = 0  # leaves built by the powers so far: e copies of the base each
+    depth = 0  # open parentheses, unary minuses and call argument lists
 
     def peek():
         return toks[pos] if pos < len(toks) else ("end", "")
@@ -325,22 +329,29 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         pos += 1
         return tok
 
+    def nested(parse):
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise FormatError(f"term nested deeper than the limit {MAX_NESTING}")
+        node = parse()
+        depth -= 1
+        return node
+
     def parse_expr():
-        node = parse_mul()
+        args = [parse_mul()]
         while peek()[0] in ("+", "-"):
             op = take()[0]
             rhs = parse_mul()
-            if op == "-":
-                rhs = Mul((Const(-1), rhs))
-            node = Add((node, rhs))
-        return node
+            args.append(Mul((Const(-1), rhs)) if op == "-" else rhs)
+        return args[0] if len(args) == 1 else Add(tuple(args))
 
     def parse_mul():
-        node = parse_pow()
+        args = [parse_pow()]
         while peek()[0] == "*":
             take()
-            node = Mul((node, parse_pow()))
-        return node
+            args.append(parse_pow())
+        return args[0] if len(args) == 1 else Mul(tuple(args))
 
     def parse_pow():
         nonlocal built
@@ -367,10 +378,10 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
             return Const(tok[1])
         if tok[0] == "-":
             take()
-            return Mul((Const(-1), parse_atom()))
+            return Mul((Const(-1), nested(parse_atom)))
         if tok[0] == "(":
             take()
-            node = parse_expr()
+            node = nested(parse_expr)
             take(")")
             return node
         if tok[0] == "name":
@@ -378,10 +389,10 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
             name = tok[1]
             if name in registry:
                 take("(")
-                args = [parse_expr()]
+                args = [nested(parse_expr)]
                 while peek()[0] == ",":
                     take()
-                    args.append(parse_expr())
+                    args.append(nested(parse_expr))
                 take(")")
                 if len(args) != registry[name].arity:
                     raise FormatError(

@@ -17,11 +17,13 @@ The components of an intersection of tropicalizations come from one lower
 hull of the lifted Minkowski sum of the supports: its lower faces are the
 cells of the common refinement, each the intersection of one cell from
 every complex, and two cells meet exactly when one face holds another.
-This is the torus case only; no piece is clipped to a finite domain.
+Each Piece keeps the cells it was cut from.  This is the torus case only;
+no piece is clipped to a finite domain.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -193,6 +195,14 @@ def shift_trop(f: RestrictedSeries, t, direction) -> RestrictedSeries:
     return out
 
 
+@dataclass(frozen=True)
+class Piece:
+    """A cell of the common refinement and the TropCells it was cut from."""
+
+    cell: QPolyhedron  # the intersection of the cells
+    cells: tuple  # one TropCell from each complex
+
+
 def connected_components(datas):
     """Components of the intersection of several tropicalizations, over
     the torus.
@@ -202,51 +212,50 @@ def connected_components(datas):
     so one lower hull of that sum gives them all.  A lower face G splits
     as G_1+...+G_n: G_i, the i-th summands of the least-height
     decompositions of G's points, is the face of lifted N(f_i) with the
-    same normal.  G is a piece when every G_i has two points or more, and
-    the piece is the intersection of the cells whose vert is G_i.  The
+    same normal.  The first decomposition in product order is enough: the
+    items are sorted and lex order is compatible with addition, so a point
+    a of G_i is first reached by (the lex-least points of G_1..G_(i-1), a,
+    the lex-greatest points of the rest).  G is a piece when every G_i has
+    two points or more; it is cut from the cells whose vert is G_i.  The
     pieces form a complex, so two of them meet exactly when some piece is
     a face of both; a piece whose G is a proper subset of another's has
     that one as a face.
 
-    Returns a list of components, each the key-sorted list of its pieces,
-    ordered by their largest piece key.  A finite domain raises ValueError.
+    Returns the components, each its Pieces sorted by cell key, ordered by
+    their largest piece key.  A finite domain raises ValueError.
     """
     if any(r is not None for d in datas for r in d.series.domain):
         raise ValueError("components are computed over the torus only")
     if any(d.is_empty() for d in datas):
         return []
-    cells = [{c.vert: c.cell for c in d.cells} for d in datas]
-    summands = {}  # summed point -> (least height, every tuple reaching it)
+    cells = [{c.vert: c for c in d.cells} for d in datas]
+    summands = {}  # summed point -> (least height, first tuple reaching it)
     for combo in product(*(_support_items(d.series) for d in datas)):
         pt = tuple(map(sum, zip(*(i for i, _ in combo))))
         h = sum(v for _, v in combo)
         if pt not in summands or h < summands[pt][0]:
-            summands[pt] = (h, [combo])
-        elif h == summands[pt][0]:
-            summands[pt][1].append(combo)
+            summands[pt] = (h, combo)
     groups = []  # (faces G, pieces) of each component found so far
     for face in lower_hull([(pt, h) for pt, (h, _) in summands.items()]):
         parts = [
-            frozenset(combo[i] for q, _ in face for combo in summands[q][1])
-            for i in range(len(datas))
+            frozenset(summands[q][1][i] for q, _ in face) for i in range(len(datas))
         ]
         if any(len(part) < 2 for part in parts):
             continue
-        piece = cells[0][parts[0]]
-        for by_vert, part in zip(cells[1:], parts[1:]):
-            piece = piece.intersection(by_vert[part])
+        cut = tuple(by_vert[part] for by_vert, part in zip(cells, parts))
+        inter = functools.reduce(QPolyhedron.intersection, (c.cell for c in cut))
         # lower_hull lists smaller faces first, so the pieces that have
         # this one as a face are already grouped
         g = frozenset(q for q, _ in face)
-        faces, pieces = {g}, [piece]
+        faces, pieces = {g}, [Piece(inter, cut)]
         for k in reversed(range(len(groups))):
             if any(other < g for other in groups[k][0]):
                 other_faces, other_pieces = groups.pop(k)
                 faces |= other_faces
                 pieces += other_pieces
         groups.append((faces, pieces))
-    comps = [sorted(pieces, key=QPolyhedron.key) for _, pieces in groups]
-    return sorted(comps, key=lambda comp: comp[-1].key())
+    comps = [sorted(pieces, key=lambda piece: piece.cell.key()) for _, pieces in groups]
+    return sorted(comps, key=lambda comp: comp[-1].cell.key())
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +401,6 @@ def _polygon_cycle(poly: QPolyhedron):
         return 0 if (dy, dx) > (0, 0) else 1
 
     # sort by angle around the centroid using exact cross products
-    import functools
-
     def cross(a, b):
         return (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
 

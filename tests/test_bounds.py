@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_roots import torus_root_count
+from test_acceptance import _interp_mv
+from test_tropical import torus_system
 from troppadic.bounds import (
     WBoundOracle,
     box_E,
@@ -26,7 +28,7 @@ from troppadic.series import (
     monomial_substitution,
     regular_order,
 )
-from troppadic.tropical import connected_components, trop_complex
+from troppadic.tropical import connected_components, trop_complex, vert_nu
 
 F = Fraction
 
@@ -275,9 +277,9 @@ def test_stable_multiplicity_transverse_point():
     fs = [line_series(p, 0, 0, 0), line_series(p, 2, 1, 0)]
     comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, tr = stable_multiplicity(fs, comps[0])
+    mult, points = stable_multiplicity(comps[0])
     assert mult == 1
-    assert [mv for _, mv in tr.points] == [1]  # one transverse crossing
+    assert [mv for _, mv in points] == [1]  # one transverse crossing
 
 
 def test_stable_multiplicity_overlapping_lines():
@@ -288,9 +290,9 @@ def test_stable_multiplicity_overlapping_lines():
     fs = [line_series(p, 0, 0, 0), line_series(p, 0, 0, 0)]
     comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, tr = stable_multiplicity(fs, comps[0])
+    mult, points = stable_multiplicity(comps[0])
     assert mult == 1
-    assert tr.points == [((0, 0), 1)]
+    assert points == [((0, 0), 1)]
 
 
 def test_stable_multiplicity_shared_ray():
@@ -300,8 +302,43 @@ def test_stable_multiplicity_shared_ray():
     fs = [poly(p, 2, {(1, 0): 1, (0, 1): 1}), line_series(p, 0, 0, 0)]
     comps = connected_components([trop_complex(f) for f in fs])
     assert len(comps) == 1
-    mult, _ = stable_multiplicity(fs, comps[0])
+    mult, _ = stable_multiplicity(comps[0])
     assert mult == 1
+
+
+def test_stable_multiplicity_of_a_lineality_component():
+    # 1 + x and 2 + x share the line nu_1 = 0: no vertex, so no point
+    p = 5
+    fs = [poly(p, 2, {(0, 0): 1, (1, 0): 1}), poly(p, 2, {(0, 0): 2, (1, 0): 1})]
+    comps = connected_components([trop_complex(f) for f in fs])
+    assert len(comps) == 1
+    assert stable_multiplicity(comps[0]) == (0, [])
+
+
+def multiplicity_oracle(fs, component):
+    """The multiplicity at every vertex of the component's pieces, from the
+    argmin sets of the series themselves."""
+    points = []
+    for nu in sorted({v for piece in component for v in piece.cell.vertices}):
+        duals = [convex_hull(sorted(i for i, _ in vert_nu(f, nu))) for f in fs]
+        points.append((nu, mixed_volume(duals)))
+    return sum(mv for _, mv in points), points
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3).flatmap(torus_system))
+def test_stable_multiplicities_sum_to_the_mixed_volume(fs):
+    # tropical Bernstein: the stable intersection has degree MV(Newton polytopes),
+    # for the system as drawn and after the pointedness repair, where the
+    # multiplicities also match the argmin-set oracle point by point
+    pointed, _ = make_pointed(fs, random.Random(0))
+    for system in (fs, pointed):
+        comps = connected_components([trop_complex(f) for f in system])
+        mults = [stable_multiplicity(c) for c in comps]
+        total = sum(m for m, _ in mults)
+        assert total == _interp_mv([convex_hull(sorted(f.terms)) for f in system])
+        if system is pointed:
+            assert mults == [multiplicity_oracle(system, c) for c in comps]
 
 
 # --------------------------------------------------------------- pipeline

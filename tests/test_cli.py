@@ -44,6 +44,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_module(*argv):
+    """`python -m troppadic ARGV` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(resources.files("troppadic").parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "troppadic", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 # --------------------------------------------------------------- formats
 
 
@@ -288,6 +299,22 @@ def test_cmd_term_deriv_rejects_malformed_terms(capsys, argv, message):
     assert code == 2
     assert not out
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "*".join(["x"] * 1500),
+        "+".join(["x"] * 1500),
+        "(" * 1200 + "x" + ")" * 1200,
+        "99999999999999999^256*x",
+    ],
+    ids=["long-product", "long-sum", "deep-parentheses", "huge-folded-constant"],
+)
+def test_cmd_term_deriv_big_terms_exit_cleanly(expr):
+    proc = run_module("term-deriv", expr)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --------------------------------------------------------------- misc
@@ -711,12 +738,6 @@ def test_polytope_loader_property(case):
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
-    src = str(resources.files("troppadic").parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "troppadic", "strassmann", data_path("strassmann_5x_x5.series")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module("strassmann", data_path("strassmann_5x_x5.series"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"count": 5, "schema_version": 1}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import NotClosedUnderDerivation
 from troppadic.padic import INF, PadicScaled, difference_floor
@@ -227,6 +228,88 @@ def test_parse_rejects_long_integer_literals():
     assert parse_term(digits)[0] == Const(int(digits))
     with pytest.raises(FormatError, match="5000 digits"):
         parse_term("7" * 5000 + "*x")
+
+
+def test_parse_flattens_chains(monkeypatch):
+    # the parser hands simplify one node per chain, not a left-deep tree
+    from troppadic import terms
+
+    seen = []
+    monkeypatch.setattr(terms, "simplify", lambda t: seen.append(t) or t)
+    parse_term("x*y*z - x + 2")
+    assert seen == [
+        Add((Mul((Var(0), Var(1), Var(2))), Mul((Const(-1), Var(0))), Const(2)))
+    ]
+
+
+def left_deep(t):
+    """The term with every Add and Mul chain nested pairwise from the left,
+    as a binary parser builds it."""
+    if isinstance(t, (Var, Const)):
+        return t
+    args = tuple(left_deep(a) for a in t.args)
+    if isinstance(t, App):
+        return App(t.symbol, args)
+    node = args[0]
+    for a in args[1:]:
+        node = type(t)((node, a))
+    return node
+
+
+def _terms():
+    leaf = st.builds(Var, st.integers(0, 1)) | st.builds(Const, st.integers(-3, 3))
+    return st.recursive(
+        leaf,
+        lambda kids: st.builds(Add, st.lists(kids, min_size=2, max_size=4).map(tuple))
+        | st.builds(Mul, st.lists(kids, min_size=2, max_size=4).map(tuple))
+        | st.builds(lambda a: App("Ep", (a,)), kids),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_terms())
+def test_flat_chains_simplify_like_nested_ones(t):
+    assert simplify(t) == simplify(left_deep(t))
+
+
+def test_parse_caps_the_nesting_depth():
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    def nests(k):
+        return ["(" * k + "x" + ")" * k, "-" * k + "x", "Ep(" * k + "x" + ")" * k]
+
+    n = terms.MAX_NESTING
+    deep_ep = Var(0)
+    for _ in range(n):
+        deep_ep = App("Ep", (deep_ep,))
+    assert [parse_term(text)[0] for text in nests(n)] == [
+        Var(0),
+        simplify(Mul((Const((-1) ** n), Var(0)))),
+        deep_ep,
+    ]
+    for text in nests(n + 1):
+        with pytest.raises(FormatError, match="nested deeper"):
+            parse_term(text)
+
+
+def test_simplify_caps_the_digits_of_folded_constants():
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    top = 10**terms.MAX_LITERAL_DIGITS - 1
+    assert simplify(Mul((Const(top), Const(1), Var(0)))) == Mul((Const(top), Var(0)))
+    too_long = [
+        Mul((Const(top), Const(10))),
+        Add((Const(top), Const(1))),
+        Add((Const(-top), Const(-1))),
+    ]
+    for t in too_long:
+        with pytest.raises(FormatError, match="folded constant"):
+            simplify(t)
+    with pytest.raises(FormatError, match="folded constant"):
+        parse_term("99999999999999999^256*x")
 
 
 # --------------------------------------------------------------- systems

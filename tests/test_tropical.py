@@ -188,9 +188,9 @@ def test_two_generic_lines_cross_once():
     f2 = trop_complex(line_series(5, 2, 1, 0))
     comps = connected_components([f1, f2])
     assert len(comps) == 1
-    pts = {v for piece in comps[0] for v in piece.vertices}
+    pts = {v for piece in comps[0] for v in piece.cell.vertices}
     assert pts == {(F(0), F(1))}
-    assert all(p.affine_dim() == 0 for p in comps[0])
+    assert all(p.cell.affine_dim() == 0 for p in comps[0])
 
 
 def test_disjoint_complexes():
@@ -204,7 +204,7 @@ def test_shared_ray_component():
     f2 = trop_complex(line_series(5, 0, 0, 0))
     comps = connected_components([f1, f2])
     assert len(comps) == 1
-    assert any(piece.rays for piece in comps[0])
+    assert any(piece.cell.rays for piece in comps[0])
 
 
 def test_components_refuse_a_finite_domain():
@@ -266,11 +266,15 @@ def torus_system(n):
 def test_components_match_the_brute_force_oracle(fs):
     datas = [trop_complex(f) for f in fs]
     comps = connected_components(datas)
-    keys = {frozenset(p.key() for p in c) for c in comps}
+    keys = {frozenset(p.cell.key() for p in c) for c in comps}
     assert keys == {frozenset(p.key() for p in c) for c in components_oracle(datas)}
     for c in comps:
-        assert [p.key() for p in c] == sorted(p.key() for p in c)
-    assert [c[-1].key() for c in comps] == sorted(c[-1].key() for c in comps)
+        assert [p.cell.key() for p in c] == sorted(p.cell.key() for p in c)
+        for p in c:
+            # each piece keeps one cell of every complex, and lies in it
+            assert all(cell in d.cells for cell, d in zip(p.cells, datas))
+            assert all(cell.cell.contains(v) for cell in p.cells for v in p.cell.vertices)
+    assert [c[-1].cell.key() for c in comps] == sorted(c[-1].cell.key() for c in comps)
 
 
 # --------------------------------------------------------------- properties
