@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import GenericityFailure, OracleMissing
@@ -335,22 +335,7 @@ class BoundReport:
     schema_version: int = 2
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "prime": self.prime,
-            "nvars": self.nvars,
-            "seed": self.seed,
-            "normalization": self.normalization,
-            "e_boxes": list(self.e_boxes),
-            "d1": self.d1,
-            "d2": self.d2,
-            "t2": self.t2,
-            "t_cross": self.t_cross,
-            "s_bound": self.s_bound,
-            "cross_check_ok": self.cross_check_ok,
-            "components": self.components,
-            "transforms": self.transforms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -172,6 +172,9 @@ def cmd_strassmann(args):
 
 
 def cmd_wdiv(args):
+    for flag, value in (("--prec", args.prec), ("--deg", args.deg)):
+        if value < 1:
+            raise FormatError(f"{flag} must be >= 1, got {value}")
     f = _load_series(args.divisor, args)
     g = _load_series(args.dividend, args)
     if f.nvars == 0:

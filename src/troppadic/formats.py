@@ -7,6 +7,7 @@ rationals travel as "num/den" strings (plain integers allowed), +oo as
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -227,18 +228,21 @@ def dump_json(obj) -> str:
 
 
 def write_atomic(path: str, content: str):
-    """Write via a same-directory temp file and an atomic replace."""
+    """Write via a same-directory temp file and an atomic replace; a path
+    that cannot be written raises FormatError and leaves no temp file."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-troppadic-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-troppadic-")
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

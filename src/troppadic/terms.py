@@ -6,6 +6,11 @@ another term over the same symbols, so the language is closed under
 derivation by construction; a symbol without a rule raises
 NotClosedUnderDerivation when differentiated.
 
+The normal form is an invariant of construction: derivation, substitution
+and the defining systems build through `_mul` and `_add`, which take and
+return normal forms; `simplify` is one bottom-up pass through them for trees
+built elsewhere.  Each node computes its sort key once, when first read.
+
 Defining systems (the Vandermonde-style systems pinning division
 coefficients, and the distinctness-augmented root systems) are emitted as
 plain equation terms over a named unknown space, so one evaluator checks
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
+from functools import cached_property, reduce
 
 from .errors import BudgetExceeded, FormatError, NotClosedUnderDerivation
 from .padic import PadicScaled
@@ -31,7 +38,7 @@ from .series import (
 F = Fraction
 
 MAX_EXPONENT = 256  # the largest '^' exponent: a power parses as that many factors
-MAX_POWER_LEAVES = 1024  # the most leaves the powers of one term build, in all
+MAX_LEAVES = 1024  # the most leaves of a parsed term, written or built by powers
 MAX_LITERAL_DIGITS = 4300  # CPython's default limit on int() of a digit string
 MAX_NESTING = 100  # the deepest nest of parentheses, unary minuses and call arguments
 _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
@@ -41,45 +48,55 @@ _LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
 # AST
 
 
+class _Node:
+    """Base of the term nodes: `key` is the sort key that orders terms, and
+    each node computes it once, when it is first read."""
+
+    @cached_property
+    def key(self):
+        # the nested key (tag, payload, (child key, ...)) flattened to
+        # (tag, payload, 1, child key..., 1, child key..., 0): keys compare
+        # in the nested order without recursing
+        if isinstance(self, Const):
+            return (0, self.value)
+        if isinstance(self, Var):
+            return (1, self.index)
+        out = [2, self.symbol] if isinstance(self, App) else [3 if isinstance(self, Mul) else 4]
+        for a in self.args:
+            out.append(1)
+            out += a.key
+        out.append(0)
+        return tuple(out)
+
+
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: int
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     args: tuple
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     args: tuple
 
 
 @dataclass(frozen=True)
-class App:
+class App(_Node):
     symbol: str
     args: tuple
 
 
 Term = object
-
-
-def _key(t):
-    if isinstance(t, Const):
-        return (0, t.value)
-    if isinstance(t, Var):
-        return (1, t.index)
-    if isinstance(t, App):
-        return (2, t.symbol, tuple(_key(a) for a in t.args))
-    if isinstance(t, Mul):
-        return (3, tuple(_key(a) for a in t.args))
-    return (4, tuple(_key(a) for a in t.args))
+_KEY = operator.attrgetter("key")
 
 
 def _fold(value: int) -> int:
@@ -89,74 +106,72 @@ def _fold(value: int) -> int:
     return value
 
 
-def simplify(t: Term) -> Term:
-    """Conservative syntactic normal form: flatten, fold integer constants,
-    collect equal summands; no analytic identities.  A folded constant of
-    more than MAX_LITERAL_DIGITS digits raises FormatError."""
-    if isinstance(t, (Var, Const)):
-        return t
-    if isinstance(t, App):
-        return App(t.symbol, tuple(simplify(a) for a in t.args))
-    if isinstance(t, Mul):
-        coeff = 1
-        factors = []
-        for a in (simplify(x) for x in t.args):
-            for b in a.args if isinstance(a, Mul) else (a,):
-                if isinstance(b, Const):
-                    coeff = _fold(coeff * b.value)
-                else:
-                    factors.append(b)
-        if coeff == 0:
-            return Const(0)
-        factors.sort(key=_key)
-        if coeff != 1:
-            factors = [Const(coeff)] + factors
-        if not factors:
-            return Const(1)
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
-    # Add
+def _mul(args) -> Term:
+    """The normal form of the product of normal-form terms: flat, with the
+    folded constant first and the other factors sorted by key."""
+    coeff = 1
+    factors = []
+    for a in args:
+        for b in a.args if isinstance(a, Mul) else (a,):
+            if isinstance(b, Const):
+                coeff = _fold(coeff * b.value)
+            else:
+                factors.append(b)
+    if coeff == 0:
+        return Const(0)
+    factors.sort(key=_KEY)
+    if coeff != 1 or not factors:
+        factors.insert(0, Const(coeff))
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+
+def _add(args) -> Term:
+    """The normal form of the sum of normal-form terms: flat, with the
+    folded constant first and equal summands collected, sorted by key."""
     const = 0
     counts = {}
     reps = {}
-    for a in (simplify(x) for x in t.args):
+    for a in args:
         for b in a.args if isinstance(a, Add) else (a,):
             if isinstance(b, Const):
                 const = _fold(const + b.value)
                 continue
-            c = 1
-            core = b
+            c, core = 1, b
             if isinstance(b, Mul) and isinstance(b.args[0], Const):
-                c = b.args[0].value
-                rest = b.args[1:]
+                c, rest = b.args[0].value, b.args[1:]
                 core = rest[0] if len(rest) == 1 else Mul(rest)
-            k = _key(core)
+            k = core.key
             counts[k] = counts.get(k, 0) + c
             reps[k] = core
-    out = []
-    for k in sorted(counts):
-        c = counts[k]
-        if c == 0:
-            continue
-        out.append(reps[k] if c == 1 else simplify(Mul((Const(c), reps[k]))))
+    out = [
+        reps[k] if counts[k] == 1 else _mul((Const(counts[k]), reps[k]))
+        for k in sorted(counts)
+        if counts[k] != 0
+    ]
     if const != 0 or not out:
-        out = [Const(const)] + out
-    if len(out) == 1:
-        return out[0]
-    return Add(tuple(out))
+        out.insert(0, Const(const))
+    return out[0] if len(out) == 1 else Add(tuple(out))
 
 
 def subst_vars(t: Term, mapping) -> Term:
-    """Replace Var(i) by mapping[i] (a term) everywhere."""
+    """The normal form of t with Var(i) replaced by mapping[i], a term in
+    normal form; a mapping of None replaces nothing."""
     if isinstance(t, Var):
-        return mapping[t.index]
+        return t if mapping is None else mapping[t.index]
     if isinstance(t, Const):
         return t
+    args = tuple(subst_vars(a, mapping) for a in t.args)
     if isinstance(t, App):
-        return App(t.symbol, tuple(subst_vars(a, mapping) for a in t.args))
-    cls = type(t)
-    return cls(tuple(subst_vars(a, mapping) for a in t.args))
+        return App(t.symbol, args)
+    return _mul(args) if isinstance(t, Mul) else _add(args)
+
+
+def simplify(t: Term) -> Term:
+    """Conservative syntactic normal form: flatten, fold integer constants,
+    collect equal summands; no analytic identities.  One bottom-up pass
+    through the constructors, for terms built elsewhere.  A folded constant
+    of more than MAX_LITERAL_DIGITS digits raises FormatError."""
+    return subst_vars(t, None)
 
 
 # ---------------------------------------------------------------------------
@@ -198,38 +213,41 @@ def default_registry(p: int):
 
 
 def derive_term(t: Term, var: int, order: int = 1, registry=None, p=None) -> Term:
-    """A term whose realization is the order-th partial derivative."""
+    """A term whose realization is the order-th partial derivative: the
+    derivative of simplify(t), in normal form.  It stops once it is zero."""
     if registry is None:
         registry = default_registry(p) if p is not None else {}
-    out = t
+    out = simplify(t)
     for _ in range(order):
-        out = simplify(_derive1(out, var, registry))
+        if out == Const(0):
+            break
+        out = _derive1(out, var, registry)
     return out
 
 
 def _derive1(t, var, registry):
+    """The derivative of a normal-form term, built in normal form."""
     if isinstance(t, Var):
         return Const(1 if t.index == var else 0)
     if isinstance(t, Const):
         return Const(0)
     if isinstance(t, Add):
-        return Add(tuple(_derive1(a, var, registry) for a in t.args))
+        return _add(_derive1(a, var, registry) for a in t.args)
     if isinstance(t, Mul):
-        parts = []
-        for k in range(len(t.args)):
-            dk = _derive1(t.args[k], var, registry)
-            parts.append(Mul(t.args[:k] + (dk,) + t.args[k + 1:]))
-        return Add(tuple(parts))
+        # generators: _add holds one product-rule term at a time
+        return _add(
+            _mul(t.args[:k] + (dk,) + t.args[k + 1:])
+            for k, dk in enumerate(_derive1(a, var, registry) for a in t.args)
+            if dk != Const(0)
+        )
     if isinstance(t, App):
         sym = registry.get(t.symbol)
         if sym is None or sym.derivative_rule is None:
             raise NotClosedUnderDerivation(t.symbol)
-        parts = []
-        for k, arg in enumerate(t.args):
-            outer = sym.derivative_rule(t.args, k)
-            inner = _derive1(arg, var, registry)
-            parts.append(Mul((outer, inner)))
-        return Add(tuple(parts))
+        return _add(
+            _mul((simplify(sym.derivative_rule(t.args, k)), _derive1(arg, var, registry)))
+            for k, arg in enumerate(t.args)
+        )
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -259,16 +277,9 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
         if not 0 <= t.index < n:
             raise ValueError(f"variable index {t.index} out of range")
         return RestrictedSeries.variable(p, t.index, n, domain=dom)
-    if isinstance(t, Add):
-        out = realize(t.args[0], ctx)
-        for a in t.args[1:]:
-            out = out + realize(a, ctx)
-        return out
-    if isinstance(t, Mul):
-        out = realize(t.args[0], ctx)
-        for a in t.args[1:]:
-            out = out * realize(a, ctx)
-        return out
+    if isinstance(t, (Add, Mul)):
+        op = operator.add if isinstance(t, Add) else operator.mul
+        return reduce(op, (realize(a, ctx) for a in t.args))
     if isinstance(t, App):
         sym = ctx.symbols().get(t.symbol)
         if sym is None:
@@ -299,23 +310,20 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
     chain of + and - parses to one Add, a chain of * to one Mul, and a nest
     of parentheses, unary minuses and call arguments deeper than
     MAX_NESTING raises FormatError, so no term is deeper than its nesting.
+    A term of more than MAX_LEAVES leaves (constants and variables, the -1
+    of each minus and the copies a power makes among them) raises
+    FormatError as soon as the count passes the limit.
     """
     if registry is None:
         registry = default_registry(p) if p is not None else default_registry(2)
     toks = _tokenize(text)
     if var_names is None:
-        names = sorted(
-            {
-                tok[1]
-                for tok in toks
-                if tok[0] == "name" and tok[1] not in registry
-            }
-        )
+        names = sorted({tok[1] for tok in toks if tok[0] == "name" and tok[1] not in registry})
     else:
         names = list(var_names)
     index = {nm: i for i, nm in enumerate(names)}
     pos = 0
-    built = 0  # leaves built by the powers so far: e copies of the base each
+    leaves = 0  # leaves of the raw tree parsed so far
     depth = 0  # open parentheses, unary minuses and call argument lists
 
     def peek():
@@ -328,6 +336,12 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
             raise FormatError(f"expected {kind}, found {tok[1]!r} at token {pos}")
         pos += 1
         return tok
+
+    def count(n):
+        nonlocal leaves
+        leaves += n
+        if leaves > MAX_LEAVES:
+            raise FormatError(f"term of {leaves} leaves, above the limit {MAX_LEAVES}")
 
     def nested(parse):
         nonlocal depth
@@ -342,6 +356,8 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         args = [parse_mul()]
         while peek()[0] in ("+", "-"):
             op = take()[0]
+            if op == "-":
+                count(1)
             rhs = parse_mul()
             args.append(Mul((Const(-1), rhs)) if op == "-" else rhs)
         return args[0] if len(args) == 1 else Add(tuple(args))
@@ -354,7 +370,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         return args[0] if len(args) == 1 else Mul(tuple(args))
 
     def parse_pow():
-        nonlocal built
+        before = leaves
         node = parse_atom()
         if peek()[0] == "^":
             take()
@@ -363,11 +379,8 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
                 raise FormatError("negative powers are not terms")
             if e > MAX_EXPONENT:
                 raise FormatError(f"exponent {e} is above the limit {MAX_EXPONENT}")
-            built += e * _leaves(node)
-            if built > MAX_POWER_LEAVES:
-                raise FormatError(
-                    f"powers build {built} leaves, above the limit {MAX_POWER_LEAVES}"
-                )
+            base = leaves - before
+            count((e - 1) * base if e else 1 - base)
             node = _power(node, e)
         return node
 
@@ -375,9 +388,11 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
         tok = peek()
         if tok[0] == "int":
             take()
+            count(1)
             return Const(tok[1])
         if tok[0] == "-":
             take()
+            count(1)
             return Mul((Const(-1), nested(parse_atom)))
         if tok[0] == "(":
             take()
@@ -401,6 +416,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
                 return App(name, tuple(args))
             if name not in index:
                 raise FormatError(f"unknown variable {name!r}")
+            count(1)
             return Var(index[name])
         raise FormatError(f"unexpected token {tok[1]!r}")
 
@@ -479,22 +495,9 @@ class DefiningSystem:
     def residuals(self, values, ctx: RealizeContext):
         """Evaluate every equation at the named point; zero means satisfied."""
         point = tuple(values[nm] for nm in self.var_names)
-        dom = tuple(
-            min(F(0), x.valuation()) if not x.is_zero() else F(0) for x in point
-        )
+        dom = tuple(F(0) if x.is_zero() else min(F(0), x.valuation()) for x in point)
         ectx = RealizeContext(ctx.p, len(point), ctx.budget, dom, ctx.registry)
-        out = []
-        for eq in self.equations:
-            s = realize(eq, ectx)
-            out.append(evaluate(s, point))
-        return out
-
-
-def _leaves(t: Term) -> int:
-    """The constants and variables of a term, counted with repetition."""
-    if isinstance(t, (Var, Const)):
-        return 1
-    return sum(_leaves(a) for a in t.args)
+        return [evaluate(realize(eq, ectx), point) for eq in self.equations]
 
 
 def _power(base: Term, e: int) -> Term:
@@ -507,7 +510,7 @@ def _power(base: Term, e: int) -> Term:
 
 def _inverse_equation(w: Term, a: Term, b: Term) -> Term:
     """w*(a - b) - 1: a != b, witnessed by the explicit inverse w."""
-    return simplify(Add((Mul((w, Add((a, Mul((Const(-1), b)))))), Const(-1))))
+    return _add((_mul((w, _add((a, _mul((Const(-1), b)))))), Const(-1)))
 
 
 def _partitions_desc(d):
@@ -554,7 +557,7 @@ def coefficient_defining_systems(f: Term, g: Term, d: int, nx: int, registry=Non
             at_root[yvar] = Var(a_idx[j])
             for t in range(mult):
                 ft = derive_term(f, yvar, t, registry)
-                eqs.append(simplify(subst_vars(ft, at_root)))
+                eqs.append(subst_vars(ft, at_root))
             for t in range(mult):
                 # sum_i A_i * (i)_t * alpha^(i-t) = d^t g / dY^t (alpha)
                 lhs = []
@@ -563,11 +566,11 @@ def coefficient_defining_systems(f: Term, g: Term, d: int, nx: int, registry=Non
                     if c == 0:
                         continue
                     lhs.append(
-                        Mul((Const(c), Var(c_idx[i]), _power(Var(a_idx[j]), i - t)))
+                        _mul((Const(c), Var(c_idx[i]), _power(Var(a_idx[j]), i - t)))
                     )
                 gt = derive_term(g, yvar, t, registry)
-                rhs = simplify(subst_vars(gt, at_root))
-                eqs.append(simplify(Add(tuple(lhs) + (Mul((Const(-1), rhs)),))))
+                rhs = subst_vars(gt, at_root)
+                eqs.append(_add(lhs + [_mul((Const(-1), rhs))]))
                 rows.append((j, t))
         for j1 in range(r):
             for j2 in range(j1 + 1, r):
@@ -612,15 +615,15 @@ def distinctness_root_system(P: Term, f: Term, g: Term, s: int):
     ij_base = 3 + 2 * s
     eqs = []
     for i in range(s + 1):
-        eqs.append(simplify(subst_vars(f, {0: Var(t_idx[i]), 1: z})))
+        eqs.append(subst_vars(f, {0: Var(t_idx[i]), 1: z}))
     for i in range(s + 1):
-        lhs = [Mul((Var(a_idx[k]), _power(Var(t_idx[i]), k))) for k in range(s + 1)]
+        lhs = [_mul((Var(a_idx[k]), _power(Var(t_idx[i]), k))) for k in range(s + 1)]
         rhs = subst_vars(g, {0: Var(t_idx[i]), 1: z})
-        eqs.append(simplify(Add(tuple(lhs) + (Mul((Const(-1), rhs)),))))
+        eqs.append(_add(lhs + [_mul((Const(-1), rhs))]))
     p_map = {0: z}
     for k in range(s + 1):
         p_map[1 + k] = Var(a_idx[k])
-    eqs.append(simplify(subst_vars(P, p_map)))
+    eqs.append(subst_vars(P, p_map))
     k = 0
     for i in range(s + 1):
         for j in range(i + 1, s + 1):

@@ -308,13 +308,43 @@ def test_cmd_term_deriv_rejects_malformed_terms(capsys, argv, message):
         "+".join(["x"] * 1500),
         "(" * 1200 + "x" + ")" * 1200,
         "99999999999999999^256*x",
+        "*".join(["x"] * 3000),
+        "*".join(["x"] * 20000),
     ],
-    ids=["long-product", "long-sum", "deep-parentheses", "huge-folded-constant"],
+    ids=[
+        "long-product",
+        "long-sum",
+        "deep-parentheses",
+        "huge-folded-constant",
+        "3000-factor-product",
+        "20000-factor-product",
+    ],
 )
 def test_cmd_term_deriv_big_terms_exit_cleanly(expr):
     proc = run_module("term-deriv", expr)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bound-system", data_path("line_a.series"), data_path("line_b.series"), "--seed", "42"], "-o"),
+        (["trop", data_path("fig1_p5.series")], "--svg"),
+    ],
+    ids=["bound-system-output", "trop-svg"],
+)
+def test_unwritable_outputs_are_input_errors(capsys, tmp_path, argv, flag):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for target, reason in [
+        (str(tmp_path / "missing" / "x.out"), "No such file or directory"),
+        (str(taken), "Is a directory"),
+    ]:
+        code, _, err = run(capsys, *argv, flag, target)
+        assert (code, err) == (2, f"input error: cannot write {target}: {reason}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not list(taken.iterdir())
 
 
 # --------------------------------------------------------------- misc
@@ -341,6 +371,21 @@ def test_cmd_wdiv(capsys):
     a1 = series_from_dict(doc["remainders"][1])
     assert a0.is_certified_zero()
     assert a1.coeff(()).rational_value() == 5
+
+
+@pytest.mark.parametrize("flag", ["--prec", "--deg"])
+@pytest.mark.parametrize("value", ["0", "-1", "-5"])
+def test_cmd_wdiv_rejects_budgets_below_one(capsys, flag, value):
+    code, out, err = run(
+        capsys,
+        "wdiv",
+        data_path("wdiv_divisor.series"),
+        data_path("wdiv_dividend.series"),
+        flag,
+        value,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"input error: {flag} must be >= 1, got {value}\n"
 
 
 def test_cmd_wdiv_approximate_divisor(capsys, tmp_path):

@@ -55,6 +55,12 @@ def golden_commands():
         ("out",),
     )
     cmds["term-deriv Ep(x)"] = (["term-deriv", "Ep(x)", "-o", "{out}"], ("out",))
+    for name, argv in [
+        ("Ep(-...) nested 20", ["Ep(-" * 20 + "x" + ")" * 20]),
+        ("x*y*Ep(x+y)*Ep(x*y-3) order 2", ["x*y*Ep(x+y)*Ep(x*y-3)", "--order", "2"]),
+        ("(x+y)^5*Ep(2*x)", ["(x+y)^5*Ep(2*x)"]),
+    ]:
+        cmds[f"term-deriv {name}"] = (["term-deriv", *argv, "-o", "{out}"], ("out",))
     return cmds
 
 

@@ -24,6 +24,7 @@ from troppadic.terms import (
     print_term,
     realize,
     simplify,
+    subst_vars,
 )
 
 F = Fraction
@@ -197,26 +198,44 @@ def test_parse_rejects_exponents_above_the_limit(monkeypatch):
         parse_term(f"x^{terms.MAX_EXPONENT + 1}")
 
 
+def leaves(t):
+    """The constants and variables of a term, counted with repetition."""
+    if isinstance(t, (Var, Const)):
+        return 1
+    return sum(leaves(a) for a in t.args)
+
+
 def test_parse_caps_the_leaves_that_powers_build(monkeypatch):
     from troppadic import terms
     from troppadic.errors import FormatError
 
     t, _ = parse_term("x^256*y^256*x^256*y^256")
     assert t == Mul((Var(0),) * 512 + (Var(1),) * 512)
+    assert parse_term("(x^32)^32")[0] == Mul((Var(0),) * 1024)
 
     build = terms._power
-    built = []
 
     def bounded(base, e):
-        built.append(e * terms._leaves(base))
-        if sum(built) > terms.MAX_POWER_LEAVES:
+        if e * leaves(base) > terms.MAX_LEAVES:
             raise AssertionError("a power above the limit was built")
         return build(base, e)
 
     monkeypatch.setattr(terms, "_power", bounded)
-    for text in ["(x^32)^32", "(x+y+z+u+v)^256", "x^256*y^256*x^256*y^256*x^2"]:
-        built.clear()
+    for text in ["(x^32)^33", "(x+y+z+u+v)^256", "x^256*y^256*x^256*y^256*x^2", "(x-y-z)^205"]:
         with pytest.raises(FormatError, match="above the limit"):
+            parse_term(text)
+
+
+def test_parse_caps_the_written_leaves():
+    from troppadic import terms
+    from troppadic.errors import FormatError
+
+    n = terms.MAX_LEAVES
+    assert parse_term("*".join(["x"] * n))[0] == Mul((Var(0),) * n)
+    k = (n - 1) // 2  # each minus adds a -1 leaf
+    assert parse_term("x" + "-x" * k)[0] == Mul((Const(1 - k), Var(0)))
+    for text in ["*".join(["x"] * (n + 1)), "x" + "-x" * (n // 2), "*".join(["x"] * 20000)]:
+        with pytest.raises(FormatError, match=f"above the limit {n}"):
             parse_term(text)
 
 
@@ -310,6 +329,159 @@ def test_simplify_caps_the_digits_of_folded_constants():
             simplify(t)
     with pytest.raises(FormatError, match="folded constant"):
         parse_term("99999999999999999^256*x")
+
+
+# ------------------------------------------- the re-simplifying oracle
+#
+# The normal form as a separate pass, the way terms.py computed it before
+# the constructors: a nested sort key rebuilt on every sort, a simplify
+# that re-normalizes every subterm, and derivation of raw trees.
+
+
+def oracle_key(t):
+    if isinstance(t, Const):
+        return (0, t.value)
+    if isinstance(t, Var):
+        return (1, t.index)
+    if isinstance(t, App):
+        return (2, t.symbol, tuple(oracle_key(a) for a in t.args))
+    if isinstance(t, Mul):
+        return (3, tuple(oracle_key(a) for a in t.args))
+    return (4, tuple(oracle_key(a) for a in t.args))
+
+
+def oracle_simplify(t):
+    if isinstance(t, (Var, Const)):
+        return t
+    if isinstance(t, App):
+        return App(t.symbol, tuple(oracle_simplify(a) for a in t.args))
+    if isinstance(t, Mul):
+        coeff = 1
+        factors = []
+        for a in (oracle_simplify(x) for x in t.args):
+            for b in a.args if isinstance(a, Mul) else (a,):
+                if isinstance(b, Const):
+                    coeff *= b.value
+                else:
+                    factors.append(b)
+        if coeff == 0:
+            return Const(0)
+        factors.sort(key=oracle_key)
+        if coeff != 1:
+            factors = [Const(coeff)] + factors
+        if not factors:
+            return Const(1)
+        if len(factors) == 1:
+            return factors[0]
+        return Mul(tuple(factors))
+    const = 0
+    counts = {}
+    reps = {}
+    for a in (oracle_simplify(x) for x in t.args):
+        for b in a.args if isinstance(a, Add) else (a,):
+            if isinstance(b, Const):
+                const += b.value
+                continue
+            c = 1
+            core = b
+            if isinstance(b, Mul) and isinstance(b.args[0], Const):
+                c = b.args[0].value
+                rest = b.args[1:]
+                core = rest[0] if len(rest) == 1 else Mul(rest)
+            k = oracle_key(core)
+            counts[k] = counts.get(k, 0) + c
+            reps[k] = core
+    out = []
+    for k in sorted(counts):
+        c = counts[k]
+        if c == 0:
+            continue
+        out.append(reps[k] if c == 1 else oracle_simplify(Mul((Const(c), reps[k]))))
+    if const != 0 or not out:
+        out = [Const(const)] + out
+    if len(out) == 1:
+        return out[0]
+    return Add(tuple(out))
+
+
+def oracle_derive1(t, var, registry):
+    if isinstance(t, Var):
+        return Const(1 if t.index == var else 0)
+    if isinstance(t, Const):
+        return Const(0)
+    if isinstance(t, Add):
+        return Add(tuple(oracle_derive1(a, var, registry) for a in t.args))
+    if isinstance(t, Mul):
+        parts = []
+        for k in range(len(t.args)):
+            dk = oracle_derive1(t.args[k], var, registry)
+            parts.append(Mul(t.args[:k] + (dk,) + t.args[k + 1:]))
+        return Add(tuple(parts))
+    parts = []
+    for k, arg in enumerate(t.args):
+        outer = registry[t.symbol].derivative_rule(t.args, k)
+        parts.append(Mul((outer, oracle_derive1(arg, var, registry))))
+    return Add(tuple(parts))
+
+
+def oracle_derive(t, var, order, registry):
+    """Derive and re-simplify once per order."""
+    for _ in range(order):
+        t = oracle_simplify(oracle_derive1(t, var, registry))
+    return t
+
+
+def subst_vars_raw(t, mapping):
+    if isinstance(t, Var):
+        return mapping[t.index]
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, App):
+        return App(t.symbol, tuple(subst_vars_raw(a, mapping) for a in t.args))
+    return type(t)(tuple(subst_vars_raw(a, mapping) for a in t.args))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_terms(), _terms())
+def test_keys_order_terms_like_the_nested_oracle(a, b):
+    x, y = Var(0), Var(1)
+    # the children of one node end before the next node's start
+    shorter = Mul((App("Ep", (Add((x, y)),)), y))
+    longer = Mul((App("Ep", (Add((x, y, y)),)),))
+    for s, t in [(a, b), (simplify(a), simplify(b)), (shorter, longer), (longer, shorter)]:
+        assert (s.key < t.key) == (oracle_key(s) < oracle_key(t))
+        assert (s.key == t.key) == (s == t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_terms(), st.integers(0, 1), st.integers(1, 3), st.sampled_from([2, 5]))
+def test_derivation_matches_the_resimplifying_oracle(t, var, order, p):
+    reg = default_registry(p)
+    normal = oracle_simplify(t)
+    assert simplify(t) == normal
+    assert simplify(normal) == normal
+    want = oracle_derive(normal, var, order, reg)
+    # on normal-form input the result is the oracle's, and on raw input it
+    # is the derivative of simplify(t)
+    assert derive_term(normal, var, order, reg) == want
+    assert derive_term(t, var, order, reg) == want
+    assert derive_term(t, var, 0, reg) == normal
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_terms(), _terms(), _terms())
+def test_substitution_matches_the_resimplifying_oracle(t, a, b):
+    mapping = {0: oracle_simplify(a), 1: oracle_simplify(b)}
+    for u in (t, oracle_simplify(t)):
+        assert subst_vars(u, mapping) == oracle_simplify(subst_vars_raw(u, mapping))
+    renaming = {0: Var(3), 1: Var(2)}
+    assert subst_vars(t, renaming) == subst_vars(simplify(t), renaming)
+
+
+def test_derivation_stops_at_zero():
+    assert derive_term(Var(0), 0, 10**9) == Const(0)
+    t, _ = parse_term("x^3*Ep(y)")
+    assert derive_term(t, 0, 10**9, default_registry(5)) == Const(0)
 
 
 # --------------------------------------------------------------- systems
