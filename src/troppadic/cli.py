@@ -128,12 +128,13 @@ def _same_ring(named):
 
 def cmd_trop(args):
     f = _load_series(args.input, args)
+    if args.svg and f.nvars != 2:
+        raise FormatError("SVG output needs a two-variable series")
     data = trop_complex(f)
-    _emit(args, dump_json(trop_data_to_dict(data)))
+    # the SVG is written first, so a failure to write it leaves no report
     if args.svg:
-        if f.nvars != 2:
-            raise FormatError("SVG output needs a two-variable series")
         write_atomic(args.svg, render_svg(data))
+    _emit(args, dump_json(trop_data_to_dict(data)))
     return 0
 
 

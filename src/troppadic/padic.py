@@ -166,6 +166,9 @@ class PadicScaled:
     def is_zero(self) -> bool:
         return self._r is _ZERO
 
+    def __bool__(self):
+        return self._r is not _ZERO
+
     def valuation(self):
         """The valuation v(self); +Infinity for exact zero."""
         if self.is_exact:

@@ -15,7 +15,18 @@ All series arithmetic runs on sparse term dicts ``{exponents: coefficient}``
 and three helpers: ``_acc`` adds a coefficient at a key, ``_dict_mul``
 multiplies two dicts (optionally capped at a total degree), and ``_fold``
 splits a dict at a degree cutoff into kept terms and the (degree,
-valuation) points that the tail bound must absorb.
+valuation) points that the tail bound must absorb.  The first two work on
+any coefficient ring with ``+``, ``*`` and a zero that is false: the
+``PadicScaled`` values of a series, or Python integers.
+
+Weierstrass division and composition run on integer numerators when every
+input coefficient is an exact rational (shift 0), and on ``PadicScaled``
+otherwise; ``_numerators`` makes that choice from the inputs.  A term dict
+``h`` becomes ``h = h'/D`` with ``D`` the lcm of its denominators and
+``h'`` integral.  The loop is written once for both rings, and the
+numerators are turned back into ``PadicScaled`` once, at the end, so exact
+results are the same rationals as in field arithmetic and nothing is
+truncated.
 
 Weierstrass division is a contraction in the (p, X')-filtration: with
 ``f = c*Y^d + E`` (c the unit coefficient of the regularity order), the
@@ -28,6 +39,18 @@ The iteration contracts exactly when every pure-Y coefficient of ``E`` has
 positive valuation; that condition (plus the matching tail certificate) is
 checked up front and its failure raises BudgetExceeded, because without it
 no restricted quotient exists (e.g. dividing by ``Y + Y^2``).
+
+On numerators ``f' = D_f*f`` and ``g' = D_g*g``, with c now the integer top
+coefficient of ``f'``, no round divides: ``T <- high(-T*E')`` from
+``T = high(g')``, while ``Q' <- c*Q' + T`` and ``R' <- c*R' + low(-T*E')``
+from ``R' = low(g')``.  After K rounds ``Q = Q'*D_f/(D_g*c^K)`` and
+``R = R'/(D_g*c^K)``.  The residue ``g - Q*f - R`` is
+``N/(D_g*c^K)`` with ``N = c^K*g' - Q'*f' - R'``.  Division needs integral
+series, so ``D_g`` is prime to p, and c is a unit; the denominator is then
+a unit and ``v(residue) = v_p(N)``, checked in integers key by key.
+Composition sums ``a_k*g^k`` the same way, over the one denominator
+``D_a*D_g^K`` of the base coefficients ``a_k = n_k/D_a`` and the powers of
+``g = g'/D_g`` up to ``K = k_max``.
 """
 
 from __future__ import annotations
@@ -44,7 +67,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from .padic import INF, PadicScaled, sum_floor, val_min
+from .padic import INF, PadicScaled, sum_floor, val_min, vp_int
 
 F = Fraction
 
@@ -133,7 +156,29 @@ def _dict_mul(a, b, cap=None):
         for j, y, dj in bs:
             if dj <= room:
                 _acc(out, tuple(map(add, i, j)), x * y)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _scaled(terms, s):
+    """The term dict times the scalar s; None stands for 1."""
+    return terms if s is None else {k: c * s for k, c in terms.items()}
+
+
+def _numerators(terms):
+    """(D, {k: D*c}): integer numerators over D, the lcm of the denominators,
+    when every coefficient is an exact rational; None when any coefficient
+    is approximate or carries a fractional shift."""
+    try:
+        rs = [(k, c.rational_value()) for k, c in terms.items()]
+    except ValueError:
+        return None
+    den = math.lcm(*(r.denominator for _, r in rs))
+    return den, {k: r.numerator * (den // r.denominator) for k, r in rs}
+
+
+def _over(p, terms, scale):
+    """Integer numerators times a rational scale, as exact coefficients."""
+    return {k: PadicScaled.exact(p, n * scale) for k, n in terms.items()}
 
 
 def _fold(terms, cutoff):
@@ -625,51 +670,67 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     p, n = f.p, f.nvars
     axis = n - 1
     top = (0,) * axis + (d,)
-    one_over = PadicScaled.exact(p, 1) / f.terms[top]
-    minus_e = {k: -c for k, c in f.terms.items() if k != top}
+    lifted_f, lifted_g = _numerators(f.terms), _numerators(g.terms)
+    if lifted_f and lifted_g:
+        # integers f' = D_f*f and g' = D_g*g; the top coefficient c of f'
+        # is a unit, so it scales the accumulators instead of dividing
+        (d_f, fs), (d_g, gs) = lifted_f, lifted_g
+        c, over_c = fs[top], None
+
+        def floor(parts):
+            total = sum(parts)
+            return vp_int(total, p) if total else INF
+    else:
+        fs, gs = f.terms, g.terms
+        c, over_c, floor = None, PadicScaled.exact(p, 1) / fs[top], sum_floor
+    minus_e = {k: -v for k, v in fs.items() if k != top}
 
     # Q is the Neumann sum of term <- c^{-1} * high(-term*E) from
-    # c^{-1} * high(g); the low parts of the same products sum to R - low(g)
+    # c^{-1} * high(g); the low parts of the same products sum to R - low(g).
+    # On numerators each round multiplies Q and R by c instead.
     q_cur = {}
-    r_low, g_high = _split_high(g.terms, axis, d)
-    term = {k: c * one_over for k, c in g_high.items()}
-    for _ in range(budget.prec + budget.degree + 2):
-        if not term:
-            break
-        for k, c in term.items():
-            _acc(q_cur, k, c)
+    r_low, term = _split_high(gs, axis, d)
+    term = _scaled(term, over_c)
+    rounds = 0
+    while term and rounds < budget.prec + budget.degree + 2:
+        q_cur, r_low = _scaled(q_cur, c), _scaled(r_low, c)
+        for k, v in term.items():
+            _acc(q_cur, k, v)
         low, high = _split_high(_dict_mul(term, minus_e, budget.degree), axis, d)
-        for k, c in low.items():
-            _acc(r_low, k, c)
-        term = {k: c * one_over for k, c in high.items()}
+        for k, v in low.items():
+            _acc(r_low, k, v)
+        term = _scaled(high, over_c)
+        rounds += 1
 
-    # residue check against f itself: g - Q f - R must vanish to budget
+    # residue check against f itself: c^K g - Q f - R must vanish to budget
     # below the degree cutoff.  Its terms are listed per key, not summed,
     # so that a sum cancelling below its certified digits keeps its floor.
-    residue = {}
-    for k, c in g.terms.items():
-        _acc(residue, k, [c])
+    scaled_g = _scaled(gs, None if c is None else c**rounds)
+    residue = {k: [v] for k, v in scaled_g.items()}
     for i, x in q_cur.items():
-        for j, y in f.terms.items():
-            k = tuple(s + t for s, t in zip(i, j))
+        for j, y in fs.items():
+            k = tuple(map(add, i, j))
             if sum(k) < budget.degree:
-                _acc(residue, k, [-(x * y)])
-    for k, c in r_low.items():
-        _acc(residue, k, [-c])
+                residue.setdefault(k, []).append(-(x * y))
+    for k, v in r_low.items():
+        residue.setdefault(k, []).append(-v)
     for exps in sorted(residue):
         if sum(exps) < budget.degree:
-            v = sum_floor(residue[exps])
+            v = floor(residue[exps])
             if v < budget.prec:
                 raise BudgetExceeded(
                     f"division residue at {exps} has valuation {v} < {budget.prec}"
                 )
 
+    if c is not None:
+        scale = F(1, d_g * c**rounds)
+        q_cur, r_low = _over(p, q_cur, scale * d_f), _over(p, r_low, scale)
     dom = f._common_domain(g)
     q_series = RestrictedSeries(p, n, q_cur, tail=TailBound.empty(budget.degree), domain=dom)
     a_list = []
     for j in range(d):
         a_terms = {
-            exps[:axis]: c for exps, c in r_low.items() if exps[axis] == j
+            exps[:axis]: v for exps, v in r_low.items() if exps[axis] == j
         }
         a_list.append(
             RestrictedSeries(
@@ -762,20 +823,31 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         while c_b * (k_max + 1) + b_b < budget.prec:
             k_max += 1
         floor_beyond = c_b * (k_max + 1) + b_b
+    weights = {k: base.coeff((k,)) for k in range(k_max + 1)}
+    lifted_a, lifted_g = _numerators(weights), _numerators(g.terms)
+    if lifted_a and lifted_g:
+        # a_k = n_k/D_a and g = g'/D_g: sum a_k g^k is sum n_k D_g^(K-k) g'^k
+        # over M = D_a D_g^K, with K = k_max, summed in integers
+        (d_a, weights), (d_g, gs) = lifted_a, lifted_g
+        weights = {k: w * d_g ** (k_max - k) for k, w in weights.items()}
+        one, over_m = 1, F(1, d_a * d_g**k_max)
+    else:
+        gs, one, over_m = g.terms, PadicScaled.exact(p, 1), None
     acc = {}
-    power = {(0,) * g.nvars: PadicScaled.exact(p, 1)}
+    power = {(0,) * g.nvars: one}
     full_degree = max(k_max * deg_g, budget.degree)
-    for k in range(k_max + 1):
-        a_k = base.coeff((k,))
-        if not a_k.is_zero():
+    for k, a_k in weights.items():
+        if a_k:
             for exps, c in power.items():
                 _acc(acc, exps, c * a_k)
         if k < k_max:
             # powers are never truncated below their true degree, so every
             # overflow term is computed and folded into the tail soundly
-            power = _dict_mul(power, g.terms, full_degree)
+            power = _dict_mul(power, gs, full_degree)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
+    if over_m is not None:
+        acc = _over(p, acc, over_m)
     kept, folds = _fold(acc, budget.degree)
     folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
     pieces = []

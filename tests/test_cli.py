@@ -130,6 +130,25 @@ def test_cmd_trop_svg_determinism(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cmd_trop_unwritable_svg_writes_no_report(capsys, tmp_path):
+    report, svg = tmp_path / "r.json", tmp_path / "missing" / "x.svg"
+    code, out, err = run(
+        capsys, "trop", data_path("fig1_p5.series"), "-o", str(report), "--svg", str(svg)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"input error: cannot write {svg}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cmd_trop_svg_of_one_variable_writes_nothing(capsys, tmp_path):
+    report, svg = tmp_path / "r2.json", tmp_path / "y.svg"
+    code, out, err = run(
+        capsys, "trop", data_path("strassmann_5x_x5.series"), "-o", str(report), "--svg", str(svg)
+    )
+    assert (code, out, err) == (2, "", "input error: SVG output needs a two-variable series\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_trop_parse_error(capsys, tmp_path):
     p = tmp_path / "bad.series"
     p.write_text("{not json")

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from troppadic import series, terms
 from troppadic.errors import (
     BudgetExceeded,
     DomainViolation,
@@ -11,11 +14,12 @@ from troppadic.errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from troppadic.padic import INF, PadicScaled, difference_floor
+from troppadic.padic import INF, PadicScaled, difference_floor, sum_floor, val_min
 from troppadic.series import (
     Budget,
     RestrictedSeries,
     TailBound,
+    compose_univariate,
     derivative,
     evaluate,
     monomial_substitution,
@@ -74,6 +78,129 @@ def math_factorial(k):
     for j in range(2, k + 1):
         out *= j
     return out
+
+
+def _oracle_mul(a, b, cap):
+    """Product of two PadicScaled term dicts below a total-degree cap."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if sum(i) + sum(j) <= cap:
+                k = tuple(map(add, i, j))
+                out[k] = out[k] + x * y if k in out else x * y
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _oracle_split(terms, axis, d):
+    low, high = {}, {}
+    for exps, c in terms.items():
+        if exps[axis] < d:
+            low[exps] = c
+        else:
+            high[exps[:axis] + (exps[axis] - d,) + exps[axis + 1:]] = c
+    return low, high
+
+
+def oracle_divide(f, g, budget):
+    """The reference for weierstrass_divide: its Neumann loop and residue
+    check in PadicScaled arithmetic on every input, exact or not.  The
+    input checks before the loop are the library's.  Returns ({key: Q_key},
+    [{key: A_j_key}]) with zero coefficients dropped, in insertion order."""
+    d = series.regular_order(f)
+    series._check_division_inputs(f, g, d, budget)
+    p, axis = f.p, f.nvars - 1
+    top = (0,) * axis + (d,)
+    one_over = PadicScaled.exact(p, 1) / f.terms[top]
+    minus_e = {k: -c for k, c in f.terms.items() if k != top}
+    q = {}
+    r, high = _oracle_split(g.terms, axis, d)
+    term = {k: c * one_over for k, c in high.items()}
+    for _ in range(budget.prec + budget.degree + 2):
+        if not term:
+            break
+        for k, c in term.items():
+            q[k] = q[k] + c if k in q else c
+        low, high = _oracle_split(_oracle_mul(term, minus_e, budget.degree), axis, d)
+        for k, c in low.items():
+            r[k] = r[k] + c if k in r else c
+        term = {k: c * one_over for k, c in high.items()}
+    residue = {k: [c] for k, c in g.terms.items()}
+    for i, x in q.items():
+        for j, y in f.terms.items():
+            k = tuple(map(add, i, j))
+            if sum(k) < budget.degree:
+                residue.setdefault(k, []).append(-(x * y))
+    for k, c in r.items():
+        residue.setdefault(k, []).append(-c)
+    for exps in sorted(residue):
+        if sum(exps) < budget.degree:
+            v = sum_floor(residue[exps])
+            if v < budget.prec:
+                raise BudgetExceeded(
+                    f"division residue at {exps} has valuation {v} < {budget.prec}"
+                )
+    nonzero = {k: c for k, c in q.items() if not c.is_zero()}
+    rems = [
+        {k[:axis]: c for k, c in r.items() if k[axis] == j and not c.is_zero()}
+        for j in range(d)
+    ]
+    return nonzero, rems
+
+
+def oracle_compose(base, g, budget):
+    """The reference for compose_univariate: its power loop in PadicScaled
+    arithmetic on every input, exact or not.  The tail bookkeeping after
+    the loop is the library's."""
+    if base.nvars != 1:
+        raise ValueError("base must be univariate")
+    if not g.tail.is_empty:
+        raise BudgetExceeded("composition with a non-polynomial argument")
+    p = g.p
+    m = val_min(*(c.valuation() for c in g.terms.values()))
+    r0 = base.domain[0]
+    if m is not INF and (m < 0 or (r0 is not None and m < r0)):
+        raise DomainViolation("argument values leave the base domain")
+    deg_g = g.max_degree()
+    k_max, floor_beyond = base.tail.cutoff, INF
+    if not base.tail.is_empty:
+        while base.tail.slope * (k_max + 1) + base.tail.offset < budget.prec:
+            k_max += 1
+        floor_beyond = base.tail.slope * (k_max + 1) + base.tail.offset
+    acc = {}
+    power = {(0,) * g.nvars: PadicScaled.exact(p, 1)}
+    for k in range(k_max + 1):
+        a_k = base.coeff((k,))
+        if not a_k.is_zero():
+            for exps, c in power.items():
+                acc[exps] = acc[exps] + c * a_k if exps in acc else c * a_k
+        if k < k_max:
+            power = _oracle_mul(power, g.terms, max(k_max * deg_g, budget.degree))
+            if len(power) > 20000:
+                raise BudgetExceeded("composition expansion too large for the budget")
+    kept, folds = series._fold(acc, budget.degree)
+    folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
+    pieces = []
+    if floor_beyond is not INF and deg_g > 0:
+        pieces.append((base.tail.slope / deg_g, base.tail.offset))
+    tail = series._merge_tail_pieces(budget.degree, pieces, folds)
+    kept = series._with_tail_error(kept, floor_beyond)
+    return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except (BudgetExceeded, DomainViolation, PrecisionExhausted, NotRegular, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def same_series(a, b):
+    """Equal terms in the same order, tail and domain; or equal failures."""
+    if not isinstance(a, RestrictedSeries) or not isinstance(b, RestrictedSeries):
+        return a == b
+    same_terms = list(a.terms.items()) == list(b.terms.items())
+    return same_terms and (a.tail, a.domain) == (b.tail, b.domain)
 
 
 # --------------------------------------------------------------- evaluate
@@ -307,6 +434,88 @@ def test_approximate_division_agrees_with_exact_lifts(rng, d, digits):
             assert difference_floor(got, exact.coeff(k)) >= got.valuation() + got.precision()
 
 
+PRIMES = [2, 3, 5, 7]
+DENOMINATORS = [1, 1, 1, 2, 3, 4, 5, 7, 9, 11]
+
+
+def rationals(p, unit=False):
+    """Nonzero rationals whose denominators are prime to p; units if asked."""
+    return st.builds(
+        F,
+        st.integers(-40, 40).filter(lambda v: v and not (unit and v % p == 0)),
+        st.sampled_from([q for q in DENOMINATORS if q % p]),
+    )
+
+
+def blurred(draw, p, terms, digits):
+    """The coefficients, about half of them cut to `digits` unit digits when
+    digits is not None; exact otherwise."""
+    out = {}
+    for k, c in terms.items():
+        c = PadicScaled.exact(p, c)
+        out[k] = c.to_precision(digits) if digits and draw(st.booleans()) else c
+    return out
+
+
+@st.composite
+def division_inputs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    last = (0,) * (n - 1)
+    fterms = {last + (d,): draw(rationals(p, unit=True))}
+    for j in draw(st.lists(st.integers(0, d + 2).filter(lambda j: j != d), max_size=3)):
+        fterms[last + (j,)] = p * draw(rationals(p))  # pure-axis: not units
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=4)):
+        if any(e[:-1]):
+            fterms[e] = draw(rationals(p))
+    gterms = {
+        e: draw(rationals(p))
+        for e in draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6))
+    }
+    digits = draw(st.none() | st.integers(2, 12))
+    f, g = (
+        # a tail makes the budget checks pass or raise before the loop
+        RestrictedSeries(p, n, blurred(draw, p, t, digits), tail=draw(tails(t)))
+        for t in (fterms, gterms)
+    )
+    return f, g, Budget(draw(st.integers(1, 12)), draw(st.integers(1, 8)))
+
+
+def tails(terms):
+    """No tail, or a tail line beyond the stored terms."""
+    cutoff = max(map(sum, terms), default=0)
+    return st.none() | st.builds(
+        TailBound,
+        st.integers(cutoff, cutoff + 3),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+        st.sampled_from([F(-1), F(0), F(1), F(4), F(9)]),
+    )
+
+
+def division_outcome(divide, f, g, budget):
+    """(Q items, [A_j items]) in insertion order, or the failure raised."""
+    try:
+        q, rems = divide(f, g, budget)
+    except (BudgetExceeded, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+    if isinstance(q, RestrictedSeries):
+        q, rems = q.terms, [a.terms for a in rems]
+    return list(q.items()), [list(a.items()) for a in rems]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(division_inputs())
+def test_division_matches_the_padicscaled_oracle(inputs):
+    f, g, budget = inputs
+    lifted = [series._numerators(s.terms) for s in (f, g)]
+    if all(c.is_exact for s in (f, g) for c in s.terms.values()):
+        assert None not in lifted  # the integer ring
+    else:
+        assert None in lifted  # the PadicScaled ring
+    got = division_outcome(weierstrass_divide, f, g, budget)
+    assert got == division_outcome(oracle_divide, f, g, budget)
+
+
 # --------------------------------------------------------------- preparation
 
 
@@ -373,6 +582,85 @@ def test_strassmann_multiplicative_property():
         if not f.terms or not g.terms:
             continue
         assert strassmann_count(f * g) == strassmann_count(f) + strassmann_count(g)
+
+
+# --------------------------------------------------------------- composition
+
+
+@st.composite
+def compositions(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 3))
+    budget = Budget(draw(st.integers(1, 14)), draw(st.integers(1, 10)))
+    if draw(st.booleans()):
+        base = terms._exp_p_build(p, budget)
+    else:
+        cutoff = draw(st.integers(0, 5))
+        coeffs = {(k,): draw(rationals(p)) for k in range(cutoff + 1) if draw(st.booleans())}
+        tail = draw(st.sampled_from(
+            [None, TailBound(cutoff, F(1), F(0)), TailBound(cutoff, F(1, 2), F(1))]
+        ))
+        base = RestrictedSeries(p, 1, coeffs, tail=tail)
+    digits = draw(st.none() | st.integers(2, 12))
+    exact = {k: c.rational_value() for k, c in base.terms.items()}
+    base = RestrictedSeries(p, 1, blurred(draw, p, exact, digits), tail=base.tail)
+    gterms = {
+        e: p ** draw(st.integers(0, 2)) * draw(rationals(p))
+        for e in draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=3))
+    }
+    return base, RestrictedSeries(p, n, gterms), budget
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(compositions())
+def test_composition_matches_the_padicscaled_oracle(inputs):
+    base, g, budget = inputs
+    if not all(c.is_exact for c in base.terms.values()):
+        assert series._numerators(base.terms) is None  # the PadicScaled ring
+    got = outcome(compose_univariate, base, g, budget)
+    assert same_series(got, outcome(oracle_compose, base, g, budget))
+
+
+EP_TERMS = [
+    "Ep({a}*x)",
+    "Ep({a}*x + {b}*y)",
+    "Ep({a}*x^2 + {b}*y)",
+    "Ep({a}*x*y + {b}*z)",
+    "Ep({a}*x + {b}*y + {c}*z)",
+    "Ep({a}*x + {b}*y^2)",
+    "x*Ep({a}*x + {b}*y) + Ep({c}*y*y)",
+    "Ep({a}*x - {b}*x*x + {c})",
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(EP_TERMS),
+    st.lists(st.integers(-24, 24), min_size=3, max_size=3),
+    st.sampled_from(DENOMINATORS),
+    st.integers(0, 2),
+    st.sampled_from([Budget(8, 6), Budget(12, 8), Budget(16, 12)]),
+)
+def test_ep_realization_matches_the_padicscaled_oracle(template, abc, den, order, budget):
+    p = 5
+    registry = terms.default_registry(p)
+    t, names = terms.parse_term(template.format(a=abc[0], b=abc[1], c=abc[2]), registry=registry)
+    if den % p:  # divide every Ep argument by den: the argument's D_g
+        t = terms.simplify(scale_arguments(t, F(1, den)))
+    t = terms.derive_term(t, 0, order, registry=registry)
+    ctx = terms.RealizeContext(p, len(names), budget, registry=registry)
+    got = outcome(terms.realize, t, ctx)
+    with mock.patch.object(terms, "compose_univariate", oracle_compose):
+        assert same_series(got, outcome(terms.realize, t, ctx))
+
+
+def scale_arguments(t, r):
+    """The term with the argument of every Ep multiplied by r."""
+    if isinstance(t, terms.App):
+        return terms.App(t.symbol, tuple(terms.Mul((terms.Const(r), a)) for a in t.args))
+    if isinstance(t, (terms.Add, terms.Mul)):
+        return type(t)(tuple(scale_arguments(a, r) for a in t.args))
+    return t
 
 
 # --------------------------------------------------------------- tail algebra
