@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import GenericityFailure, OracleMissing
 from .formats import frac_str
 from .padic import PadicScaled, vp_fraction
-from .polyhedra import _row_reduce, convex_hull, mixed_volume
+from .polyhedra import convex_hull, eliminate, mixed_volume
 from .series import ParamSeries, RestrictedSeries, shift_variable
 from .tropical import connected_components, trop_complex
 
@@ -66,13 +66,13 @@ def _solve_small_combination(target, basis, p):
     keys = sorted(set(target) | {k for b in basis for k in b})
     rows = [[b.get(k, F(0)) for b in basis] + [target.get(k, F(0))] for k in keys]
     ncols = len(basis)
-    rank, pivots, rref = _row_reduce(rows)
+    pivots, reduced, d = eliminate(rows)
     # inconsistent iff a pivot lands in the augmented column
     if ncols in pivots:
         return None
     sol = [F(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rref[i][ncols]
+    for row, c in zip(reduced, pivots):
+        sol[c] = F(row[ncols], d)
     if any(vp_fraction(c, p) < 1 for c in sol):
         return None
     return dict(zip(range(ncols), sol))

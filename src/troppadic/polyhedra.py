@@ -20,6 +20,11 @@ hulls once and walks the faces by these intersections, ``volume`` walks
 them off the polytope's own inequalities, and ``mixed_volume`` hulls
 each subset sum once.
 
+Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
+Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
+and direction spaces its reduced integer rows, a simplex volume its common
+pivot value, and ``bounds`` solves its linear systems with it.
+
 Combinatorics and geometry of a regular subdivision are separate:
 ``lower_hull`` returns the lower faces only, and ``face_cell`` builds the
 dual cell of one face (directions whose weighted minimum is attained on
@@ -77,89 +82,64 @@ def primitive(vec):
     return tuple(i // g for i in ints)
 
 
-def _row_reduce(rows):
-    """Gaussian elimination; returns (rank, pivot column indices, rref rows)."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational rows.
+
+    Each row is first cleared of its denominators.  Returns (pivots,
+    reduced, d): the pivot columns, one reduced integer row per pivot, and
+    their common pivot value d (1 with no pivot), so reduced[i] is d at
+    pivots[i] and 0 at the other pivots.  Every division is exact
+    (Sylvester's identity); for a square matrix of full rank |d| is |det|.
+    """
+    mat = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (den // x.denominator) for x in row])
+    pivots, d = [], 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = F(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top, p = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
+        d = p
+        if len(pivots) == len(mat):
             break
-    return r, pivots, mat[:r]
+    return pivots, mat[: len(pivots)], d
+
+
+def _kernel(pivots, reduced, d, dim):
+    """Null space basis read off an elimination: one primitive vector per
+    free column, positive there and 0 at the other free columns."""
+    s = 1 if d > 0 else -1
+    basis = []
+    for fc in range(dim):
+        if fc not in pivots:
+            w = [0] * dim
+            w[fc] = abs(d)
+            for row, pc in zip(reduced, pivots):
+                w[pc] = -s * row[fc]
+            basis.append(primitive(w))
+    return basis
 
 
 def null_space(rows, dim):
     """Basis of {w : <row, w> = 0 for all rows}, primitive integer vectors."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rank, pivots, rref = _row_reduce(rows)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        w = [F(0)] * dim
-        w[fc] = F(1)
-        for i, pc in enumerate(pivots):
-            w[pc] = -rref[i][fc]
-        basis.append(primitive(w))
-    return basis
-
-
-def _int_det(rows):
-    """Bareiss fraction-free determinant of an integer matrix."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                mat[i][j] = (mat[i][j] * mat[c][c] - mat[i][c] * mat[c][j]) // prev
-            mat[i][c] = 0
-        prev = mat[c][c]
-    return sign * mat[n - 1][n - 1]
-
-
-def _dedupe(points):
-    seen, out = set(), []
-    for pt in points:
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
-    return out
+    return _kernel(*eliminate(rows), dim)
 
 
 def _affine_pivots(points):
-    """(rank, pivot coordinate indices) of the affine hull of the points, by
-    fraction-free elimination (pivots do not depend on the echelon form)."""
+    """Elimination (pivots, reduced, d) of the directions q - points[0],
+    after scaling the points to integers: the pivots are the coordinates
+    that span the affine hull, and the kernel is its normal space."""
     pts, _ = _int_scaled(points)
-    zero = (0,) * len(pts[0])
-    rows = {vsub(q, pts[0]) for q in pts[1:]} - {zero}
-    pivots = []
-    for c in range(len(zero)):
-        piv = next((r for r in rows if r[c]), None)
-        if piv is not None:
-            pivots.append(c)
-            rows = {primitive(vsub(vscale(r, piv[c]), vscale(piv, r[c]))) for r in rows} - {zero}
-    return len(pivots), pivots
+    return eliminate([vsub(q, pts[0]) for q in pts[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +366,8 @@ class QPolyhedron:
     # -- constructors --
 
     @staticmethod
-    def from_hrep(ineqs, eqs=(), ambient=None) -> "QPolyhedron":
+    def from_hrep(ineqs, ambient=None) -> "QPolyhedron":
         folded = [_normalized(u, a) for u, a in ineqs]
-        for u, a in eqs:
-            up, ap = _normalized(u, a)
-            folded.append((up, ap))
-            folded.append((tuple(-x for x in up), -ap))
         if ambient is None:
             if not folded:
                 raise ValueError("ambient dimension required for an empty H-rep")
@@ -407,7 +383,7 @@ class QPolyhedron:
 
     @staticmethod
     def from_points(points, rays=(), lines=()) -> "QPolyhedron":
-        points = _dedupe([to_frac_point(p) for p in points])
+        points = list(dict.fromkeys(to_frac_point(p) for p in points))
         if not points:
             raise ValueError("need at least one point")
         ambient = len(points[0])
@@ -428,7 +404,7 @@ class QPolyhedron:
             return -1
         base = self.vertices[0]
         pts = list(self.vertices) + [vadd(base, r) for r in self.rays + self.lines]
-        return _affine_pivots(pts)[0]
+        return len(_affine_pivots(pts)[0])
 
     def direction_space(self):
         """Primitive basis of the linear space parallel to the affine hull."""
@@ -438,10 +414,8 @@ class QPolyhedron:
         dirs = [vsub(v, base) for v in self.vertices[1:]]
         dirs += [to_frac_point(r) for r in self.rays]
         dirs += [to_frac_point(l) for l in self.lines]
-        if not dirs:
-            return []
-        rank, pivots, rref = _row_reduce(dirs)
-        return [primitive(r) for r in rref]
+        _, reduced, d = eliminate(dirs)
+        return [primitive(r if d > 0 else vscale(r, -1)) for r in reduced]
 
     def contains(self, point) -> bool:
         point = to_frac_point(point)
@@ -554,16 +528,14 @@ def _normalized(u, a):
 
 
 def _hull_of_points(points, ambient):
-    rank, pivots = _affine_pivots(points)
+    pivots, reduced, d = _affine_pivots(points)
     ineqs = []
-    if rank < ambient:
-        base = points[0]
-        dirs = [vsub(q, base) for q in points[1:]]
-        for w in null_space(dirs, ambient):
-            c = vdot(w, base)
+    if len(pivots) < ambient:
+        for w in _kernel(pivots, reduced, d, ambient):
+            c = vdot(w, points[0])
             ineqs.append((w, c))
             ineqs.append((tuple(-x for x in w), -c))
-    if rank == 0:
+    if not pivots:
         return QPolyhedron(ambient, tuple(ineqs), (points[0],), (), ())
     proj = [tuple(q[c] for c in pivots) for q in points]
     # the smallest face through a point is the meet of the facets through
@@ -629,10 +601,10 @@ def lower_hull(lifted):
         return []
     n = len(items[0][0])
     lift = [p + (h,) for p, h in items]
-    rank, pivots = _affine_pivots(lift)
+    pivots = _affine_pivots(lift)[0]
     todo = [frozenset(range(len(lift)))]
     facet_sets = []
-    if rank > 0:
+    if pivots:
         # facets of the lift inside its affine hull; the height is a pivot
         # coordinate unless the heights are affine on the points, and then
         # every face is lower
@@ -700,7 +672,7 @@ def volume(poly: QPolyhedron) -> Fraction:
         return F(0)
     n = poly.ambient
     pts, den = _int_scaled(poly.vertices)
-    if _affine_pivots(pts)[0] < n:
+    if len(_affine_pivots(pts)[0]) < n:
         return F(0)
     # a full-dimensional polytope's inequalities include every facet; the
     # tight sets of the others are smaller faces, which _subfaces drops
@@ -720,10 +692,10 @@ def volume(poly: QPolyhedron) -> Fraction:
             return [(apex,)]
         return [(apex,) + t for s in subs for t in pulled(s)]
 
+    # each pulled simplex is full-dimensional, so |d| is |det| of its edges
     total = 0
     for s in pulled(frozenset(range(len(pts)))):
-        rows = [vsub(pts[i], pts[s[0]]) for i in s[1:]]
-        total += abs(_int_det(rows))
+        total += abs(eliminate([vsub(pts[i], pts[s[0]]) for i in s[1:]])[2])
     return F(total, den ** n * math.factorial(n))
 
 

@@ -280,15 +280,9 @@ class RestrictedSeries:
     def is_certified_zero(self) -> bool:
         return not self.terms and self.tail.is_empty
 
-    def axis_coeffs(self, axis=None):
-        """Coefficients of pure powers of one variable: {j: a_(j on axis)}."""
-        if axis is None:
-            axis = self.nvars - 1
-        out = {}
-        for exps, c in self.terms.items():
-            if all(e == 0 for k, e in enumerate(exps) if k != axis):
-                out[exps[axis]] = c
-        return out
+    def axis_coeffs(self):
+        """Coefficients of pure powers of the last variable: {j: a_(0,...,0,j)}."""
+        return {exps[-1]: c for exps, c in self.terms.items() if not any(exps[:-1])}
 
     def __eq__(self, other):
         if not isinstance(other, RestrictedSeries):
@@ -609,8 +603,7 @@ def regular_order(f: RestrictedSeries) -> int:
     b_d a unit, certified from stored terms and the tail."""
     if f.is_certified_zero():
         raise ZeroSeries("zero series has no regularity order")
-    axis = f.nvars - 1
-    by_j = f.axis_coeffs(axis)
+    by_j = f.axis_coeffs()
     for j in sorted(by_j):
         v = by_j[j].valuation()
         if v < 0:
@@ -634,7 +627,6 @@ def _split_high(terms, axis, d):
 
 
 def _check_division_inputs(f, g, d, budget):
-    axis = f.nvars - 1
     for s in (f, g):
         for exps, c in s.terms.items():
             if c.valuation() < 0:
@@ -645,7 +637,7 @@ def _check_division_inputs(f, g, d, budget):
                 raise BudgetExceeded(
                     "tail terms below the degree budget are not certified to the precision budget"
                 )
-    for j, c in f.axis_coeffs(axis).items():
+    for j, c in f.axis_coeffs().items():
         if j != d and c.valuation() == 0:
             raise BudgetExceeded(
                 f"contraction cannot certify the budget: unit pure-axis coefficient at Y^{j}"

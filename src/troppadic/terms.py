@@ -212,11 +212,11 @@ def default_registry(p: int):
 # derivation
 
 
-def derive_term(t: Term, var: int, order: int = 1, registry=None, p=None) -> Term:
+def derive_term(t: Term, var: int, order: int = 1, registry=None) -> Term:
     """A term whose realization is the order-th partial derivative: the
     derivative of simplify(t), in normal form.  It stops once it is zero."""
     if registry is None:
-        registry = default_registry(p) if p is not None else {}
+        registry = {}
     out = simplify(t)
     for _ in range(order):
         if out == Const(0):
@@ -302,7 +302,7 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
 # parsing and printing
 
 
-def parse_term(text: str, var_names=None, registry=None, p=None):
+def parse_term(text: str, var_names=None, registry=None):
     """Parse infix syntax (+, -, *, ^, integer literals, symbol calls).
 
     Returns (term, var_names).  Unknown identifiers become variables; when
@@ -315,7 +315,7 @@ def parse_term(text: str, var_names=None, registry=None, p=None):
     FormatError as soon as the count passes the limit.
     """
     if registry is None:
-        registry = default_registry(p) if p is not None else default_registry(2)
+        registry = default_registry(2)
     toks = _tokenize(text)
     if var_names is None:
         names = sorted({tok[1] for tok in toks if tok[0] == "name" and tok[1] not in registry})

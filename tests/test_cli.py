@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from troppadic.cli import main
 from troppadic.errors import FormatError, TropPadicError
 from troppadic.formats import (
     dump_json,
+    is_prime,
     polytope_from_dict,
     polytope_to_dict,
     series_from_dict,
@@ -180,25 +182,51 @@ def test_cmd_trop_malformed_series_exit_code(capsys, tmp_path, exps):
     assert "Traceback" not in err
 
 
+def one_var_series(prime):
+    return {
+        "schema_version": 1,
+        "prime": prime,
+        "nvars": 1,
+        "domain": ["0"],
+        "terms": [{"exps": [0], "coeff": "1"}, {"exps": [1], "coeff": "1"}],
+        "tail": {"cutoff": 1, "slope": "1", "offset": "inf"},
+    }
+
+
 @pytest.mark.parametrize("command", ["trop", "strassmann"])
 def test_non_prime_series_exit_code(capsys, tmp_path, command):
-    p = tmp_path / "four.series"
-    p.write_text(
-        dump_json(
-            {
-                "schema_version": 1,
-                "prime": 4,
-                "nvars": 1,
-                "domain": ["0"],
-                "terms": [{"exps": [0], "coeff": "1"}, {"exps": [1], "coeff": "1"}],
-                "tail": {"cutoff": 1, "slope": "1", "offset": "inf"},
-            }
-        )
-    )
-    code, out, err = run(capsys, command, str(p))
-    assert code == 2
-    assert not out
-    assert "not a prime" in err
+    # 2021 = 43 * 47 has no factor that trial division by the bases finds
+    for prime in (4, 2021):
+        p = tmp_path / f"p{prime}.series"
+        p.write_text(dump_json(one_var_series(prime)))
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2
+        assert not out
+        assert "not a prime" in err
+
+
+def trial_division_prime(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10, 10**5))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_division_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    # strong pseudoprimes to every prime base up to 7, 31 and 37, with no
+    # factor below 42: the last is rejected only by the base 41
+    [3215031751, 3825123056546413051, 318665857834031151167461],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_prime_past_trial_division_loads():
+    assert series_from_dict(one_var_series(43)).p == 43
 
 
 def test_cmd_strassmann_precision_exit_code(capsys, tmp_path):

@@ -13,6 +13,7 @@ from troppadic.polyhedra import (
     _affine_pivots,
     _facets_fullrank,
     convex_hull,
+    eliminate,
     face_cell,
     lower_hull,
     minkowski_sum,
@@ -266,7 +267,48 @@ def affine_point_sets(draw):
 @given(affine_point_sets())
 def test_affine_pivots_match_fraction_row_reduction(pts):
     dirs = [vsub(q, pts[0]) for q in pts[1:]]
-    assert _affine_pivots(pts) == (row_echelon(dirs) if dirs else (0, []))
+    assert _affine_pivots(pts)[0] == row_echelon(dirs)[1]
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, dim): up to 6 rational rows of length dim in 1-5, square about
+    half the time.  The first rows are a random basis of 0 to dim rows and
+    the rest are integer combinations of it, so every rank shows up."""
+    dim = draw(st.integers(1, 5))
+    coords = st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=4))
+    k = draw(st.integers(0, dim))
+    basis = draw(st.lists(st.tuples(*[coords] * dim), min_size=k, max_size=k))
+    nrows = dim if draw(st.booleans()) else draw(st.integers(0, 6))
+    weights = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    rows = basis[:nrows]
+    while len(rows) < nrows:
+        ws = draw(weights)
+        rows.append(tuple(sum((t * F(b[j]) for t, b in zip(ws, basis)), F(0)) for j in range(dim)))
+    return rows, dim
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_eliminate_matches_fraction_oracles(case):
+    rows, dim = case
+    pivots, reduced, d = eliminate(rows)
+    rank, want = row_echelon(rows)
+    assert pivots == want
+    assert _affine_pivots([(0,) * dim] + rows)[0] == want
+    for row, pc in zip(reduced, pivots):
+        assert [row[c] for c in pivots] == [d if c == pc else 0 for c in pivots]
+    if len(rows) == dim:
+        # rows are cleared of their denominators, which scales det by each lcm
+        scale = math.prod(math.lcm(*(x.denominator for x in r)) for r in rows)
+        assert (abs(d) if rank == dim else 0) == abs(det(rows)) * scale
+    basis = null_space(rows, dim)
+    free = [c for c in range(dim) if c not in pivots]
+    assert len(basis) == dim - rank == len(free)
+    for w, fc in zip(basis, free):
+        assert math.gcd(*w) == 1
+        assert all(vdot(r, w) == 0 for r in rows)
+        assert w[fc] > 0 and all(w[c] == 0 for c in free if c != fc)
 
 
 @PROPERTY

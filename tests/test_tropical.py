@@ -435,3 +435,12 @@ def test_svg_deterministic():
     assert a == b
     assert a.startswith("<svg") and a.rstrip().endswith("</svg>")
     assert "&#947;4" in a  # four labeled cells
+
+
+def test_line_cell_directions_and_svg():
+    # 1 + 5x in two variables: one cell, the line nu_1 = -1
+    data = trop_complex(poly(5, 2, {(0, 0): 1, (1, 0): 5}))
+    assert [len(c.cell.lines) for c in data.cells] == [1]
+    assert data.ray_directions() == [(0, -1), (0, 1)]
+    # one line for the tropical line, one for its Newton segment
+    assert render_svg(data).count("<line") == 2
