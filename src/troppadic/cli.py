@@ -9,6 +9,7 @@ is JSON (stdout or --output, written atomically).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -39,7 +40,11 @@ from .tropical import render_svg, trop_complex
 SEED_ENV = "TROPPADIC_SEED"
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: a build costs more
+    than a small mixed-volume call, and parse_args keeps no state between
+    calls."""
     ap = argparse.ArgumentParser(prog="troppadic")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -16,24 +16,28 @@ randomization anywhere.
 Faces come from one facet list: every face of a polytope is the set of
 its points on some of its facets, so the facets of a face are its
 largest proper intersections with the facet tight sets.  ``lower_hull``
-hulls once and walks the faces by these intersections, ``volume`` walks
-them off the polytope's own inequalities, and ``mixed_volume`` hulls
-each subset sum once.
+hulls the lift plus an upward ray once and walks the faces by these
+intersections, ``volume`` walks them off the polytope's own
+inequalities, and ``mixed_volume`` hulls each subset sum once.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
 and direction spaces its reduced integer rows, a simplex volume its common
 pivot value, and ``bounds`` solves its linear systems with it.
 
-Combinatorics and geometry of a regular subdivision are separate:
-``lower_hull`` returns the lower faces only, and ``face_cell`` builds the
-dual cell of one face (directions whose weighted minimum is attained on
-it), clipped if asked, with one H-to-V conversion.  Callers build cells
-for the faces they keep and for no others.
+The cells of a regular subdivision's dual complex come from the same
+lifted hull (Maclagan & Sturmfels, section 3.1): ``lower_cells`` reads
+the cell of a lower face (the directions whose weighted minimum is
+attained on it) off the facets that hold the face, a vertex for each
+lower facet and a ray for each vertical one.  ``face_cell`` builds one
+cell with one H-to-V conversion; it serves only the cells this cannot
+give: clipped cells, whose clipping makes new vertices, and the cells of
+a lift that is not full-dimensional, which have lines.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,16 +74,11 @@ def to_frac_point(pt):
 
 def primitive(vec):
     """Scale a rational vector to coprime integers, preserving direction."""
-    if all(isinstance(x, int) for x in vec):
-        g = math.gcd(*vec)
-        return tuple(vec) if g <= 1 else tuple(i // g for i in vec)
-    fr = [F(x) for x in vec]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    den = math.lcm(*(x.denominator for x in fr))
-    ints = [int(x * den) for x in fr]
-    g = math.gcd(*(abs(i) for i in ints))
-    return tuple(i // g for i in ints)
+    if not all(isinstance(x, int) for x in vec):
+        den = math.lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*vec)
+    return tuple(vec) if g <= 1 else tuple(i // g for i in vec)
 
 
 def eliminate(rows):
@@ -582,62 +581,74 @@ def convex_hull(points) -> QPolyhedron:
 # lower hulls (regular subdivisions)
 
 
-def lower_hull(lifted):
-    """The faces of the lower hull, each the sorted tuple of its (point,
-    height) pairs, smallest faces first.
-
-    Input: (point in Z^n or Q^n, height in Q) pairs.  Duplicate points keep
-    their minimal height (the rest can never support a minimizing
-    functional).  ``face_cell`` builds the dual cell of a face.
-    """
+def _lifted_items(lifted):
+    """Sorted (point, height) pairs with Fraction entries; a duplicate
+    point keeps its minimal height (the rest can never support a
+    minimizing functional)."""
     best = {}
     for pt, h in lifted:
         pt = to_frac_point(pt)
         h = F(h)
         if pt not in best or h < best[pt]:
             best[pt] = h
-    items = sorted(best.items())
-    if not items:
-        return []
+    return sorted(best.items())
+
+
+def _lifted_facets(items):
+    """(lift, lines, facets) of conv(lift) + cone(e), e the upward unit
+    vector, from one double description of its polar cone; ``lift`` is the
+    items as (point, height) rows scaled to integers.
+
+    A facet is (c, tight): c the inner normal, the polar ray without its
+    constant, and tight the indices of the items on it.  The facet is
+    lower when c's height entry is positive and vertical when it is 0; no
+    facet is upper.  A lift that is not full-dimensional gives lines, but
+    the lines are 0 on the height entry and on every item, so neither the
+    tight sets nor the kinds depend on them.
+    """
     n = len(items[0][0])
-    lift = [p + (h,) for p, h in items]
-    pivots = _affine_pivots(lift)[0]
-    todo = [frozenset(range(len(lift)))]
-    facet_sets = []
-    if pivots:
-        # facets of the lift inside its affine hull; the height is a pivot
-        # coordinate unless the heights are affine on the points, and then
-        # every face is lower
-        proj = [tuple(q[c] for c in pivots) for q in lift]
-        facets = _facets_fullrank(proj)
-        facet_sets = [frozenset(t) for _, _, t in facets]
-        if pivots[-1] == n:
-            todo = [frozenset(t) for normal, _, t in facets if normal[-1] < 0]
+    lift, _ = _int_scaled([p + (h,) for p, h in items])
+    lines, rays = _polar_cone(lift, rays=[(0,) * n + (1,)])
+    facets = []
+    for c in rays:
+        tight = frozenset(i for i, q in enumerate(lift) if c[0] + vdot(c[1:], q) == 0)
+        if tight:  # else the trivial 0 <= c0
+            facets.append((c[1:], tight))
+    return lift, lines, facets
+
+
+def _lower_faces(items, facets):
+    """Every lower face as (the sorted tuple of its items, its index set),
+    smallest faces first: the lower facets and, walked by ``_subfaces``
+    over all facets, their faces."""
+    facet_sets = [t for _, t in facets]
+    todo = [t for c, t in facets if c[-1] > 0]
     seen = set()
     while todo:
         face = todo.pop()
         if face not in seen:
             seen.add(face)
             todo.extend(_subfaces(face, facet_sets))
-    return sorted(
-        (tuple(items[i] for i in sorted(face)) for face in seen),
-        key=lambda f: (len(f), f),
-    )
+    faces = [(tuple(items[i] for i in sorted(f)), f) for f in seen]
+    return sorted(faces, key=lambda pair: (len(pair[0]), pair[0]))
 
 
-def face_cell(items, face, clip=()):
-    """(nu, cell): the cell of directions nu whose weighted minimum
-    <(nu, 1), (q, h)> over the items is attained on the whole face, cut by
-    the ``clip`` inequalities, and a witness nu in it whose argmin is
-    exactly the face; (None, None) when the cell is empty or the witness
-    finds a larger argmin.
+def lower_hull(lifted):
+    """The faces of the lower hull, each the sorted tuple of its (point,
+    height) pairs, smallest faces first.
 
-    ``items`` are (point, height) pairs with distinct points and ``face``
-    is a tuple of some of them.  The cell's rows are the points off the
-    face, then the equality pairs of the points on it, then ``clip``; the
-    double description's bases, and so every cell, follow that order.
+    Input: (point in Z^n or Q^n, height in Q) pairs; a duplicate point
+    keeps its minimal height.  ``lower_cells`` builds the dual cells.
     """
-    n = len(items[0][0])
+    items = _lifted_items(lifted)
+    if not items:
+        return []
+    return [face for face, _ in _lower_faces(items, _lifted_facets(items)[2])]
+
+
+def _cell_rows(items, face):
+    """The rows of a face's dual cell: the points off the face, then the
+    equality pairs of the points on it."""
     base_pt, base_h = face[0]
     inside = set(face)
     rows = [
@@ -649,15 +660,92 @@ def face_cell(items, face, clip=()):
     for q, hq in face[1:]:
         rows.append((vsub(q, base_pt), base_h - hq))
         rows.append((vsub(base_pt, q), hq - base_h))
-    cell = QPolyhedron.from_hrep(rows + list(clip), ambient=n)
+    return rows
+
+
+def face_cell(items, face, clip=()):
+    """(nu, cell): the cell of directions nu whose weighted minimum
+    <(nu, 1), (q, h)> over the items is attained on the whole face, cut by
+    the ``clip`` inequalities, and a witness nu in it whose argmin is
+    exactly the face; (None, None) when the cell is empty or the witness
+    finds a larger argmin.
+
+    ``items`` are (point, height) pairs with distinct points and ``face``
+    is a tuple of some of them.  The cell's rows are ``_cell_rows``, then
+    ``clip``; the double description's bases, and so every cell, follow
+    that order.
+    """
+    rows = _cell_rows(items, face) + list(clip)
+    cell = QPolyhedron.from_hrep(rows, ambient=len(items[0][0]))
     if cell.is_empty():
         return None, None
     nu = cell.relint_point()
     vals = [hq + vdot(q, nu) for q, hq in items]
     m = min(vals)
-    if {pair for pair, v in zip(items, vals) if v == m} != inside:
+    if {pair for pair, v in zip(items, vals) if v == m} != set(face):
         return None, None
     return nu, cell
+
+
+def lower_cells(lifted, clip=()):
+    """(face, nu, cell) for each lower face of two points or more whose
+    dual cell, cut by ``clip``, is nonempty and has a witness nu with
+    exactly the face as argmin (see ``face_cell``).
+
+    Over the whole space (no ``clip``) with a full-dimensional lift, the
+    cells are read off the facets of the one lifted hull: the cell of a
+    face has one vertex c/c_h for each lower facet (c, c_h) that holds the
+    face, and one ray c for each vertical facet (c, 0) that does; it has
+    no lines.  Its rows are ``face_cell``'s, and its witness is the one
+    ``QPolyhedron.relint_point`` finds: the vertex mean, plus the sum of
+    the rays when the mean has a larger argmin.  A clip makes new vertices
+    and a lift with lines gives cells whose line basis follows the row
+    order, so those cells come from ``face_cell``.
+    """
+    items = _lifted_items(lifted)
+    if not items:
+        return []
+    lift, lines, facets = _lifted_facets(items)
+    faces = [(face, f) for face, f in _lower_faces(items, facets) if len(f) > 1]
+    out = []
+    if clip or lines:
+        for face, _ in faces:
+            nu, cell = face_cell(items, face, clip)
+            if cell is not None:
+                out.append((face, nu, cell))
+        return out
+
+    def argmin(nu):
+        # on the integer lift: h + <q, nu> scaled by the lift's and nu's
+        # common denominators
+        den = math.lcm(*(x.denominator for x in nu))
+        num = [x.numerator * (den // x.denominator) for x in nu]
+        vals = [q[-1] * den + vdot(q[:-1], num) for q in lift]
+        m = min(vals)
+        return {i for i, v in enumerate(vals) if v == m}
+
+    n = len(items[0][0])
+    int_items = [(q[:-1], q[-1]) for q in lift]
+    for face, f in faces:
+        vertices, rays = [], []
+        for c, tight in facets:
+            if f <= tight:
+                if c[-1]:
+                    vertices.append(tuple(F(x, c[-1]) for x in c[:-1]))
+                else:
+                    rays.append(primitive(c[:-1]))
+        nu = tuple(sum(v[i] for v in vertices) / len(vertices) for i in range(n))
+        if argmin(nu) != f:
+            nu = functools.reduce(vadd, rays, nu)
+            if argmin(nu) != f:
+                continue
+        # face_cell's rows, made on the integer lift: the scale cancels
+        # when a row is normalized
+        rows = _cell_rows(int_items, tuple(int_items[i] for i in sorted(f)))
+        ineqs = tuple(_normalized(u, a) for u, a in rows)
+        cell = QPolyhedron(n, ineqs, tuple(sorted(vertices)), tuple(sorted(rays)), ())
+        out.append((face, nu, cell))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 The complex of a series is computed through the regular subdivision route:
 lift the stored support by coefficient valuations, take the faces of the
-lower hull with at least two points, and dualize each face F once
-(polyhedra.face_cell) to the cell of directions whose weighted minimum is
-attained exactly on F, clipped to the domain.  The
-Newton cell of a cell is the projected convex hull of its face, built
-where it is read (TropCell.newton); the two families are dual
-(complementary dimensions, orthogonal spans, reversed face order).
+lower hull with at least two points, and dualize each face F to the cell
+of directions whose weighted minimum is attained exactly on F
+(polyhedra.lower_cells).  Over the whole torus with a full-dimensional
+support every cell is read off the facets of the one lifted hull; a
+clipped domain or a support in a hyperplane takes one H-to-V conversion
+per cell (polyhedra.face_cell).  The Newton cell of a cell is the
+projected convex hull of its face, built where it is read
+(TropCell.newton); the two families are dual (complementary dimensions,
+orthogonal spans, reversed face order).
 
 Series with a nonempty tail get a per-cell certificate that the tail can
 never reach the minimum anywhere on the cell, read off the cell's vertices,
@@ -32,7 +35,7 @@ from .errors import PrecisionExhausted, ZeroSeries
 from .polyhedra import (
     QPolyhedron,
     convex_hull,
-    face_cell,
+    lower_cells,
     lower_hull,
     primitive,
     vdot,
@@ -165,12 +168,7 @@ def trop_complex(f: RestrictedSeries) -> TropicalData:
         if r is not None
     )
     cells = []
-    for face in lower_hull(items):
-        if len(face) < 2:
-            continue
-        witness, cell = face_cell(items, face, clip)
-        if cell is None:
-            continue  # empty, or a clipped remnant of a larger face's cell
+    for face, witness, cell in lower_cells(items, clip):
         if not f.tail.is_empty:
             base_pt, base_val = face[0]
             margin = _tail_floor_on_cell(f, cell, base_pt, base_val)
@@ -305,6 +303,11 @@ def render_svg(data: TropicalData, size=600) -> str:
                 end = (v[0] + ray_len * r[0], v[1] + ray_len * r[1])
                 xs.append(end[0])
                 ys.append(end[1])
+        for l in poly.lines:
+            for v in pts:
+                for sign in (-1, 1):
+                    xs.append(v[0] + sign * ray_len * l[0])
+                    ys.append(v[1] + sign * ray_len * l[1])
     mp = _map_factory(xs, ys, size, margin)
     for k, c in enumerate(data.cells):
         poly = c.cell

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troppadic.cli import main
+from troppadic.cli import build_parser, main
 from troppadic.errors import FormatError, TropPadicError
 from troppadic.formats import (
     dump_json,
@@ -433,6 +433,25 @@ def test_cmd_wdiv_rejects_budgets_below_one(capsys, flag, value):
     )
     assert (code, out) == (2, "")
     assert err == f"input error: {flag} must be >= 1, got {value}\n"
+
+
+def test_one_parser_per_process_keeps_no_state(capsys):
+    # main reuses one parser: flags of an earlier call, another subcommand
+    # and an argument error (exit 2) must not change a later call
+    assert build_parser() is build_parser()
+    divisor, dividend = data_path("wdiv_divisor.series"), data_path("wdiv_dividend.series")
+    code, plain, _ = run(capsys, "wdiv", divisor, dividend)
+    assert code == 0
+    flagged = ("--prec", "4", "--deg", "3", "--domain", "1")
+    code, out, _ = run(capsys, "wdiv", divisor, dividend, *flagged)
+    assert code == 0 and out != plain
+    code, out, _ = run(capsys, "strassmann", data_path("strassmann_5x_x5.series"))
+    assert (code, json.loads(out)) == (0, {"schema_version": 1, "count": 5})
+    with pytest.raises(SystemExit) as exc:
+        main(["wdiv", divisor, dividend, "--prec", "four"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, "wdiv", divisor, dividend) == (0, plain, "")
 
 
 def test_cmd_wdiv_approximate_divisor(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import PrecisionExhausted, ZeroSeries
-from troppadic.polyhedra import QPolyhedron, vdot
+from troppadic.polyhedra import QPolyhedron, face_cell, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
@@ -150,8 +151,64 @@ def test_one_cell_construction_per_lower_face(monkeypatch, domain):
 
     monkeypatch.setattr(QPolyhedron, "from_hrep", staticmethod(counting))
     data = trop_complex(f)
-    assert len(calls) == faces
+    # over the torus the cells are read off the one lifted hull
+    assert len(calls) == (0 if domain == (None, None) else faces)
     assert data.cells
+
+
+@st.composite
+def torus_series(draw):
+    """(shape, series) over the torus in 1-3 variables.  Shapes: valuations
+    drawn from {0, 1, 2}, so that many repeat; valuations affine in the
+    exponents, so that one lower facet holds every point; or a support on
+    a line, whose cells have lines in 2 and 3 variables."""
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("repeated", "affine", "line")))
+    if shape == "line":
+        base = draw(st.tuples(*[st.integers(0, 3)] * n))
+        step = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
+        ts = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
+        support = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+    else:
+        point = st.tuples(*[st.integers(0, 3)] * n)
+        support = draw(st.lists(point, min_size=2, max_size=7, unique=True))
+    if shape == "affine":
+        c0, *c = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1))
+        vals = [c0 + vdot(c, q) for q in support]
+    else:
+        vals = draw(st.lists(st.integers(0, 2), min_size=len(support), max_size=len(support)))
+    return shape, poly(5, n, {q: F(5) ** v for q, v in zip(support, vals)})
+
+
+def face_cell_complex(f):
+    """vert -> (witness, cell) by one H-to-V conversion per lower face."""
+    items = sorted((i, c.valuation()) for i, c in f.terms.items())
+    out = {}
+    for face in lower_hull(items):
+        if len(face) > 1:
+            witness, cell = face_cell(items, face)
+            if cell is not None:
+                out[frozenset((tuple(int(x) for x in q), h) for q, h in face)] = (witness, cell)
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(torus_series())
+def test_cells_read_off_the_lifted_hull_are_face_cells(shape_and_series):
+    """Every cell equals face_cell's, down to the types: vertices, rays,
+    lines, rows in order, and witness."""
+    shape, f = shape_and_series
+    data = trop_complex(f)
+
+    def fields(witness, cell):
+        return repr((witness, cell.ambient, cell.ineqs, cell.vertices, cell.rays, cell.lines))
+
+    want = {vert: fields(*wc) for vert, wc in face_cell_complex(f).items()}
+    assert {c.vert: fields(c.witness, c.cell) for c in data.cells} == want
+    if shape == "affine":
+        assert any(len(c.vert) == len(f.terms) for c in data.cells)
+    if shape == "line" and f.nvars > 1:
+        assert all(c.cell.lines for c in data.cells)
 
 
 # --------------------------------------------------------------- shifting
@@ -443,4 +500,8 @@ def test_line_cell_directions_and_svg():
     assert [len(c.cell.lines) for c in data.cells] == [1]
     assert data.ray_directions() == [(0, -1), (0, 1)]
     # one line for the tropical line, one for its Newton segment
-    assert render_svg(data).count("<line") == 2
+    svg = render_svg(data)
+    assert svg.count("<line") == 2
+    # every coordinate lies on the 1200 x 600 canvas
+    for name, value in re.findall(r'\b(c?[xy])[12]?="([-0-9.]+)"', svg):
+        assert 0 <= float(value) <= (1200 if name.endswith("x") else 600)
