@@ -24,7 +24,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .errors import GenericityFailure, OracleMissing
+from .errors import GenericityFailure, OracleMissing, ZeroSeries
 from .formats import frac_str
 from .padic import PadicScaled, vp_fraction
 from .polyhedra import convex_hull, eliminate, mixed_volume
@@ -341,19 +341,23 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def system_root_bound(system, oracle: WBoundOracle, seed, ys=()):
-    """Run the whole pipeline on an n x n system of parameterized series.
+def system_root_bound(system, oracle: WBoundOracle, seed):
+    """Run the whole pipeline on an n x n system of parameter-free series.
 
     Returns a BoundReport whose s_bound dominates the number of roots in
     the torus, whenever that number is finite; an infinite solution set is
-    not detected.  The series are specialized over the whole torus.
+    not detected.  The series are read over the whole torus.  A zero
+    series raises ZeroSeries.
     """
     n = system[0].nx
     if len(system) != n:
         raise ValueError("need n series in n variables")
     p = system[0].p
     rng = random.Random(f"{seed}|pointed")
-    fs = [ps.specialize(ys, x_domain=(None,) * n) for ps in system]
+    fs = [ps.specialize((), x_domain=(None,) * n) for ps in system]
+    for j, f in enumerate(fs):
+        if f.is_certified_zero():
+            raise ZeroSeries(f"series {j} of the system is zero: its roots are not isolated")
     fs, pointed_transcript = make_pointed(fs, rng)
     transformed = [ParamSeries.from_series(f) for f in fs]
     es = [box_E(f, oracle) for f in transformed]

@@ -26,13 +26,12 @@ and direction spaces its reduced integer rows, a simplex volume its common
 pivot value, and ``bounds`` solves its linear systems with it.
 
 The cells of a regular subdivision's dual complex come from the same
-lifted hull (Maclagan & Sturmfels, section 3.1): ``lower_cells`` reads
-the cell of a lower face (the directions whose weighted minimum is
-attained on it) off the facets that hold the face, a vertex for each
-lower facet and a ray for each vertical one.  ``face_cell`` builds one
-cell with one H-to-V conversion; it serves only the cells this cannot
-give: clipped cells, whose clipping makes new vertices, and the cells of
-a lift that is not full-dimensional, which have lines.
+lifted hull (Maclagan & Sturmfels, section 3.1), and from nothing else:
+``lower_cells`` reads the cell of a lower face (the directions whose
+weighted minimum is attained on it) off the facets that hold the face, a
+vertex for each lower facet and a ray for each vertical one.  A clipped
+domain enters the lift as one ray per clip row, and a support that spans
+no full-dimensional lift gives every cell the same canonical lines.
 """
 
 from __future__ import annotations
@@ -427,30 +426,6 @@ class QPolyhedron:
             tuple(self.ineqs) + tuple(other.ineqs), ambient=self.ambient
         )
 
-    def implicit_equality_mask(self):
-        out = []
-        for u, a in self.ineqs:
-            tight = all(vdot(u, v) == a for v in self.vertices) and all(
-                vdot(u, r) == 0 for r in self.rays
-            ) and all(vdot(u, l) == 0 for l in self.lines)
-            out.append(tight)
-        return out
-
-    def relint_point(self):
-        """A point strictly inside every non-implicit inequality: the vertex
-        mean, or, when a non-implicit inequality is tight on every vertex
-        (it is then strict on some ray), the mean plus the sum of the rays."""
-        if self.is_empty():
-            raise ValueError("empty polyhedron has no relative interior")
-        n = len(self.vertices)
-        mean = tuple(sum(v[i] for v in self.vertices) / n for i in range(self.ambient))
-        implicit = self.implicit_equality_mask()
-        if all(imp or vdot(u, mean) < a for (u, a), imp in zip(self.ineqs, implicit)):
-            return mean
-        for r in self.rays:
-            mean = vadd(mean, r)
-        return mean
-
     def linear_min(self, objective):
         """(min of <objective, x> over self, attained: bool); None if empty."""
         if self.is_empty():
@@ -594,21 +569,26 @@ def _lifted_items(lifted):
     return sorted(best.items())
 
 
-def _lifted_facets(items):
-    """(lift, lines, facets) of conv(lift) + cone(e), e the upward unit
-    vector, from one double description of its polar cone; ``lift`` is the
-    items as (point, height) rows scaled to integers.
+def _lifted_facets(items, clip=()):
+    """(lift, lines, facets) of conv(lift) + cone(e, (-u, a) for each clip
+    row (u, a)), e the upward unit vector, from one double description of
+    its polar cone; ``lift`` is the items as (point, height) rows scaled to
+    integers.
 
     A facet is (c, tight): c the inner normal, the polar ray without its
     constant, and tight the indices of the items on it.  The facet is
     lower when c's height entry is positive and vertical when it is 0; no
-    facet is upper.  A lift that is not full-dimensional gives lines, but
-    the lines are 0 on the height entry and on every item, so neither the
-    tight sets nor the kinds depend on them.
+    facet is upper.  The ray (-u, a) keeps every lower normal (nu, 1)
+    inside <u, nu> <= a and every vertical normal (c, 0) inside
+    <u, c> <= 0.  When the lift and its rays are not full-dimensional the
+    polar cone has lines, but the lines are 0 on the height entry, on
+    every item and on every clip ray, so neither the tight sets nor the
+    kinds depend on them.
     """
     n = len(items[0][0])
     lift, _ = _int_scaled([p + (h,) for p, h in items])
-    lines, rays = _polar_cone(lift, rays=[(0,) * n + (1,)])
+    up = [(0,) * n + (1,)] + [primitive(vscale(u, -1) + (a,)) for u, a in clip]
+    lines, rays = _polar_cone(lift, rays=up)
     facets = []
     for c in rays:
         tight = frozenset(i for i, q in enumerate(lift) if c[0] + vdot(c[1:], q) == 0)
@@ -663,57 +643,45 @@ def _cell_rows(items, face):
     return rows
 
 
-def face_cell(items, face, clip=()):
-    """(nu, cell): the cell of directions nu whose weighted minimum
-    <(nu, 1), (q, h)> over the items is attained on the whole face, cut by
-    the ``clip`` inequalities, and a witness nu in it whose argmin is
-    exactly the face; (None, None) when the cell is empty or the witness
-    finds a larger argmin.
-
-    ``items`` are (point, height) pairs with distinct points and ``face``
-    is a tuple of some of them.  The cell's rows are ``_cell_rows``, then
-    ``clip``; the double description's bases, and so every cell, follow
-    that order.
-    """
-    rows = _cell_rows(items, face) + list(clip)
-    cell = QPolyhedron.from_hrep(rows, ambient=len(items[0][0]))
-    if cell.is_empty():
-        return None, None
-    nu = cell.relint_point()
-    vals = [hq + vdot(q, nu) for q, hq in items]
-    m = min(vals)
-    if {pair for pair, v in zip(items, vals) if v == m} != set(face):
-        return None, None
-    return nu, cell
-
-
 def lower_cells(lifted, clip=()):
     """(face, nu, cell) for each lower face of two points or more whose
-    dual cell, cut by ``clip``, is nonempty and has a witness nu with
-    exactly the face as argmin (see ``face_cell``).
+    dual cell is nonempty and has a witness nu with exactly the face as
+    argmin.  The cell of a face is the set of directions nu whose weighted
+    minimum <(nu, 1), (q, h)> over the items is attained on the whole
+    face, cut by the ``clip`` inequalities <u, nu> <= a.
 
-    Over the whole space (no ``clip``) with a full-dimensional lift, the
-    cells are read off the facets of the one lifted hull: the cell of a
-    face has one vertex c/c_h for each lower facet (c, c_h) that holds the
-    face, and one ray c for each vertical facet (c, 0) that does; it has
-    no lines.  Its rows are ``face_cell``'s, and its witness is the one
-    ``QPolyhedron.relint_point`` finds: the vertex mean, plus the sum of
-    the rays when the mean has a larger argmin.  A clip makes new vertices
-    and a lift with lines gives cells whose line basis follows the row
-    order, so those cells come from ``face_cell``.
+    Every cell is read off the facets of one lifted hull, the lift plus an
+    upward ray plus a ray (-u, a) for each clip row (see
+    ``_lifted_facets``): the cell of a face has one vertex c/c_h for each
+    lower facet (c, c_h) that holds the face, and one ray c for each
+    vertical facet (c, 0) that does.  Its rows are ``_cell_rows``, then
+    the normalized clip rows.  Its witness is the vertex mean, plus the
+    sum of the rays when the mean has a larger argmin or sits on a clip
+    row that some ray leaves.
+
+    When the support directions and the clip normals do not span the
+    space, every cell has the same lines: the null space basis of
+    ``_kernel``, each line positive at its free column and 0 at the
+    others.  The vertices and rays are slid along the lines to where the
+    free columns are 0.
     """
     items = _lifted_items(lifted)
     if not items:
         return []
-    lift, lines, facets = _lifted_facets(items)
-    faces = [(face, f) for face, f in _lower_faces(items, facets) if len(f) > 1]
-    out = []
-    if clip or lines:
-        for face, _ in faces:
-            nu, cell = face_cell(items, face, clip)
-            if cell is not None:
-                out.append((face, nu, cell))
-        return out
+    clip = tuple(_normalized(u, a) for u, a in clip)
+    lift, lines, facets = _lifted_facets(items, clip)
+    n = len(items[0][0])
+    basis, free = [], []
+    if lines:
+        dirs = [vsub(q[:-1], lift[0][:-1]) for q in lift[1:]] + [u for u, _ in clip]
+        pivots, reduced, d = eliminate(dirs)
+        basis = _kernel(pivots, reduced, d, n)
+        free = [c for c in range(n) if c not in pivots]
+
+    def slide(v):
+        for w, fc in zip(basis, free):
+            v = vsub(v, vscale(w, F(v[fc], w[fc])))
+        return v
 
     def argmin(nu):
         # on the integer lift: h + <q, nu> scaled by the lift's and nu's
@@ -724,26 +692,32 @@ def lower_cells(lifted, clip=()):
         m = min(vals)
         return {i for i, v in enumerate(vals) if v == m}
 
-    n = len(items[0][0])
     int_items = [(q[:-1], q[-1]) for q in lift]
-    for face, f in faces:
+    out = []
+    for face, f in _lower_faces(items, facets):
+        if len(f) < 2:
+            continue
         vertices, rays = [], []
         for c, tight in facets:
             if f <= tight:
                 if c[-1]:
-                    vertices.append(tuple(F(x, c[-1]) for x in c[:-1]))
+                    vertices.append(slide(tuple(F(x, c[-1]) for x in c[:-1])))
                 else:
-                    rays.append(primitive(c[:-1]))
+                    rays.append(primitive(slide(c[:-1])))
         nu = tuple(sum(v[i] for v in vertices) / len(vertices) for i in range(n))
-        if argmin(nu) != f:
+        if argmin(nu) != f or any(
+            vdot(u, nu) == a and any(vdot(u, r) for r in rays) for u, a in clip
+        ):
             nu = functools.reduce(vadd, rays, nu)
             if argmin(nu) != f:
                 continue
-        # face_cell's rows, made on the integer lift: the scale cancels
-        # when a row is normalized
+        # the rows made on the integer lift: the scale cancels when a row
+        # is normalized
         rows = _cell_rows(int_items, tuple(int_items[i] for i in sorted(f)))
-        ineqs = tuple(_normalized(u, a) for u, a in rows)
-        cell = QPolyhedron(n, ineqs, tuple(sorted(vertices)), tuple(sorted(rays)), ())
+        ineqs = tuple(_normalized(u, a) for u, a in rows) + clip
+        cell = QPolyhedron(
+            n, ineqs, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(basis))
+        )
         out.append((face, nu, cell))
     return out
 

@@ -4,13 +4,12 @@ The complex of a series is computed through the regular subdivision route:
 lift the stored support by coefficient valuations, take the faces of the
 lower hull with at least two points, and dualize each face F to the cell
 of directions whose weighted minimum is attained exactly on F
-(polyhedra.lower_cells).  Over the whole torus with a full-dimensional
-support every cell is read off the facets of the one lifted hull; a
-clipped domain or a support in a hyperplane takes one H-to-V conversion
-per cell (polyhedra.face_cell).  The Newton cell of a cell is the
-projected convex hull of its face, built where it is read
-(TropCell.newton); the two families are dual (complementary dimensions,
-orthogonal spans, reversed face order).
+(polyhedra.lower_cells).  Every cell, clipped to the domain or not, is
+read off the facets of one lifted hull: the domain's bounds enter the lift
+as rays, and a support in a hyperplane gives every cell the same lines.
+The Newton cell of a cell is the projected convex hull of its face, built
+where it is read (TropCell.newton); the two families are dual
+(complementary dimensions, orthogonal spans, reversed face order).
 
 Series with a nonempty tail get a per-cell certificate that the tail can
 never reach the minimum anywhere on the cell, read off the cell's vertices,
@@ -259,6 +258,8 @@ def connected_components(datas):
 # ---------------------------------------------------------------------------
 # deterministic SVG rendering (planar series only)
 
+SVG_SIZE = 600  # the side of each square panel, in pixels
+
 
 def _fmt(x):
     return f"{float(x):.3f}"
@@ -278,7 +279,7 @@ def _map_factory(xs, ys, size, margin):
     return mp
 
 
-def render_svg(data: TropicalData, size=600) -> str:
+def render_svg(data: TropicalData) -> str:
     """Two fixed panels: the trop cells and the Newton cells, labeled in
     cell order.  Byte-deterministic for a given complex."""
     if data.series.nvars != 2:
@@ -286,8 +287,8 @@ def render_svg(data: TropicalData, size=600) -> str:
     margin = 40
     ray_len = F(3)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * size}" '
-        f'height="{size}" viewBox="0 0 {2 * size} {size}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * SVG_SIZE}" '
+        f'height="{SVG_SIZE}" viewBox="0 0 {2 * SVG_SIZE} {SVG_SIZE}">'
     ]
 
     # panel 1: tropical cells
@@ -308,7 +309,7 @@ def render_svg(data: TropicalData, size=600) -> str:
                 for sign in (-1, 1):
                     xs.append(v[0] + sign * ray_len * l[0])
                     ys.append(v[1] + sign * ray_len * l[1])
-    mp = _map_factory(xs, ys, size, margin)
+    mp = _map_factory(xs, ys, SVG_SIZE, margin)
     for k, c in enumerate(data.cells):
         poly = c.cell
         name = f"g{k + 1}"
@@ -355,10 +356,10 @@ def render_svg(data: TropicalData, size=600) -> str:
     for nc in newton:
         xs2 += [p[0] for p in nc.vertices]
         ys2 += [p[1] for p in nc.vertices]
-    mp2 = _map_factory(xs2, ys2, size, margin)
+    mp2 = _map_factory(xs2, ys2, SVG_SIZE, margin)
 
     def shift(sxy):
-        return str(float(sxy[0]) + size), sxy[1]
+        return str(float(sxy[0]) + SVG_SIZE), sxy[1]
 
     parts.append('<g id="newton">')
     if support is not None and support.affine_dim() == 2:

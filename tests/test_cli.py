@@ -620,6 +620,23 @@ def test_cmd_bound_system_rejects_finite_domain(capsys, tmp_path, domain):
     assert "domain" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_cmd_bound_system_zero_series_is_an_input_error(capsys, tmp_path, index):
+    # a zero series has no isolated roots: refused before any redraw
+    with open(data_path("line_a.series")) as fh:
+        doc = json.load(fh)
+    doc["terms"] = []
+    zero = tmp_path / "zero.series"
+    zero.write_text(dump_json(doc))
+    inputs = [data_path("line_b.series")]
+    inputs.insert(index, str(zero))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "bound-system", *inputs, "--seed", "3", "-o", str(out_path))
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert f"series {index} " in err and "zero" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------- loaders
 
 

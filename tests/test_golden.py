@@ -19,6 +19,7 @@ import pytest
 from troppadic.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
+FIXTURES = Path(__file__).with_name("data")
 DOMAINS = [None, "0,0", "-1,none", "1/2,-1/3", "none,1"]
 
 
@@ -41,6 +42,19 @@ def golden_commands():
         if dom is not None:
             argv += ["--domain", dom]
         cmds[f"trop strassmann_5x_x5 domain={dom}"] = (argv, ("out",))
+    # a support on a line and one in a plane: cells with lines, except
+    # where the clip normals span the rest
+    for name, doms, outputs in (
+        ("diagonal_2v", (None, "0,none"), ("out", "svg")),
+        ("plane_3v", (None,), ("out",)),
+    ):
+        for dom in doms:
+            argv = ["trop", str(FIXTURES / f"{name}.series"), "-o", "{out}"]
+            if "svg" in outputs:
+                argv += ["--svg", "{svg}"]
+            if dom is not None:
+                argv += ["--domain", dom]
+            cmds[f"trop {name} domain={dom}"] = (argv, outputs)
     cmds["strassmann strassmann_5x_x5"] = (
         ["strassmann", data_path("strassmann_5x_x5.series"), "-o", "{out}"],
         ("out",),

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracle_cells import face_cell
 from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
@@ -14,7 +15,7 @@ from troppadic.polyhedra import (
     _facets_fullrank,
     convex_hull,
     eliminate,
-    face_cell,
+    lower_cells,
     lower_hull,
     minkowski_sum,
     mixed_volume,
@@ -330,7 +331,7 @@ def test_lower_hull_figure_data():
     sizes = sorted(len(f) for f in faces)
     assert sizes == [1, 1, 1, 2, 2, 2, 3]
     top = next(f for f in faces if len(f) == 3)
-    witness, cell = face_cell(items, top)
+    witness, cell = {f: (nu, cell) for f, nu, cell in lower_cells(items)}[top]
     assert witness == (F(1, 4), F(1, 4))
     assert cell.vertices == ((F(1, 4), F(1, 4)),)
 
@@ -352,10 +353,12 @@ def test_face_cell_rejects_non_faces_and_finer_remnants():
     # the clip nu >= 0 leaves only its vertex, where all three terms tie
     items = [((0, 0), 0), ((0, 1), 0), ((1, 0), 0)]
     face = (((0, 1), 0), ((1, 0), 0))
-    witness, cell = face_cell(items, face)
+    cells = {f: (nu, cell) for f, nu, cell in lower_cells(items)}
+    witness, cell = cells[face]
     assert witness == (-1, -1) and cell.rays == ((-1, -1),)
     clip = (((-1, 0), 0), ((0, -1), 0))
-    assert face_cell(items, face, clip) == (None, None)
+    clipped = [f for f, _, _ in lower_cells(items, clip)]
+    assert face not in clipped and len(clipped) == 3
 
 
 def test_lower_hull_matches_grid_minimization_oracle():

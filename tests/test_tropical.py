@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_cells import face_cell
 from troppadic.errors import PrecisionExhausted, ZeroSeries
-from troppadic.polyhedra import QPolyhedron, face_cell, lower_hull, vdot
+from troppadic.polyhedra import QPolyhedron, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
@@ -137,10 +138,9 @@ def test_clipping_keeps_face_pairing():
     "domain", [(None, None), (F(0), F(0)), (F(-1), None), (F(1, 2), F(-1, 3))]
 )
 def test_one_cell_construction_per_lower_face(monkeypatch, domain):
-    # faces of one point have no cell, and a clipped cell is built once
+    # every cell, clipped or not, is read off the one lifted hull: no cell
+    # takes an H-to-V conversion of its own
     terms = {(1, 0): 5, (5, 0): 1, (0, 5): 1, (2, 2): 1}
-    # over the whole plane every lower face of at least 2 points is a cell
-    faces = len(trop_complex(poly(5, 2, terms)).cells)
     f = RestrictedSeries(5, 2, terms, domain=domain)
     calls = []
     build = QPolyhedron.from_hrep
@@ -151,64 +151,114 @@ def test_one_cell_construction_per_lower_face(monkeypatch, domain):
 
     monkeypatch.setattr(QPolyhedron, "from_hrep", staticmethod(counting))
     data = trop_complex(f)
-    # over the torus the cells are read off the one lifted hull
-    assert len(calls) == (0 if domain == (None, None) else faces)
+    assert calls == []
     assert data.cells
 
 
 @st.composite
-def torus_series(draw):
-    """(shape, series) over the torus in 1-3 variables.  Shapes: valuations
-    drawn from {0, 1, 2}, so that many repeat; valuations affine in the
-    exponents, so that one lower facet holds every point; or a support on
-    a line, whose cells have lines in 2 and 3 variables."""
+def drawn_series(draw):
+    """(shape, series) in 1-3 variables, over the torus or a drawn domain.
+    Shapes: valuations drawn from {0, 1, 2}, so that many repeat;
+    valuations affine in the exponents, so that one lower facet holds
+    every point; a support on a line, whose cells have lines in 2 and 3
+    variables; or a support in a plane in 3 variables."""
     n = draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(("repeated", "affine", "line")))
-    if shape == "line":
-        base = draw(st.tuples(*[st.integers(0, 3)] * n))
-        step = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
-        ts = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))
-        support = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+    shape = draw(st.sampled_from(("repeated", "affine", "line", "plane")))
+    coords = st.tuples(*[st.integers(0, 3)] * n)
+    if shape == "line" or (shape == "plane" and n == 3):
+        base = draw(coords)
+        k = 1 if shape == "line" else 2
+        steps = draw(st.lists(coords.filter(any), min_size=k, max_size=k))
+        multiples = st.tuples(*[st.integers(0, 3)] * k)
+
+        def point(ts):
+            return tuple(b + sum(t * s[j] for t, s in zip(ts, steps)) for j, b in enumerate(base))
+
+        support = sorted(
+            {point(ts) for ts in draw(st.lists(multiples, min_size=2, max_size=5, unique=True))}
+        )
     else:
-        point = st.tuples(*[st.integers(0, 3)] * n)
-        support = draw(st.lists(point, min_size=2, max_size=7, unique=True))
+        support = draw(st.lists(coords, min_size=2, max_size=7, unique=True))
     if shape == "affine":
         c0, *c = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1))
         vals = [c0 + vdot(c, q) for q in support]
     else:
         vals = draw(st.lists(st.integers(0, 2), min_size=len(support), max_size=len(support)))
-    return shape, poly(5, n, {q: F(5) ** v for q, v in zip(support, vals)})
+    bound = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+    domain = draw(st.tuples(*[st.none() | bound] * n))
+    return shape, poly(5, n, {q: F(5) ** v for q, v in zip(support, vals)}, domain)
 
 
 def face_cell_complex(f):
     """vert -> (witness, cell) by one H-to-V conversion per lower face."""
     items = sorted((i, c.valuation()) for i, c in f.terms.items())
+    n = f.nvars
+    clip = tuple(
+        (tuple(-1 if k == j else 0 for k in range(n)), -r)
+        for j, r in enumerate(f.domain)
+        if r is not None
+    )
     out = {}
     for face in lower_hull(items):
         if len(face) > 1:
-            witness, cell = face_cell(items, face)
+            witness, cell = face_cell(items, face, clip)
             if cell is not None:
                 out[frozenset((tuple(int(x) for x in q), h) for q, h in face)] = (witness, cell)
     return out
 
 
+def is_canonical(cell):
+    """Each line's last nonzero entry, at its free column, is positive, and
+    the other lines, the vertices and the rays are 0 at that column."""
+    for k, line in enumerate(cell.lines):
+        c = max(i for i, x in enumerate(line) if x)
+        others = cell.lines[:k] + cell.lines[k + 1:]
+        if line[c] <= 0 or any(v[c] for v in cell.vertices + cell.rays + others):
+            return False
+    return True
+
+
+def test_line_cells_have_one_canonical_form():
+    # a support on the line through (1, 0) and (3, 1): the line (-1, 2) of
+    # the null space, and the vertex where its free column nu_2 is 0
+    [c] = trop_complex(poly(5, 2, {(1, 0): 1, (3, 1): 25})).cells
+    assert c.cell.lines == ((-1, 2),) and c.cell.vertices == ((F(-1), F(0)),)
+    assert c.witness == (F(-1), F(0))
+    # every cell of a support in a plane has the same line
+    data = trop_complex(poly(5, 3, {(0, 0, 1): 1, (1, 0, 0): 1, (1, 1, 1): 1}))
+    assert {c.cell.lines for c in data.cells} == {((1, -1, 1),)}
+    assert all(is_canonical(c.cell) for c in data.cells)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(torus_series())
+@given(drawn_series())
 def test_cells_read_off_the_lifted_hull_are_face_cells(shape_and_series):
-    """Every cell equals face_cell's, down to the types: vertices, rays,
-    lines, rows in order, and witness."""
+    """A cell without lines equals the oracle's down to the types:
+    vertices, rays, rows in order, and witness.  A cell with lines has the
+    oracle's set and rows, a witness whose argmin is exactly its face, and
+    the canonical form; the complex has one line basis."""
     shape, f = shape_and_series
     data = trop_complex(f)
+    want = face_cell_complex(f)
+    assert {c.vert for c in data.cells} == set(want)
 
     def fields(witness, cell):
         return repr((witness, cell.ambient, cell.ineqs, cell.vertices, cell.rays, cell.lines))
 
-    want = {vert: fields(*wc) for vert, wc in face_cell_complex(f).items()}
-    assert {c.vert: fields(c.witness, c.cell) for c in data.cells} == want
-    if shape == "affine":
-        assert any(len(c.vert) == len(f.terms) for c in data.cells)
-    if shape == "line" and f.nvars > 1:
-        assert all(c.cell.lines for c in data.cells)
+    for c in data.cells:
+        witness, cell = want[c.vert]
+        if not cell.lines:
+            assert fields(c.witness, c.cell) == fields(witness, cell)
+            continue
+        assert c.cell.same_set(cell) and c.cell.ineqs == cell.ineqs
+        assert vert_nu(f, c.witness) == c.vert and c.cell.contains(c.witness)
+        assert is_canonical(c.cell)
+    assert len({c.cell.lines for c in data.cells}) <= 1
+    if all(r is None for r in f.domain):
+        if shape == "affine":
+            assert any(len(c.vert) == len(f.terms) for c in data.cells)
+        if shape == "line" and f.nvars > 1:
+            assert all(c.cell.lines for c in data.cells)
 
 
 # --------------------------------------------------------------- shifting
