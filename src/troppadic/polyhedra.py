@@ -8,7 +8,9 @@ primitive integer rays and lines.
 One engine does the polyhedral work: an integer double-description cone
 method.  H-to-V conversion, emptiness and intersections run it on the
 homogenized inequalities; hulls in dimension 3 and up read their facets
-off the rays of the polar cone.  Only the line and the plane keep direct
+off the rays of the polar cone, and each facet's tight set off the bit
+mask of the rows its ray is tight on, which the engine keeps exact: the
+points are the first rows.  Only the line and the plane keep direct
 code (min/max, monotone chain), which is faster there.  Everything is
 deterministic: canonical primitive normals, lexicographic sorting, no
 randomization anywhere.
@@ -22,7 +24,7 @@ inequalities, and ``mixed_volume`` hulls each subset sum once.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
-and direction spaces its reduced integer rows, a simplex volume its common
+spaces its reduced integer rows, a simplex volume its common
 pivot value, and ``bounds`` solves its linear systems with it.
 
 The cells of a regular subdivision's dual complex come from the same
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -60,7 +63,7 @@ def vsub(a, b):
 
 
 def vdot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vscale(a, c):
@@ -125,11 +128,6 @@ def _kernel(pivots, reduced, d, dim):
                 w[pc] = -s * row[fc]
             basis.append(primitive(w))
     return basis
-
-
-def null_space(rows, dim):
-    """Basis of {w : <row, w> = 0 for all rows}, primitive integer vectors."""
-    return _kernel(*eliminate(rows), dim)
 
 
 def _affine_pivots(points):
@@ -204,14 +202,10 @@ def _int_scaled(pts):
 
 def _facets_polar(pts):
     """Facets of conv(pts), full-rank integer points: each ray (c0, c) of
-    the polar cone {(c0, c) : c0 + <c, q> >= 0} is the facet <-c, x> <= c0."""
+    the polar cone {(c0, c) : c0 + <c, q> >= 0} is the facet <-c, x> <= c0,
+    tight on the points its mask holds."""
     _, rays = _polar_cone(pts)
-    out = []
-    for c in rays:
-        normal = tuple(-x for x in c[1:])
-        tight = [i for i, q in enumerate(pts) if vdot(normal, q) == c[0]]
-        out.append((normal, c[0], tight))
-    return sorted(out)
+    return sorted((tuple(-x for x in c[1:]), c[0], _bits(m)) for c, m in rays)
 
 
 def _facets_fullrank(pts):
@@ -241,12 +235,12 @@ def _subfaces(face, facet_sets):
 # double description
 
 
-def _dd_cone(rows, dim):
-    """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers.
+def _dd_masks(rows, dim):
+    """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers,
+    each ray paired with the bit mask of the rows it is tight on.
 
     The double description method (Fukuda & Prodon 1996) in integer
-    arithmetic.  Rows are scaled to primitive integers.  Every ray carries
-    the exact set of processed rows it is tight on as a bit mask, kept
+    arithmetic.  Rows are scaled to primitive integers.  Each mask is kept
     exact incrementally when row k is inserted:
 
     - a ray that survives row k gains bit k exactly when it is zero on it;
@@ -258,69 +252,100 @@ def _dd_cone(rows, dim):
       row.
 
     Two rays are adjacent when no third ray is tight on every row they
-    share; exact masks make that combinatorial test exact.
+    share; exact masks make that combinatorial test exact.  It runs only on
+    pairs that share at least dim - 2 - L rows, L the number of lines: the
+    face two adjacent rays span has dimension L + 2, and the rows tight on
+    a face of dimension f have rank dim - f, so fewer shared rows rule
+    adjacency out.  Survivors of row k are already primitive and distinct;
+    only the new combinations and the rays rebuilt while a line is
+    eliminated are normalized and deduplicated.
     """
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # (vector, zero-mask) pairs
     for k, row in enumerate(rows):
         row = primitive(row)
         bit = 1 << k
-        nz = [l for l in lines if vdot(l, row) != 0]
+        dots = [vdot(l, row) for l in lines]
+        nz = [(l, d) for l, d in zip(lines, dots) if d]
         if nz:
-            l0 = nz[0]
-            d0 = vdot(l0, row)
+            l0, d0 = nz[0]
             if d0 < 0:
                 l0, d0 = vscale(l0, -1), -d0
-            new_lines = [l for l in lines if vdot(l, row) == 0]
-            for l in nz[1:]:
-                new_lines.append(vsub(vscale(l, d0), vscale(l0, vdot(l, row))))
-            lines = [primitive(l) for l in new_lines]
+            lines = [l for l, d in zip(lines, dots) if not d]
+            lines += [primitive(vsub(vscale(l, d0), vscale(l0, d))) for l, d in nz[1:]]
             cand = [
                 (vsub(vscale(v, d0), vscale(l0, vdot(v, row))), m | bit) for v, m in rays
             ]
             cand.append((l0, bit - 1))
-        else:
-            pos, zero, neg = [], [], []
-            for vec, mask in rays:
-                s = vdot(vec, row)
-                (pos if s > 0 else zero if s == 0 else neg).append((vec, mask, s))
-            cand = [(v, m) for v, m, _ in pos] + [(v, m | bit) for v, m, _ in zero]
-            masks = [m for _, m in rays]
-            for vp, mp, sp in pos:
-                for vn, mn, sn in neg:
-                    common = mp & mn
-                    # vp and vn are tight on common; a third such ray
-                    # means they are not adjacent
-                    hits = 0
-                    for mo in masks:
-                        if mo & common == common:
-                            hits += 1
-                            if hits > 2:
-                                break
-                    else:
-                        w = vsub(vscale(vn, sp), vscale(vp, sn))
-                        cand.append((w, common | bit))
+            rays, seen = [], set()
+            for vec, mask in cand:
+                vec = primitive(vec)
+                if vec not in seen and any(vec):
+                    seen.add(vec)
+                    rays.append((vec, mask))
+            continue
+        pos, zero, neg = [], [], []
+        for vec, mask in rays:
+            s = vdot(vec, row)
+            (pos if s > 0 else zero if s == 0 else neg).append((vec, mask, s))
+        masks = [m for _, m in rays]
+        need = dim - 2 - len(lines)
+        rays = [(v, m) for v, m, _ in pos] + [(v, m | bit) for v, m, _ in zero]
         seen = set()
-        rays = []
-        for vec, mask in cand:
-            vec = primitive(vec)
-            if vec in seen or not any(vec):
-                continue
-            seen.add(vec)
-            rays.append((vec, mask))
+        for vp, mp, sp in pos:
+            for vn, mn, sn in neg:
+                common = mp & mn
+                if common.bit_count() < need:
+                    continue
+                # vp and vn are tight on common; a third such ray means
+                # they are not adjacent
+                hits = 0
+                for mo in masks:
+                    if mo & common == common:
+                        hits += 1
+                        if hits > 2:
+                            break
+                else:
+                    w = primitive(vsub(vscale(vn, sp), vscale(vp, sn)))
+                    if w not in seen:
+                        seen.add(w)
+                        rays.append((w, common | bit))
+    return lines, rays
+
+
+def _dd_cone(rows, dim):
+    """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers,
+    sorted.  These are the generators of ``_dd_masks`` without the tight-row
+    masks it returns; its docstring gives the method and the exact
+    cardinality test that runs before each adjacency scan."""
+    lines, rays = _dd_masks(rows, dim)
     return sorted(lines), sorted(v for v, _ in rays)
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _polar_cone(points, rays=(), lines=()):
     """(lines, rays) of the cone of (c0, c) with c0 + <c, q> >= 0 on the
     points, <c, r> >= 0 on the rays and <c, l> = 0 on the lines: each
-    generator (c0, c) with c != 0 is a valid inequality <-c, x> <= c0."""
+    generator (c0, c) with c != 0 is a valid inequality <-c, x> <= c0.
+    The rays are sorted (vector, mask) pairs of ``_dd_masks``; the points
+    are the first rows, so bit i of a mask says that (c0, c) is tight on
+    points[i]."""
     rows = [(1,) + tuple(q) for q in points]
     rows += [(0,) + tuple(r) for r in rays]
     for l in lines:
         rows.append((0,) + tuple(l))
         rows.append((0,) + tuple(-x for x in l))
-    return _dd_cone(rows, len(points[0]) + 1)
+    lines, rays = _dd_masks(rows, len(points[0]) + 1)
+    return sorted(lines), sorted(rays)
 
 
 def hrep_generators(ineqs, ambient):
@@ -404,17 +429,6 @@ class QPolyhedron:
         pts = list(self.vertices) + [vadd(base, r) for r in self.rays + self.lines]
         return len(_affine_pivots(pts)[0])
 
-    def direction_space(self):
-        """Primitive basis of the linear space parallel to the affine hull."""
-        if self.is_empty():
-            return []
-        base = self.vertices[0]
-        dirs = [vsub(v, base) for v in self.vertices[1:]]
-        dirs += [to_frac_point(r) for r in self.rays]
-        dirs += [to_frac_point(l) for l in self.lines]
-        _, reduced, d = eliminate(dirs)
-        return [primitive(r if d > 0 else vscale(r, -1)) for r in reduced]
-
     def contains(self, point) -> bool:
         point = to_frac_point(point)
         return all(vdot(u, point) <= a for u, a in self.ineqs)
@@ -425,26 +439,6 @@ class QPolyhedron:
         return QPolyhedron.from_hrep(
             tuple(self.ineqs) + tuple(other.ineqs), ambient=self.ambient
         )
-
-    def linear_min(self, objective):
-        """(min of <objective, x> over self, attained: bool); None if empty."""
-        if self.is_empty():
-            return None, False
-        obj = to_frac_point(objective)
-        for r in self.rays:
-            if vdot(obj, r) < 0:
-                return None, False  # unbounded below
-        for l in self.lines:
-            if vdot(obj, l) != 0:
-                return None, False
-        return min(vdot(obj, v) for v in self.vertices), True
-
-    def support_value(self, direction):
-        """max of <direction, x>; raises Unbounded when infinite."""
-        m, ok = self.linear_min(vscale(to_frac_point(direction), F(-1)))
-        if not ok:
-            raise Unbounded("support function infinite in this direction")
-        return -m
 
     def is_subset_of(self, other: "QPolyhedron") -> bool:
         return (
@@ -459,24 +453,6 @@ class QPolyhedron:
 
     def same_set(self, other: "QPolyhedron") -> bool:
         return self.is_subset_of(other) and other.is_subset_of(self)
-
-    def is_face_of(self, other: "QPolyhedron") -> bool:
-        """True when self = other cut by the inequalities tight on self."""
-        if self.is_empty():
-            return True
-        if not self.is_subset_of(other):
-            return False
-        tight = []
-        for u, a in other.ineqs:
-            if all(vdot(u, v) == a for v in self.vertices) and all(
-                vdot(u, r) == 0 for r in self.rays
-            ) and all(vdot(u, l) == 0 for l in self.lines):
-                tight.append((u, a))
-        cut = QPolyhedron.from_hrep(
-            tuple(other.ineqs) + tuple((vscale(u, -1), -a) for u, a in tight),
-            ambient=other.ambient,
-        )
-        return cut.same_set(self)
 
     def key(self):
         return (self.vertices, self.rays, self.lines)
@@ -533,7 +509,7 @@ def _hull_with_rays(points, rays, lines, ambient):
     """Facets of conv(points) + cone(rays) + span(lines) via the polar cone."""
     dlines, drays = _polar_cone(points, rays, lines)
     ineqs = []
-    for c in drays:
+    for c, _ in drays:
         u = tuple(-x for x in c[1:])
         if all(x == 0 for x in u):
             continue  # the trivial 0 <= c0 generator
@@ -589,11 +565,8 @@ def _lifted_facets(items, clip=()):
     lift, _ = _int_scaled([p + (h,) for p, h in items])
     up = [(0,) * n + (1,)] + [primitive(vscale(u, -1) + (a,)) for u, a in clip]
     lines, rays = _polar_cone(lift, rays=up)
-    facets = []
-    for c in rays:
-        tight = frozenset(i for i, q in enumerate(lift) if c[0] + vdot(c[1:], q) == 0)
-        if tight:  # else the trivial 0 <= c0
-            facets.append((c[1:], tight))
+    on_lift = (1 << len(lift)) - 1  # a ray tight on no item is the trivial 0 <= c0
+    facets = [(c[1:], frozenset(_bits(m & on_lift))) for c, m in rays if m & on_lift]
     return lift, lines, facets
 
 

@@ -11,6 +11,7 @@ from importlib import resources
 from itertools import product
 
 from oracle_roots import torus_root_count
+from polyhedra_helpers import direction_space, is_face_of
 from troppadic.bounds import (
     WBoundOracle,
     box_E,
@@ -275,15 +276,15 @@ def test_criterion_5_duality_suite():
             newton = [c.newton() for c in data.cells]
             for c, nc in zip(data.cells, newton):
                 assert c.dim() + nc.affine_dim() == 2
-                for du in c.cell.direction_space():
-                    for dv in nc.direction_space():
+                for du in direction_space(c.cell):
+                    for dv in direction_space(nc):
                         assert vdot(du, dv) == 0
             for i, ci in enumerate(data.cells):
                 for j, cj in enumerate(data.cells):
                     if i == j:
                         continue
-                    left = ci.cell.is_face_of(cj.cell)
-                    right = newton[j].is_face_of(newton[i])
+                    left = is_face_of(ci.cell, cj.cell)
+                    right = is_face_of(newton[j], newton[i])
                     assert left == right
                     if ci.vert > cj.vert:
                         assert left and right

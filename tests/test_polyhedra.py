@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_cells import face_cell
+from polyhedra_helpers import is_face_of, null_space, support_value
 from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
@@ -19,7 +20,6 @@ from troppadic.polyhedra import (
     lower_hull,
     minkowski_sum,
     mixed_volume,
-    null_space,
     primitive,
     vadd,
     vdot,
@@ -46,21 +46,29 @@ def point_sets(d, lo, hi, min_size, max_size):
 # --------------------------------------------------------------- oracles
 
 
-def row_echelon(rows):
-    """(rank, pivot columns) by Fraction Gauss-Jordan elimination."""
+def fraction_rref(rows, dim):
+    """(pivots, rows): the reduced row echelon form, by Fraction
+    Gauss-Jordan elimination, with 1 at each pivot."""
     mat = [[F(x) for x in r] for r in rows]
     pivots = []
-    for c in range(len(mat[0]) if mat else 0):
+    for c in range(dim):
         r = len(pivots)
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c] / mat[r][c]
+                f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
+    return pivots, mat[: len(pivots)]
+
+
+def row_echelon(rows):
+    """(rank, pivot columns) by Fraction Gauss-Jordan elimination."""
+    pivots, _ = fraction_rref(rows, len(rows[0]) if rows else 0)
     return len(pivots), pivots
 
 
@@ -322,6 +330,114 @@ def test_hv_roundtrip_property(pts):
     assert back.vertices == hull.vertices
 
 
+# --------------------------------------------------------------- double description
+
+
+def fraction_kernel(rows, dim):
+    """Basis of {x : <row, x> = 0 for all rows}, Fraction vectors."""
+    pivots, mat = fraction_rref(rows, dim)
+    basis = []
+    for fc in range(dim):
+        if fc not in pivots:
+            w = [F(0)] * dim
+            w[fc] = F(1)
+            for row, pc in zip(mat, pivots):
+                w[pc] = -row[fc]
+            basis.append(tuple(w))
+    return basis
+
+
+def fdot(a, b):
+    return sum((F(x) * y for x, y in zip(a, b)), F(0))
+
+
+def coset_canonizer(lin, dim):
+    """v -> the canonical representative of the ray v + span(lin)."""
+    pivots, basis = fraction_rref(lin, dim)
+
+    def canon(v):
+        v = [F(x) for x in v]
+        for row, pc in zip(basis, pivots):
+            f = v[pc]
+            v = [x - f * y for x, y in zip(v, row)]
+        lead = abs(next(x for x in v if x != 0))
+        return tuple(x / lead for x in v)
+
+    return canon
+
+
+def brute_cone(rows, dim):
+    """(lineality basis, extreme rays) of {x : <row, x> >= 0}, sharing no
+    code with the library: the lineality space is the kernel of the rows;
+    an extreme ray (in the complement of the lineality space) spans the
+    kernel of some d - 1 - L independent rows plus the lineality basis, and
+    is feasible.  Rays are canonical: reduced modulo the lineality space
+    and scaled to a first nonzero entry of +-1."""
+    lin = fraction_kernel(rows, dim)
+    canon = coset_canonizer(lin, dim)
+    rays = set()
+    if len(lin) < dim:
+        for sub in combinations(range(len(rows)), dim - 1 - len(lin)):
+            ker = fraction_kernel([rows[i] for i in sub] + lin, dim)
+            if len(ker) == 1:
+                for x in (ker[0], tuple(-t for t in ker[0])):
+                    if all(fdot(r, x) >= 0 for r in rows):
+                        rays.add(canon(x))
+    return lin, rays
+
+
+def tight_mask(rows, v):
+    return sum(1 << j for j, r in enumerate(rows) if fdot(r, v) == 0)
+
+
+@st.composite
+def cones(draw):
+    """(rows, dim) in dimension 2-5: up to 6 integer combinations of a
+    random basis of 1 to dim rows (so the cone has lines when the basis is
+    short), or the rows (1, q) of up to 8 points q in {-1, 0, 1}^(dim-1)
+    (the polar cone of their hull, where many rays are tight on more rows
+    than they need); then duplicate rows, zero rows and opposite row pairs
+    (equalities), in random order."""
+    dim = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, dim))
+        basis = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=k, max_size=k))
+        weights = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+        rows = [
+            tuple(sum(t * b[j] for t, b in zip(ws, basis)) for j in range(dim))
+            for ws in draw(st.lists(weights, max_size=6))
+        ]
+    else:
+        rows = [(1,) + q for q in draw(point_sets(dim - 1, -1, 1, 1, 8))]
+    for extra in draw(st.lists(st.sampled_from(("dup", "zero", "opposite")), max_size=3)):
+        if extra == "zero" or not rows:
+            rows.append((0,) * dim)
+        else:
+            r = draw(st.sampled_from(rows))
+            rows.append(r if extra == "dup" else tuple(-x for x in r))
+    return draw(st.permutations(rows)), dim
+
+
+@settings(PROPERTY, max_examples=200)
+@given(cones())
+def test_dd_matches_brute_force_cone_oracle(case):
+    """The lines span the oracle's lineality space, the rays are its
+    extreme rays (one per ray modulo the lines), every generator is
+    primitive and every mask is the ray's tight set."""
+    rows, dim = case
+    lines, rays = polyhedra._dd_masks(rows, dim)
+    lin, want = brute_cone(rows, dim)
+    assert len(lines) == len(lin) == matrix_rank(lines)
+    assert all(fdot(r, l) == 0 for r in rows for l in lines)
+    canon = coset_canonizer(lin, dim)
+    assert sorted(canon(v) for v, _ in rays) == sorted(want)
+    for v in lines + [v for v, _ in rays]:
+        assert math.gcd(*v) == 1
+    for v, mask in rays:
+        assert mask == tight_mask(rows, v)
+    assert polyhedra._dd_cone(rows, dim) == (sorted(lines), sorted(v for v, _ in rays))
+
+
 # --------------------------------------------------------------- lower hull
 
 
@@ -435,6 +551,42 @@ def test_lower_hull_faces_are_the_argmin_sets(items):
         assert grid_argmin(items, nu) in face_sets
 
 
+@st.composite
+def clipped_lifts(draw):
+    """A lift of ``lifts`` with 0 to 2 clip rows <u, nu> <= a."""
+    items = draw(lifts())
+    n = len(items[0][0])
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    rows = st.tuples(normals, st.fractions(-3, 3, max_denominator=2))
+    return items, draw(st.lists(rows, max_size=2))
+
+
+@PROPERTY
+@given(clipped_lifts())
+def test_lifted_facets_match_brute_force_cone_oracle(case):
+    """The lines and the facets of the lifted hull against the polar cone
+    of the oracle: each facet is a ray tight on some item, with exactly
+    the items it is tight on."""
+    items, clip = case
+    lift, lines, facets = polyhedra._lifted_facets(items, clip)
+    den = math.lcm(*(x.denominator for p, h in items for x in p + (h,)))
+    assert lift == [tuple(int(x * den) for x in p + (h,)) for p, h in items]
+    dim = len(lift[0]) + 1
+    rows = [(1,) + q for q in lift] + [(0,) * (dim - 1) + (1,)]
+    rows += [(0,) + tuple(-x for x in u) + (a,) for u, a in clip]
+    lin, want = brute_cone(rows, dim)
+    on_lift = (1 << len(lift)) - 1
+    want = sorted(r for r in want if tight_mask(rows, r) & on_lift)
+    canon = coset_canonizer(lin, dim)
+    got = []
+    for c, tight in facets:
+        c0 = -fdot(c, lift[min(tight)])
+        assert tight == {i for i, q in enumerate(lift) if c0 + fdot(c, q) == 0}
+        got.append(canon((c0,) + tuple(c)))
+    assert sorted(got) == want
+    assert len(lines) == len(lin) == matrix_rank(lines)
+    assert all(fdot(r, l) == 0 for r in rows for l in lines)
+
 # --------------------------------------------------------------- minkowski
 
 
@@ -460,7 +612,7 @@ def test_minkowski_support_function_oracle():
         s = minkowski_sum(p, q)
         for _ in range(100):
             d = (rng.randint(-9, 9), rng.randint(-9, 9))
-            assert s.support_value(d) == p.support_value(d) + q.support_value(d)
+            assert support_value(s, d) == support_value(p, d) + support_value(q, d)
 
 
 # --------------------------------------------------------------- volume
@@ -615,7 +767,7 @@ class PolyComplex:
                 x = a.intersection(b)
                 if x.is_empty():
                     continue
-                if not (x.is_face_of(a) and x.is_face_of(b)):
+                if not (is_face_of(x, a) and is_face_of(x, b)):
                     return False
         return True
 
@@ -633,6 +785,6 @@ def test_is_face_of():
     edge = convex_hull([(0, 0), (1, 0)])
     vertex = convex_hull([(1, 1)])
     diag = convex_hull([(0, 0), (1, 1)])
-    assert edge.is_face_of(sq)
-    assert vertex.is_face_of(sq)
-    assert not diag.is_face_of(sq)
+    assert is_face_of(edge, sq)
+    assert is_face_of(vertex, sq)
+    assert not is_face_of(diag, sq)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_cells import face_cell
+from polyhedra_helpers import direction_space, is_face_of
 from troppadic.errors import PrecisionExhausted, ZeroSeries
 from troppadic.polyhedra import QPolyhedron, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
@@ -91,8 +92,8 @@ def test_figure_complex():
             | {v for v, _ in data.cells[k].vert}
         )
         # orthogonality of the paired spans
-        for du in data.cells[k].cell.direction_space():
-            for dv in nc.direction_space():
+        for du in direction_space(data.cells[k].cell):
+            for dv in direction_space(nc):
                 assert vdot(du, dv) == 0
         assert data.cells[k].dim() + nc.affine_dim() == 2
 
@@ -405,14 +406,14 @@ def test_duality_on_random_series():
         newton = [c.newton() for c in data.cells]
         for c, nc in zip(data.cells, newton):
             assert c.dim() + nc.affine_dim() == 2
-            for du in c.cell.direction_space():
-                for dv in nc.direction_space():
+            for du in direction_space(c.cell):
+                for dv in direction_space(nc):
                     assert vdot(du, dv) == 0
         # face reversal over all cell pairs
         for i, ci in enumerate(data.cells):
             for j, cj in enumerate(data.cells):
-                left = ci.cell.is_face_of(cj.cell) and not ci.cell.same_set(cj.cell)
-                right = newton[j].is_face_of(newton[i]) and not newton[j].same_set(
+                left = is_face_of(ci.cell, cj.cell) and not ci.cell.same_set(cj.cell)
+                right = is_face_of(newton[j], newton[i]) and not newton[j].same_set(
                     newton[i]
                 )
                 if ci.vert > cj.vert:
