@@ -139,7 +139,9 @@ class PadicScaled:
         """An exactly known rational value (times p**shift, shift in [0,1))."""
         if p < 2:
             raise ValueError("prime must be >= 2")
-        return _exact(p, Fraction(value), Fraction(shift))
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _exact(p, value, shift if shift is _ZERO else Fraction(shift))
 
     @classmethod
     def zero(cls, p: int) -> "PadicScaled":
@@ -150,7 +152,8 @@ class PadicScaled:
         """A value known to be unit*p^v + O(p^(v+prec)), prec >= 1 digits."""
         if prec < 1:
             raise PrecisionExhausted("cannot construct a value with no certified digit")
-        v = Fraction(v)
+        if type(v) is not Fraction:
+            v = Fraction(v)
         m = p ** prec
         u = unit % m
         if u % p == 0:
@@ -170,12 +173,12 @@ class PadicScaled:
         return self._r is not _ZERO
 
     def valuation(self):
-        """The valuation v(self); +Infinity for exact zero."""
-        if self.is_exact:
-            if self._r is _ZERO:
-                return INF
-            return vp_fraction(self._r, self.p) + self._shift
-        return self._v
+        """The valuation v(self); +Infinity for exact zero.  An exact value
+        keeps it in the ``_v`` slot, which only approximate values set."""
+        v = self._v
+        if v is None:
+            v = self._v = vp_fraction(self._r, self.p) + self._shift
+        return v
 
     def precision(self):
         """Number of certified unit digits (+Infinity when exact)."""

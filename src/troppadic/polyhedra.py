@@ -429,30 +429,12 @@ class QPolyhedron:
         pts = list(self.vertices) + [vadd(base, r) for r in self.rays + self.lines]
         return len(_affine_pivots(pts)[0])
 
-    def contains(self, point) -> bool:
-        point = to_frac_point(point)
-        return all(vdot(u, point) <= a for u, a in self.ineqs)
-
     def intersection(self, other: "QPolyhedron") -> "QPolyhedron":
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
         return QPolyhedron.from_hrep(
             tuple(self.ineqs) + tuple(other.ineqs), ambient=self.ambient
         )
-
-    def is_subset_of(self, other: "QPolyhedron") -> bool:
-        return (
-            all(other.contains(v) for v in self.vertices)
-            and all(
-                all(vdot(u, r) <= 0 for u, a in other.ineqs) for r in self.rays
-            )
-            and all(
-                all(vdot(u, l) == 0 for u, a in other.ineqs) for l in self.lines
-            )
-        )
-
-    def same_set(self, other: "QPolyhedron") -> bool:
-        return self.is_subset_of(other) and other.is_subset_of(self)
 
     def key(self):
         return (self.vertices, self.rays, self.lines)

@@ -26,7 +26,15 @@ otherwise; ``_numerators`` makes that choice from the inputs.  A term dict
 ``h'`` integral.  The loop is written once for both rings, and the
 numerators are turned back into ``PadicScaled`` once, at the end, so exact
 results are the same rationals as in field arithmetic and nothing is
-truncated.
+truncated.  Division builds each exact ``Q`` and ``R`` coefficient as one
+``Fraction(n*num, den)``.  Composition finishes in integers too
+(``_finish_numerators``): a coefficient ``n/M`` with ``n = n_u*p^a`` and
+``M = M_u*p^b`` (``n_u``, ``M_u`` prime to p) has valuation ``a - b``
+whether or not the fraction is reduced, since a common factor adds the
+same power of p to both, and unit digits ``n_u*M_u^{-1}`` mod ``p^digits``.
+So its fold and its cut to the tail's error floor read both off the
+numerator, with one modular inverse of ``M_u`` per digit count, and a
+``Fraction`` is built only for a coefficient kept exact.
 
 Weierstrass division is a contraction in the (p, X')-filtration: with
 ``f = c*Y^d + E`` (c the unit coefficient of the regularity order), the
@@ -176,9 +184,9 @@ def _numerators(terms):
     return den, {k: r.numerator * (den // r.denominator) for k, r in rs}
 
 
-def _over(p, terms, scale):
-    """Integer numerators times a rational scale, as exact coefficients."""
-    return {k: PadicScaled.exact(p, n * scale) for k, n in terms.items()}
+def _over(p, terms, num, den):
+    """Integer numerators times num/den, as exact coefficients."""
+    return {k: PadicScaled.exact(p, F(n * num, den)) for k, n in terms.items()}
 
 
 def _fold(terms, cutoff):
@@ -437,6 +445,45 @@ def _with_tail_error(terms, floor):
     if floor is None:
         raise PrecisionExhausted("tail valuations are unbounded below on the unit polydisc")
     return {k: _with_error_floor(v, floor) for k, v in terms.items()}
+
+
+def _finish_numerators(p, nums, den, cutoff, floor):
+    """_fold and _with_tail_error of the exact coefficients n/den, read off
+    the integer numerators n (see the module docstring): (kept terms,
+    [(degree, valuation capped at the floor)] of the terms beyond the
+    cutoff).  The same values, order and exceptions as the two helpers."""
+    b = vp_int(den, p)
+    den_u = den // p**b
+    if floor is not INF:
+        top, low = math.ceil(floor), math.floor(floor)
+    inverses = {}  # digits -> (p^digits, den_u^-1 mod p^digits)
+    kept, folds = {}, []
+    for k, n in nums.items():
+        if not n:
+            continue
+        deg = sum(k)
+        if floor is INF and deg <= cutoff:
+            kept[k] = PadicScaled.exact(p, F(n, den))
+            continue
+        a = vp_int(n, p)
+        v = a - b
+        if deg > cutoff:
+            folds.append((deg, val_min(F(v), floor)))
+            continue
+        if v >= top:
+            raise PrecisionExhausted(
+                "value is indistinguishable from zero at the certified floor",
+                floor=floor,
+            )
+        digits = low - v
+        if digits < 1:
+            raise PrecisionExhausted("no certified digit", floor=floor)
+        if digits not in inverses:
+            mod = p**digits
+            inverses[digits] = mod, pow(den_u, -1, mod)
+        mod, inv = inverses[digits]
+        kept[k] = PadicScaled.approx(p, F(v), n // p**a * inv, digits)
+    return kept, folds
 
 
 def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
@@ -715,8 +762,8 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
                 )
 
     if c is not None:
-        scale = F(1, d_g * c**rounds)
-        q_cur, r_low = _over(p, q_cur, scale * d_f), _over(p, r_low, scale)
+        den = d_g * c**rounds
+        q_cur, r_low = _over(p, q_cur, d_f, den), _over(p, r_low, 1, den)
     dom = f._common_domain(g)
     q_series = RestrictedSeries(p, n, q_cur, tail=TailBound.empty(budget.degree), domain=dom)
     a_list = []
@@ -822,9 +869,9 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         # over M = D_a D_g^K, with K = k_max, summed in integers
         (d_a, weights), (d_g, gs) = lifted_a, lifted_g
         weights = {k: w * d_g ** (k_max - k) for k, w in weights.items()}
-        one, over_m = 1, F(1, d_a * d_g**k_max)
+        one, den = 1, d_a * d_g**k_max
     else:
-        gs, one, over_m = g.terms, PadicScaled.exact(p, 1), None
+        gs, one, den = g.terms, PadicScaled.exact(p, 1), None
     acc = {}
     power = {(0,) * g.nvars: one}
     full_degree = max(k_max * deg_g, budget.degree)
@@ -838,15 +885,16 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
             power = _dict_mul(power, gs, full_degree)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
-    if over_m is not None:
-        acc = _over(p, acc, over_m)
-    kept, folds = _fold(acc, budget.degree)
-    folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
+    if den is None:
+        kept, folds = _fold(acc, budget.degree)
+        folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
+        kept = _with_tail_error(kept, floor_beyond)
+    else:
+        kept, folds = _finish_numerators(p, acc, den, budget.degree, floor_beyond)
     pieces = []
     if floor_beyond is not INF and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = _merge_tail_pieces(budget.degree, pieces, folds)
-    kept = _with_tail_error(kept, floor_beyond)
     return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
 
 

@@ -1,6 +1,7 @@
 """Polyhedron queries that only the tests ask: null spaces, direction
-spaces, linear minima, support values and the face relation, as plain
-functions of a ``QPolyhedron``.  Used by tests only."""
+spaces, linear minima, support values, point and set containment and the
+face relation, as plain functions of a ``QPolyhedron``.  Used by tests
+only."""
 
 from fractions import Fraction
 
@@ -58,11 +59,31 @@ def support_value(poly, direction):
     return -m
 
 
+def contains(poly, point):
+    """True when the point satisfies every inequality of poly."""
+    point = to_frac_point(point)
+    return all(vdot(u, point) <= a for u, a in poly.ineqs)
+
+
+def is_subset_of(a, b):
+    """True when every vertex of a lies in b and its rays and lines stay in b."""
+    return (
+        all(contains(b, v) for v in a.vertices)
+        and all(all(vdot(u, r) <= 0 for u, _ in b.ineqs) for r in a.rays)
+        and all(all(vdot(u, l) == 0 for u, _ in b.ineqs) for l in a.lines)
+    )
+
+
+def same_set(a, b):
+    """True when a and b are the same point set."""
+    return is_subset_of(a, b) and is_subset_of(b, a)
+
+
 def is_face_of(face, poly):
     """True when face = poly cut by the inequalities tight on face."""
     if face.is_empty():
         return True
-    if not face.is_subset_of(poly):
+    if not is_subset_of(face, poly):
         return False
     tight = []
     for u, a in poly.ineqs:
@@ -74,4 +95,4 @@ def is_face_of(face, poly):
         tuple(poly.ineqs) + tuple((vscale(u, -1), -a) for u, a in tight),
         ambient=poly.ambient,
     )
-    return cut.same_set(face)
+    return same_set(cut, face)

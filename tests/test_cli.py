@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyhedra_helpers import same_set
 from troppadic.cli import build_parser, main
 from troppadic.errors import FormatError, TropPadicError
 from troppadic.formats import (
@@ -84,7 +85,7 @@ def test_polytope_roundtrip():
     doc = polytope_to_dict(p)
     jsonschema.validate(doc, schema("polytope.schema.json"))
     back = polytope_from_dict(doc)
-    assert back.same_set(p)
+    assert same_set(back, p)
 
 
 # --------------------------------------------------------------- trop

@@ -1,4 +1,6 @@
-"""Golden CLI outputs: the SHA-256 of every bundled command's output bytes.
+"""Golden outputs: the SHA-256 of every bundled command's output bytes, and
+of the JSON of series that no command prints (realized `Ep` terms and
+their derivatives, a Weierstrass division at a larger budget).
 
 The manifest `golden_sha256.json` records the hashes.  A change that is
 meant to keep every output the same keeps this test green; a change that
@@ -11,12 +13,16 @@ and says which entries moved and why.
 
 import hashlib
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from troppadic import terms
 from troppadic.cli import main
+from troppadic.formats import dump_json, series_to_dict
+from troppadic.series import Budget, RestrictedSeries, weierstrass_divide
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
 FIXTURES = Path(__file__).with_name("data")
@@ -78,6 +84,48 @@ def golden_commands():
     return cmds
 
 
+def golden_series():
+    """{name: () -> [RestrictedSeries]} for series no command prints: three
+    exact Ep terms (one with a rational argument) and their x-derivatives,
+    realized at Budget(16, 12), and one division at Budget(24, 20)."""
+    reg = terms.default_registry(5)
+    eps = {
+        text: terms.parse_term(text, registry=reg)
+        for text in ("Ep(3*x + 7*y)", "Ep(2*x^2 - 11*y*z)")
+    }
+    x, y = terms.Var(0), terms.Var(1)
+    rational = terms.Add((  # built by hand: the parser reads integer literals only
+        terms.Mul((terms.Const(Fraction(2, 3)), x)),
+        terms.Mul((terms.Const(Fraction(-1, 7)), y, y)),
+    ))
+    eps["Ep(2/3*x - 1/7*y^2)"] = terms.simplify(terms.App("Ep", (rational,))), ["x", "y"]
+    cases = {}
+    for text, (t, names) in eps.items():
+        ctx = terms.RealizeContext(5, len(names), Budget(16, 12), registry=reg)
+        dt = terms.derive_term(t, 0, 1, registry=reg)
+        cases[f"realize {text}"] = lambda t=t, ctx=ctx: [terms.realize(t, ctx)]
+        cases[f"realize d/dx {text}"] = lambda dt=dt, ctx=ctx: [terms.realize(dt, ctx)]
+
+    def divide():
+        f = RestrictedSeries(
+            5, 2, {(0, 2): 3, (0, 1): 10, (0, 0): -15, (1, 3): 7, (2, 1): -2, (2, 2): 4}
+        )
+        g = RestrictedSeries(
+            5, 2, {(i, j): (-1) ** i * (2 * i + 3 * j + 1) for i in range(5) for j in range(5 - i)}
+        )
+        q, rems = weierstrass_divide(f, g, Budget(24, 20))
+        return [q, *rems]
+
+    cases["weierstrass_divide Budget(24, 20)"] = divide
+    return cases
+
+
+def series_golden(build):
+    """{"json": SHA-256 of the JSON documents of the series build returns}."""
+    text = "".join(dump_json(series_to_dict(s)) for s in build())
+    return {"json": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def run_golden(argv, outputs, workdir: Path):
     """Run one command and return {output name: SHA-256 of its bytes}."""
     paths = {k: workdir / f"golden.{k}" for k in ("out", "svg")}
@@ -96,8 +144,13 @@ def test_golden_output(name, tmp_path):
     assert run_golden(argv, outputs, tmp_path) == _manifest()[name]
 
 
+@pytest.mark.parametrize("name", sorted(golden_series()))
+def test_golden_series(name):
+    assert series_golden(golden_series()[name]) == _manifest()[name]
+
+
 def test_manifest_lists_every_command():
-    assert sorted(_manifest()) == sorted(golden_commands())
+    assert sorted(_manifest()) == sorted([*golden_commands(), *golden_series()])
 
 
 if __name__ == "__main__":
@@ -108,4 +161,5 @@ if __name__ == "__main__":
             name: run_golden(argv, outputs, Path(tmp))
             for name, (argv, outputs) in sorted(golden_commands().items())
         }
+    doc.update((name, series_golden(build)) for name, build in golden_series().items())
     MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troppadic.errors import DivisionByZero, PrecisionExhausted
-from troppadic.padic import _ZERO, INF, PadicScaled, difference_floor, sum_floor, valuation
+from troppadic.formats import series_from_dict, series_to_dict
+from troppadic.padic import (
+    _ZERO,
+    INF,
+    PadicScaled,
+    difference_floor,
+    sum_floor,
+    valuation,
+    vp_fraction,
+)
+from troppadic.series import RestrictedSeries
 
 F = Fraction
 
@@ -235,6 +245,21 @@ def _assert_canonical(p, x, pair):
         assert (-x).is_zero()
     else:
         assert not x.is_zero()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(st.just(p), exact_operand(p))))
+def test_a_read_valuation_changes_no_value(operand):
+    """The valuation an exact value keeps once read leaves its equality,
+    hash, repr and JSON as they are on a twin whose valuation is unread."""
+    p, (x, (r, s)) = operand
+    twin = PadicScaled.exact(p, r, s)
+    v = x.valuation()
+    assert v == vp_fraction(r, p) + s and x.valuation() is v
+    assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+    doc = series_to_dict(RestrictedSeries(p, 1, {(1,): x}))
+    assert doc == series_to_dict(RestrictedSeries(p, 1, {(1,): twin}))
+    assert series_from_dict(doc) == RestrictedSeries(p, 1, {(1,): twin})
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

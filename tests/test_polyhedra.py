@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_cells import face_cell
-from polyhedra_helpers import is_face_of, null_space, support_value
+from polyhedra_helpers import contains, is_face_of, null_space, same_set, support_value
 from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
@@ -326,7 +326,7 @@ def test_hv_roundtrip_property(pts):
     """V -> H -> V: the hull's inequalities give back its vertices."""
     hull = convex_hull(pts)
     back = QPolyhedron.from_hrep(hull.ineqs, ambient=hull.ambient)
-    assert back.same_set(hull)
+    assert same_set(back, hull)
     assert back.vertices == hull.vertices
 
 
@@ -544,7 +544,7 @@ def test_lower_hull_faces_are_the_argmin_sets(items):
         face = frozenset(items.index(pair) for pair in f)
         witness, cell = face_cell(items, f)
         assert grid_argmin(items, witness) == face
-        assert cell.contains(witness)
+        assert contains(cell, witness)
         face_sets.add(face)
     grid = [F(a, 4) for a in range(-8, 9, 3)]
     for nu in product(grid, repeat=len(items[0][0])):

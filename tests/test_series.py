@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from troppadic import series, terms
 from troppadic.errors import (
@@ -147,10 +148,51 @@ def oracle_divide(f, g, budget):
     return nonzero, rems
 
 
+def _oracle_split_p(r, p):
+    """(v, num, den): r = (num/den)*p^v with num and den prime to p, for a
+    nonzero Fraction r."""
+    v, num, den = 0, r.numerator, r.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v, num, den
+
+
+def oracle_finish(p, acc, cutoff, floor):
+    """(kept, folds): the nonzero terms of degree <= cutoff, each cut to
+    the error floor the base tail leaves, and the (degree, valuation capped
+    at the floor) of the nonzero terms beyond the cutoff.  Valuations and
+    unit digits of exact coefficients come from their Fractions."""
+    kept, folds = {}, []
+    for k, c in acc.items():
+        if c.is_zero():
+            continue
+        if c.is_exact:
+            v, num, den = _oracle_split_p(c.rational_value(), p)
+        else:
+            v = c.valuation()
+        if sum(k) > cutoff:
+            folds.append((sum(k), min(F(v), floor)))
+        elif floor is INF:
+            kept[k] = c
+        elif v >= floor:
+            raise PrecisionExhausted(
+                "value is indistinguishable from zero at the certified floor", floor=floor
+            )
+        elif math.floor(floor - v) < 1:
+            raise PrecisionExhausted("no certified digit", floor=floor)
+        else:
+            digits = math.floor(floor - v)
+            unit = num * pow(den, -1, p**digits) if c.is_exact else c.unit_digits(digits)
+            kept[k] = PadicScaled.approx(p, v, unit, digits)
+    return kept, folds
+
+
 def oracle_compose(base, g, budget):
     """The reference for compose_univariate: its power loop in PadicScaled
-    arithmetic on every input, exact or not.  The tail bookkeeping after
-    the loop is the library's."""
+    arithmetic on every input, exact or not, and its fold and floor cut in
+    oracle_finish.  The tail line merge is the library's."""
     if base.nvars != 1:
         raise ValueError("base must be univariate")
     if not g.tail.is_empty:
@@ -177,22 +219,20 @@ def oracle_compose(base, g, budget):
             power = _oracle_mul(power, g.terms, max(k_max * deg_g, budget.degree))
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
-    kept, folds = series._fold(acc, budget.degree)
-    folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
+    kept, folds = oracle_finish(p, acc, budget.degree, floor_beyond)
     pieces = []
     if floor_beyond is not INF and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = series._merge_tail_pieces(budget.degree, pieces, folds)
-    kept = series._with_tail_error(kept, floor_beyond)
     return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
 
 
 def outcome(fn, *args):
-    """fn(*args), or the type and message of the exception it raises."""
+    """fn(*args), or the type, message and floor of the exception it raises."""
     try:
         return fn(*args)
     except (BudgetExceeded, DomainViolation, PrecisionExhausted, NotRegular, ValueError) as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "floor", None)
 
 
 def same_series(a, b):
@@ -611,8 +651,26 @@ def compositions(draw):
     return base, RestrictedSeries(p, n, gterms), budget
 
 
+EP_BUDGET = Budget(16, 12)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(compositions())
+# Ep(5*y) and Ep(x*x+5*y): both raise PrecisionExhausted at this budget
+@example((terms._exp_p_build(5, EP_BUDGET), poly(5, 1, {(1,): 5}), EP_BUDGET))
+@example((terms._exp_p_build(5, EP_BUDGET), poly(5, 2, {(2, 0): 1, (0, 1): 5}), EP_BUDGET))
+# an empty base tail: exact coefficients, the terms beyond degree 2 folded
+@example((
+    poly(5, 1, {(0,): F(1, 3), (1,): 2, (2,): F(-5, 7), (3,): 1}),
+    poly(5, 2, {(1, 0): F(1, 2), (0, 1): 5}),
+    Budget(8, 2),
+))
+# the floor 3/2 leaves one digit at valuation 0 and none at valuation 1
+@example((
+    RestrictedSeries(5, 1, {(0,): 1, (1,): 5}, tail=TailBound(1, F(1, 2), F(1, 2))),
+    poly(5, 1, {(1,): 1}),
+    Budget(1, 4),
+))
 def test_composition_matches_the_padicscaled_oracle(inputs):
     base, g, budget = inputs
     if not all(c.is_exact for c in base.terms.values()):
@@ -652,6 +710,20 @@ def test_ep_realization_matches_the_padicscaled_oracle(template, abc, den, order
     got = outcome(terms.realize, t, ctx)
     with mock.patch.object(terms, "compose_univariate", oracle_compose):
         assert same_series(got, outcome(terms.realize, t, ctx))
+
+
+def test_exact_ep_terms_finish_in_integers():
+    """Exact Ep terms never reach the PadicScaled finish: with it made to
+    raise, they realize to the same series as before."""
+    reg = terms.default_registry(5)
+    for text in ("Ep(3*x + 7*y)", "x*Ep(2*x^2 - 11*y*z)"):
+        t, names = terms.parse_term(text, registry=reg)
+        ctx = terms.RealizeContext(5, len(names), EP_BUDGET, registry=reg)
+        todo = [t, terms.derive_term(t, 0, 1, registry=reg)]
+        want = [terms.realize(u, ctx) for u in todo]
+        with mock.patch.object(series, "_with_tail_error", side_effect=AssertionError):
+            got = [terms.realize(u, ctx) for u in todo]
+        assert all(same_series(a, b) for a, b in zip(got, want))
 
 
 def scale_arguments(t, r):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_cells import face_cell
-from polyhedra_helpers import direction_space, is_face_of
+from polyhedra_helpers import contains, direction_space, is_face_of, same_set
 from troppadic.errors import PrecisionExhausted, ZeroSeries
 from troppadic.polyhedra import QPolyhedron, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
@@ -41,7 +41,7 @@ def exps_of(vert):
 
 def on_complex(data, point):
     """Whether some cell of the complex holds the point."""
-    return any(c.cell.contains(point) for c in data.cells)
+    return any(contains(c.cell, point) for c in data.cells)
 
 
 # --------------------------------------------------------------- vert sets
@@ -251,8 +251,8 @@ def test_cells_read_off_the_lifted_hull_are_face_cells(shape_and_series):
         if not cell.lines:
             assert fields(c.witness, c.cell) == fields(witness, cell)
             continue
-        assert c.cell.same_set(cell) and c.cell.ineqs == cell.ineqs
-        assert vert_nu(f, c.witness) == c.vert and c.cell.contains(c.witness)
+        assert same_set(c.cell, cell) and c.cell.ineqs == cell.ineqs
+        assert vert_nu(f, c.witness) == c.vert and contains(c.cell, c.witness)
         assert is_canonical(c.cell)
     assert len({c.cell.lines for c in data.cells}) <= 1
     if all(r is None for r in f.domain):
@@ -381,7 +381,7 @@ def test_components_match_the_brute_force_oracle(fs):
         for p in c:
             # each piece keeps one cell of every complex, and lies in it
             assert all(cell in d.cells for cell, d in zip(p.cells, datas))
-            assert all(cell.cell.contains(v) for cell in p.cells for v in p.cell.vertices)
+            assert all(contains(cell.cell, v) for cell in p.cells for v in p.cell.vertices)
     assert [c[-1].cell.key() for c in comps] == sorted(c[-1].cell.key() for c in comps)
 
 
@@ -412,10 +412,8 @@ def test_duality_on_random_series():
         # face reversal over all cell pairs
         for i, ci in enumerate(data.cells):
             for j, cj in enumerate(data.cells):
-                left = is_face_of(ci.cell, cj.cell) and not ci.cell.same_set(cj.cell)
-                right = is_face_of(newton[j], newton[i]) and not newton[j].same_set(
-                    newton[i]
-                )
+                left = is_face_of(ci.cell, cj.cell) and not same_set(ci.cell, cj.cell)
+                right = is_face_of(newton[j], newton[i]) and not same_set(newton[j], newton[i])
                 if ci.vert > cj.vert:
                     assert left and right
 
@@ -512,7 +510,7 @@ def test_clipped_complex_is_the_tropicalization_over_the_domain(terms, domain, t
             assert inside
             # nu lies in the relative interior of its lowest cell, and the
             # cell's tail certificate lets vert_nu certify there
-            lowest = min((c for c in data.cells if c.cell.contains(nu)), key=TropCell.dim)
+            lowest = min((c for c in data.cells if contains(c.cell, nu)), key=TropCell.dim)
             assert lowest.vert == vert_nu(f, nu)
             assert len(lowest.vert) >= 2
         elif tail is None:
