@@ -7,13 +7,11 @@ primitive integer rays and lines.
 
 One engine does the polyhedral work: an integer double-description cone
 method.  H-to-V conversion, emptiness and intersections run it on the
-homogenized inequalities; hulls in dimension 3 and up read their facets
-off the rays of the polar cone, and each facet's tight set off the bit
-mask of the rows its ray is tight on, which the engine keeps exact: the
-points are the first rows.  Only the line and the plane keep direct
-code (min/max, monotone chain), which is faster there.  Everything is
-deterministic: canonical primitive normals, lexicographic sorting, no
-randomization anywhere.
+homogenized inequalities; a hull in every dimension reads its facets off
+the rays of the polar cone, and each facet's tight set off the bit mask
+of the rows its ray is tight on, which the engine keeps exact: the
+points are the first rows.  Everything is deterministic: canonical
+primitive normals, lexicographic sorting, no randomization anywhere.
 
 Faces come from one facet list: every face of a polytope is the set of
 its points on some of its facets, so the facets of a face are its
@@ -142,51 +140,6 @@ def _affine_pivots(points):
 # hulls: facet enumeration for full-rank point sets
 
 
-def _hull2d_cycle(pts):
-    """Indices of hull vertices in CCW order (monotone chain)."""
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
-
-    def cross(o, a, b):
-        return (pts[a][0] - pts[o][0]) * (pts[b][1] - pts[o][1]) - (
-            pts[a][1] - pts[o][1]
-        ) * (pts[b][0] - pts[o][0])
-
-    lower = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
-
-
-def _facets_1d(pts):
-    vals = [p[0] for p in pts]
-    lo, hi = min(vals), max(vals)
-    return [
-        ((-1,), -lo, [i for i, v in enumerate(vals) if v == lo]),
-        ((1,), hi, [i for i, v in enumerate(vals) if v == hi]),
-    ]
-
-
-def _facets_2d(pts):
-    cyc = _hull2d_cycle(pts)
-    facets = []
-    m = len(cyc)
-    for k in range(m):
-        a, b = pts[cyc[k]], pts[cyc[(k + 1) % m]]
-        d = vsub(b, a)
-        normal = primitive((d[1], -d[0]))  # outward for a CCW cycle
-        off = vdot(normal, a)
-        tight = [i for i, q in enumerate(pts) if vdot(normal, q) == off]
-        facets.append((normal, off, tight))
-    return facets
-
-
 def _int_scaled(pts):
     """Clear denominators globally; plane normals and tight sets are
     invariant under the scaling, and integer arithmetic is much faster."""
@@ -200,26 +153,17 @@ def _int_scaled(pts):
     return [tuple(int(x * den) for x in q) for q in pts], den
 
 
-def _facets_polar(pts):
-    """Facets of conv(pts), full-rank integer points: each ray (c0, c) of
-    the polar cone {(c0, c) : c0 + <c, q> >= 0} is the facet <-c, x> <= c0,
-    tight on the points its mask holds."""
-    _, rays = _polar_cone(pts)
-    return sorted((tuple(-x for x in c[1:]), c[0], _bits(m)) for c, m in rays)
-
-
 def _facets_fullrank(pts):
-    d = len(pts[0])
+    """Facets of conv(pts), full-rank points, as (normal, offset, tight)
+    sorted: each ray (c0, c) of the polar cone {(c0, c) : c0 + <c, q> >= 0}
+    of the points scaled to integers is the facet <-c, x> <= c0, tight on
+    the points its mask holds.  The normal is primitive: c0 = -<c, q> on a
+    tight integer point q, so gcd(c) divides c0."""
     scaled, den = _int_scaled(pts)
-    if d == 1:
-        out = _facets_1d(scaled)
-    elif d == 2:
-        out = _facets_2d(scaled)
-    else:
-        out = _facets_polar(scaled)
-    if den == 1:
-        return out
-    return [(n, F(off, den), t) for n, off, t in out]
+    _, rays = _polar_cone(scaled)
+    return sorted(
+        (tuple(-x for x in c[1:]), F(c[0], den), _bits(m)) for c, m in rays
+    )
 
 
 def _subfaces(face, facet_sets):
@@ -460,30 +404,30 @@ def _normalized(u, a):
 
 
 def _hull_of_points(points, ambient):
+    """Each facet of the points in the coordinates that span their affine
+    hull, lifted by placing its primitive normal at those columns, plus the
+    equality pairs of the kernel."""
     pivots, reduced, d = _affine_pivots(points)
     ineqs = []
-    if len(pivots) < ambient:
-        for w in _kernel(pivots, reduced, d, ambient):
-            c = vdot(w, points[0])
-            ineqs.append((w, c))
-            ineqs.append((tuple(-x for x in w), -c))
+    for w in _kernel(pivots, reduced, d, ambient):
+        c = vdot(w, points[0])
+        ineqs.append((w, c))
+        ineqs.append((tuple(-x for x in w), -c))
     if not pivots:
         return QPolyhedron(ambient, tuple(ineqs), (points[0],), (), ())
     proj = [tuple(q[c] for c in pivots) for q in points]
     # the smallest face through a point is the meet of the facets through
     # it; the point is a vertex exactly when that face holds it alone
     meet = [None] * len(points)
-    for n, _, tight in _facets_fullrank(proj):
-        # lift the projected inequality back to ambient coordinates
-        u = [F(0)] * ambient
+    for n, off, tight in _facets_fullrank(proj):
+        u = [0] * ambient
         for c, x in zip(pivots, n):
-            u[c] = F(x)
-        ineqs.append((tuple(u), vdot(u, points[tight[0]])))
+            u[c] = x
+        ineqs.append((tuple(u), off))
         tight_set = set(tight)
         for i in tight:
             meet[i] = tight_set if meet[i] is None else meet[i] & tight_set
     verts = [q for i, q in enumerate(points) if meet[i] == {i}]
-    ineqs = [_normalized(u, a) for u, a in ineqs]
     return QPolyhedron(ambient, tuple(sorted(ineqs)), tuple(sorted(verts)), (), ())
 
 

@@ -450,8 +450,8 @@ def _with_tail_error(terms, floor):
 def _finish_numerators(p, nums, den, cutoff, floor):
     """_fold and _with_tail_error of the exact coefficients n/den, read off
     the integer numerators n (see the module docstring): (kept terms,
-    [(degree, valuation capped at the floor)] of the terms beyond the
-    cutoff).  The same values, order and exceptions as the two helpers."""
+    [(degree, valuation)] of the terms beyond the cutoff).  The same
+    values, order and exceptions as the two helpers."""
     b = vp_int(den, p)
     den_u = den // p**b
     if floor is not INF:
@@ -468,7 +468,7 @@ def _finish_numerators(p, nums, den, cutoff, floor):
         a = vp_int(n, p)
         v = a - b
         if deg > cutoff:
-            folds.append((deg, val_min(F(v), floor)))
+            folds.append((deg, F(v)))
             continue
         if v >= top:
             raise PrecisionExhausted(
@@ -860,6 +860,8 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         c_b, b_b = base.tail.slope, base.tail.offset
         k_max = base.tail.cutoff
         while c_b * (k_max + 1) + b_b < budget.prec:
+            if c_b <= 0:  # the floor never rises with k_max
+                raise BudgetExceeded("base tail slope too small to certify the precision")
             k_max += 1
         floor_beyond = c_b * (k_max + 1) + b_b
     weights = {k: base.coeff((k,)) for k in range(k_max + 1)}
@@ -887,10 +889,13 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
                 raise BudgetExceeded("composition expansion too large for the budget")
     if den is None:
         kept, folds = _fold(acc, budget.degree)
-        folds = [(deg, val_min(v, floor_beyond)) for deg, v in folds]
         kept = _with_tail_error(kept, floor_beyond)
     else:
         kept, folds = _finish_numerators(p, acc, den, budget.degree, floor_beyond)
+    # a_k g^k for k > k_max has valuation >= (c_b + v(g))k + b_b at each
+    # degree j <= k deg_g, and c_b + v(g) > 0 on the base domain: so the
+    # piece (c_b/deg_g, b_b) bounds every unexpanded term, and a folded
+    # valuation needs no cap at the floor
     pieces = []
     if floor_beyond is not INF and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))

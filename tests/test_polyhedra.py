@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ from troppadic.polyhedra import (
     QPolyhedron,
     _affine_pivots,
     _facets_fullrank,
+    _normalized,
     convex_hull,
     eliminate,
     lower_cells,
@@ -249,7 +251,7 @@ def test_hull_degenerate_coplanar_3d():
 
 
 @PROPERTY
-@given(st.integers(3, 4).flatmap(lambda d: point_sets(d, -3, 3, d + 1, 10)))
+@given(st.integers(1, 4).flatmap(lambda d: point_sets(d, -3, 3, d + 1, 10)))
 def test_facets_match_brute_force_oracle(pts):
     d = len(pts[0])
     assume(matrix_rank([vsub(q, pts[0]) for q in pts[1:]]) == d)
@@ -321,13 +323,32 @@ def test_eliminate_matches_fraction_oracles(case):
 
 
 @PROPERTY
-@given(st.integers(2, 4).flatmap(lambda d: point_sets(d, -6, 6, 1, 12)))
+@given(st.one_of(
+    st.integers(1, 4).flatmap(lambda d: point_sets(d, -6, 6, 1, 12)), affine_point_sets()
+))
 def test_hv_roundtrip_property(pts):
-    """V -> H -> V: the hull's inequalities give back its vertices."""
+    """V -> H -> V: the hull's inequalities give back its vertices, and
+    every row is already normalized: a primitive int normal and a
+    Fraction offset."""
     hull = convex_hull(pts)
+    for u, a in hull.ineqs:
+        assert all(type(x) is int for x in u) and type(a) is Fraction
+        assert _normalized(u, a) == (u, a)
     back = QPolyhedron.from_hrep(hull.ineqs, ambient=hull.ambient)
     assert same_set(back, hull)
     assert back.vertices == hull.vertices
+
+
+@PROPERTY
+@given(affine_point_sets())
+def test_hull_runs_one_double_description_in_every_dimension(pts):
+    """One facet routine for every point hull: a hull of two or more
+    distinct points, on a line, a plane or of full rank, runs the double
+    description once."""
+    assume(len(set(pts)) >= 2)
+    with mock.patch.object(polyhedra, "_dd_masks", wraps=polyhedra._dd_masks) as dd:
+        convex_hull(pts)
+    assert dd.call_count == 1
 
 
 # --------------------------------------------------------------- double description

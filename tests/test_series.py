@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import add
 from unittest import mock
@@ -206,6 +209,8 @@ def oracle_compose(base, g, budget):
     k_max, floor_beyond = base.tail.cutoff, INF
     if not base.tail.is_empty:
         while base.tail.slope * (k_max + 1) + base.tail.offset < budget.prec:
+            if base.tail.slope <= 0:
+                raise BudgetExceeded("base tail slope too small to certify the precision")
             k_max += 1
         floor_beyond = base.tail.slope * (k_max + 1) + base.tail.offset
     acc = {}
@@ -677,6 +682,31 @@ def test_composition_matches_the_padicscaled_oracle(inputs):
         assert series._numerators(base.terms) is None  # the PadicScaled ring
     got = outcome(compose_univariate, base, g, budget)
     assert same_series(got, outcome(oracle_compose, base, g, budget))
+
+
+def test_compose_with_a_falling_floor_raises_at_once():
+    """A base tail of slope <= 0 whose floor is below the precision at the
+    cutoff never certifies it: composition raises instead of widening its
+    partial sum forever.  Run in a subprocess, so a hang fails the test."""
+    code = (
+        "from fractions import Fraction as F\n"
+        "from troppadic.errors import BudgetExceeded\n"
+        "from troppadic.series import Budget, RestrictedSeries, TailBound, compose_univariate\n"
+        "base = RestrictedSeries(5, 1, {(0,): 1}, tail=TailBound(0, F(-1, 2), F(0)), domain=(1,))\n"
+        "g = RestrictedSeries(5, 1, {(1,): 5}, domain=(1,))\n"
+        "try:\n"
+        "    compose_univariate(base, g, Budget(4, 4))\n"
+        "except BudgetExceeded:\n"
+        "    print('BudgetExceeded')\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(series.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "BudgetExceeded\n"
 
 
 EP_TERMS = [
