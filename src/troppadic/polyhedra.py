@@ -17,8 +17,11 @@ Faces come from one facet list: every face of a polytope is the set of
 its points on some of its facets, so the facets of a face are its
 largest proper intersections with the facet tight sets.  ``lower_hull``
 hulls the lift plus an upward ray once and walks the faces by these
-intersections, ``volume`` walks them off the polytope's own
-inequalities, and ``mixed_volume`` hulls each subset sum once.
+intersections.  A point hull works on its points scaled to integers and
+keeps them: its integer vertices, their denominator, its facet tight sets
+read off the masks and its affine dimension.  ``volume`` walks the faces
+by those tight sets, ``minkowski_sum`` sums the integer vertices, and
+``mixed_volume`` hulls each subset sum once.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
@@ -39,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -141,8 +144,10 @@ def _affine_pivots(points):
 
 
 def _int_scaled(pts):
-    """Clear denominators globally; plane normals and tight sets are
+    """Clear denominators globally (an entry that is neither an int nor a
+    Fraction is read as a Fraction first); plane normals and tight sets are
     invariant under the scaling, and integer arithmetic is much faster."""
+    pts = [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in pts]
     den = 1
     for q in pts:
         for x in q:
@@ -153,14 +158,16 @@ def _int_scaled(pts):
     return [tuple(int(x * den) for x in q) for q in pts], den
 
 
-def _facets_fullrank(pts):
+def _facets_fullrank(pts, den=None):
     """Facets of conv(pts), full-rank points, as (normal, offset, tight)
     sorted: each ray (c0, c) of the polar cone {(c0, c) : c0 + <c, q> >= 0}
     of the points scaled to integers is the facet <-c, x> <= c0, tight on
     the points its mask holds.  The normal is primitive: c0 = -<c, q> on a
-    tight integer point q, so gcd(c) divides c0."""
-    scaled, den = _int_scaled(pts)
-    _, rays = _polar_cone(scaled)
+    tight integer point q, so gcd(c) divides c0.  Given den, the points are
+    integers already and stand for pts / den."""
+    if den is None:
+        pts, den = _int_scaled(pts)
+    _, rays = _polar_cone(pts)
     return sorted(
         (tuple(-x for x in c[1:]), F(c[0], den), _bits(m)) for c, m in rays
     )
@@ -329,6 +336,9 @@ class QPolyhedron:
     vertices: tuple
     rays: tuple
     lines: tuple
+    # a point hull's (integer vertices in vertices order, their common
+    # denominator, facet tight sets as vertex indices, affine dimension)
+    _kept: tuple = field(default=None, compare=False, repr=False)
 
     # -- constructors --
 
@@ -350,12 +360,16 @@ class QPolyhedron:
 
     @staticmethod
     def from_points(points, rays=(), lines=()) -> "QPolyhedron":
-        points = list(dict.fromkeys(to_frac_point(p) for p in points))
+        points = list(points)
         if not points:
             raise ValueError("need at least one point")
         ambient = len(points[0])
+        if any(len(v) != ambient for v in (*points, *rays, *lines)):
+            raise ValueError("points, rays and lines must have one length")
         if not rays and not lines:
-            return _hull_of_points(points, ambient)
+            pts, den = _int_scaled(points)
+            return _hull_of_points(list(dict.fromkeys(pts)), den, ambient)
+        points = list(dict.fromkeys(map(to_frac_point, points)))
         return _hull_with_rays(points, rays, lines, ambient)
 
     # -- queries --
@@ -367,6 +381,8 @@ class QPolyhedron:
         return not self.rays and not self.lines
 
     def affine_dim(self) -> int:
+        if self._kept:
+            return self._kept[3]
         if self.is_empty():
             return -1
         base = self.vertices[0]
@@ -403,23 +419,23 @@ def _normalized(u, a):
     return pu, F(a) * pu[nz] / F(u[nz])
 
 
-def _hull_of_points(points, ambient):
-    """Each facet of the points in the coordinates that span their affine
-    hull, lifted by placing its primitive normal at those columns, plus the
-    equality pairs of the kernel."""
-    pivots, reduced, d = _affine_pivots(points)
+def _hull_of_points(pts, den, ambient):
+    """The hull of the distinct integer points pts / den: each facet of the
+    points in the coordinates that span their affine hull, lifted by
+    placing its primitive normal at those columns, plus the equality pairs
+    of the kernel.  It keeps its integer data (``QPolyhedron._kept``)."""
+    pivots, reduced, d = eliminate([vsub(q, pts[0]) for q in pts[1:]])
     ineqs = []
     for w in _kernel(pivots, reduced, d, ambient):
-        c = vdot(w, points[0])
-        ineqs.append((w, c))
-        ineqs.append((tuple(-x for x in w), -c))
-    if not pivots:
-        return QPolyhedron(ambient, tuple(ineqs), (points[0],), (), ())
-    proj = [tuple(q[c] for c in pivots) for q in points]
+        c = vdot(w, pts[0])
+        ineqs.append((w, F(c, den)))
+        ineqs.append((tuple(-x for x in w), F(-c, den)))
+    facets = _facets_fullrank([tuple(q[c] for c in pivots) for q in pts], den) if pivots else []
     # the smallest face through a point is the meet of the facets through
-    # it; the point is a vertex exactly when that face holds it alone
-    meet = [None] * len(points)
-    for n, off, tight in _facets_fullrank(proj):
+    # it; the point is a vertex exactly when that face holds it alone (a
+    # single point has no facet)
+    meet = [None] * len(pts)
+    for n, off, tight in facets:
         u = [0] * ambient
         for c, x in zip(pivots, n):
             u[c] = x
@@ -427,8 +443,13 @@ def _hull_of_points(points, ambient):
         tight_set = set(tight)
         for i in tight:
             meet[i] = tight_set if meet[i] is None else meet[i] & tight_set
-    verts = [q for i, q in enumerate(points) if meet[i] == {i}]
-    return QPolyhedron(ambient, tuple(sorted(ineqs)), tuple(sorted(verts)), (), ())
+    order = sorted((i for i, m in enumerate(meet) if m == {i}), key=pts.__getitem__) or [0]
+    index = {i: k for k, i in enumerate(order)}
+    tights = tuple(frozenset(index[i] for i in t if i in index) for _, _, t in facets)
+    verts = tuple(pts[i] for i in order)
+    vertices = tuple(tuple(F(x, den) for x in q) for q in verts)
+    kept = (verts, den, tights, len(pivots))
+    return QPolyhedron(ambient, tuple(sorted(ineqs)), vertices, (), (), kept)
 
 
 def _hull_with_rays(points, rays, lines, ambient):
@@ -626,23 +647,19 @@ def lower_cells(lifted, clip=()):
 
 
 def volume(poly: QPolyhedron) -> Fraction:
-    """Exact Euclidean volume; 0 for lower-dimensional input."""
+    """Exact Euclidean volume; 0 for lower-dimensional input.
+
+    Reads the integer vertices, facet tight sets and affine dimension that
+    a point hull keeps; a polytope built another way hulls its vertices
+    for them."""
     if not poly.is_bounded():
         raise Unbounded("volume needs a bounded polyhedron")
     if poly.is_empty():
         return F(0)
     n = poly.ambient
-    pts, den = _int_scaled(poly.vertices)
-    if len(_affine_pivots(pts)[0]) < n:
+    pts, den, facet_sets, dim = poly._kept or QPolyhedron.from_points(poly.vertices)._kept
+    if dim < n:
         return F(0)
-    # a full-dimensional polytope's inequalities include every facet; the
-    # tight sets of the others are smaller faces, which _subfaces drops
-    facet_sets = []
-    for u, a in poly.ineqs:
-        a *= den
-        if a.denominator == 1:  # else no scaled (integer) vertex is tight
-            a = a.numerator
-            facet_sets.append(frozenset(i for i, q in enumerate(pts) if vdot(u, q) == a))
 
     def pulled(face):
         # simplices covering the face: its first index coned over the
@@ -661,9 +678,13 @@ def volume(poly: QPolyhedron) -> Fraction:
 
 
 def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
-    """Pairwise vertex sums, then the hull; rays and lines accumulate."""
+    """Pairwise vertex sums, then the hull; rays and lines accumulate.  Two
+    point hulls over one denominator sum their integer vertices."""
     if p.ambient != q.ambient:
         raise ValueError("ambient dimension mismatch")
+    if p._kept and q._kept and p._kept[1] == q._kept[1]:
+        pts = dict.fromkeys(vadd(v, w) for v in p._kept[0] for w in q._kept[0])
+        return _hull_of_points(list(pts), p._kept[1], p.ambient)
     pts = [vadd(v, w) for v in p.vertices for w in q.vertices]
     rays = tuple(sorted(set(p.rays) | set(q.rays)))
     lines = tuple(sorted(set(p.lines) | set(q.lines)))
@@ -677,6 +698,8 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
     Each subset sum is one Minkowski sum: the sum of its prefix and its last
     polytope.  ``normalized`` mode divides by n!.
     """
+    if normalization not in ("coefficient", "normalized"):
+        raise ValueError("normalization must be 'coefficient' or 'normalized'")
     n = len(polys)
     for p in polys:
         if p.ambient != n:
@@ -690,9 +713,5 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
             if k > 1:
                 sums[combo] = minkowski_sum(sums[combo[:-1]], polys[combo[-1]])
             total += (-1) ** (n - k) * volume(sums[combo])
-    if normalization == "normalized":
-        return total / math.factorial(n)
-    if normalization != "coefficient":
-        raise ValueError("normalization must be 'coefficient' or 'normalized'")
-    return total
+    return total / math.factorial(n) if normalization == "normalized" else total
 

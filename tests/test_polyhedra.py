@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -233,6 +234,19 @@ def test_hull_collinear_is_segment():
     p = convex_hull([(0, 0, 0), (1, 1, 1), (3, 3, 3), (2, 2, 2)])
     assert p.affine_dim() == 1
     assert sorted(p.vertices) == [(0, 0, 0), (3, 3, 3)]
+
+
+def test_hull_rejects_points_of_different_lengths():
+    with pytest.raises(ValueError):
+        QPolyhedron.from_points([(0, 0), (1, 0, 5), (0, 1)])
+    with pytest.raises(ValueError):
+        QPolyhedron.from_points([(0, 0), (1, 0)], rays=[(1, 0, 0)])
+
+
+def test_hull_reads_other_numbers_as_fractions():
+    p = convex_hull([(0.5, 0), (0, 1), ("1/3", 1), (0, 0)])
+    assert p == convex_hull([(F(1, 2), 0), (0, 1), (F(1, 3), 1), (0, 0)])
+    assert p.vertices == ((0, 0), (0, 1), (F(1, 3), 1), (F(1, 2), 0))
 
 
 def test_hull_3d_matches_brute_force_oracle():
@@ -683,6 +697,74 @@ def test_volume_reads_facets_among_extra_rows(pts, den, picks):
     assert volume(poly) == volume(hull) == signed_simplex_volume(hull)
 
 
+def scaled_point_sets():
+    """(points, den): integer points in dimension 1-4 divided by den, kept
+    as ints when den is 1 and as Fractions otherwise."""
+    def over(pts, den):
+        return [tuple(F(x, den) if den > 1 else x for x in q) for q in pts]
+
+    return st.builds(
+        lambda pts, den: (over(pts, den), den),
+        st.integers(1, 4).flatmap(lambda d: point_sets(d, -4, 4, 1, 9)),
+        st.integers(1, 3),
+    )
+
+
+@PROPERTY
+@given(scaled_point_sets())
+def test_volume_of_kept_data_matches_rebuilt_and_oracle(case):
+    """A point hull's kept integer data gives the volume that a polytope
+    without it (the same inequalities through from_hrep) gets, and the
+    independent oracle's."""
+    pts, _ = case
+    hull = convex_hull(pts)
+    back = QPolyhedron.from_hrep(hull.ineqs, ambient=hull.ambient)
+    assert back._kept is None
+    assert volume(hull) == volume(back) == signed_simplex_volume(hull)
+
+
+@PROPERTY
+@given(scaled_point_sets(), st.data())
+def test_integer_minkowski_sum_matches_fraction_sums(case, data):
+    """Two point hulls over one denominator sum their integer vertices, and
+    others hull the Fraction vertex sums; both give the hull of the
+    Fraction vertex sums."""
+    pts, den = case
+    d = len(pts[0])
+    other = [tuple(F(x, den) for x in q) for q in data.draw(point_sets(d, -4, 4, 1, 9))]
+    p, q = convex_hull(pts), convex_hull(other)
+    with mock.patch.object(polyhedra, "_int_scaled", wraps=polyhedra._int_scaled) as scaled:
+        s = minkowski_sum(p, q)
+    assert scaled.call_count == (p._kept[1] != q._kept[1])
+    want = QPolyhedron.from_points([vadd(v, w) for v in p.vertices for w in q.vertices])
+    assert s == want
+    assert s.key() == want.key() and repr(s) == repr(want) and s.ineqs == want.ineqs
+    assert volume(s) == volume(want)
+
+
+@PROPERTY
+@given(scaled_point_sets())
+def test_kept_data_is_not_compared(case):
+    hull = convex_hull(case[0])
+    bare = dataclasses.replace(hull, _kept=None)
+    assert bare._kept is None and hull._kept is not None
+    assert bare == hull and hash(bare) == hash(hull)
+    assert bare.key() == hull.key() and repr(bare) == repr(hull)
+    assert bare.affine_dim() == hull.affine_dim()
+
+
+def test_volume_of_a_point_hull_rebuilds_nothing():
+    rng = random.Random(808)
+    for n in (1, 2, 3, 4):
+        hull = convex_hull(rand_points(rng, n, n + 4))
+        with (
+            mock.patch.object(polyhedra, "_affine_pivots", wraps=polyhedra._affine_pivots) as piv,
+            mock.patch.object(polyhedra, "_facets_fullrank", wraps=polyhedra._facets_fullrank) as fac,
+        ):
+            assert volume(hull) == signed_simplex_volume(hull)
+        assert piv.call_count == fac.call_count == 0
+
+
 def test_volume_unbounded_raises():
     ray = QPolyhedron.from_hrep([((-1, 0), F(0)), ((0, -1), F(0)), ((0, 1), F(1))])
     with pytest.raises(Unbounded):
@@ -764,6 +846,17 @@ def test_mixed_volume_hulls_each_subset_sum_once(monkeypatch, n):
     monkeypatch.setattr(polyhedra, "_facets_fullrank", no_facets)
     for p in polys:
         volume(p)
+
+
+def test_mixed_volume_checks_the_normalization_first(monkeypatch):
+    calls = []
+    inner = polyhedra.minkowski_sum
+    monkeypatch.setattr(polyhedra, "minkowski_sum", lambda p, q: calls.append(1) or inner(p, q))
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="normalization"):
+        mixed_volume([square, square], "bogus")
+    assert calls == []
+    assert mixed_volume([square, square]) == 2 and calls == [1]
 
 
 def test_mixed_volume_symmetry():
