@@ -144,10 +144,8 @@ def _affine_pivots(points):
 
 
 def _int_scaled(pts):
-    """Clear denominators globally (an entry that is neither an int nor a
-    Fraction is read as a Fraction first); plane normals and tight sets are
+    """Clear denominators globally; plane normals and tight sets are
     invariant under the scaling, and integer arithmetic is much faster."""
-    pts = [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in pts]
     den = 1
     for q in pts:
         for x in q:
@@ -158,15 +156,13 @@ def _int_scaled(pts):
     return [tuple(int(x * den) for x in q) for q in pts], den
 
 
-def _facets_fullrank(pts, den=None):
-    """Facets of conv(pts), full-rank points, as (normal, offset, tight)
-    sorted: each ray (c0, c) of the polar cone {(c0, c) : c0 + <c, q> >= 0}
-    of the points scaled to integers is the facet <-c, x> <= c0, tight on
-    the points its mask holds.  The normal is primitive: c0 = -<c, q> on a
-    tight integer point q, so gcd(c) divides c0.  Given den, the points are
-    integers already and stand for pts / den."""
-    if den is None:
-        pts, den = _int_scaled(pts)
+def _facets_fullrank(pts, den=1):
+    """Facets of conv(pts / den), full-rank integer points, as (normal,
+    offset, tight) sorted: each ray (c0, c) of the polar cone
+    {(c0, c) : c0 + <c, q> >= 0} of the integer points is the facet
+    <-c, x> <= c0 / den, tight on the points its mask holds.  The normal is
+    primitive: c0 = -<c, q> on a tight integer point q, so gcd(c) divides
+    c0."""
     _, rays = _polar_cone(pts)
     return sorted(
         (tuple(-x for x in c[1:]), F(c[0], den), _bits(m)) for c, m in rays
@@ -360,14 +356,16 @@ class QPolyhedron:
 
     @staticmethod
     def from_points(points, rays=(), lines=()) -> "QPolyhedron":
-        points = list(points)
+        points, rays, lines = list(points), tuple(rays), tuple(lines)
         if not points:
             raise ValueError("need at least one point")
         ambient = len(points[0])
         if any(len(v) != ambient for v in (*points, *rays, *lines)):
             raise ValueError("points, rays and lines must have one length")
         if not rays and not lines:
-            pts, den = _int_scaled(points)
+            pts, den = _int_scaled(
+                [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in points]
+            )
             return _hull_of_points(list(dict.fromkeys(pts)), den, ambient)
         points = list(dict.fromkeys(map(to_frac_point, points)))
         return _hull_with_rays(points, rays, lines, ambient)
@@ -381,8 +379,6 @@ class QPolyhedron:
         return not self.rays and not self.lines
 
     def affine_dim(self) -> int:
-        if self._kept:
-            return self._kept[3]
         if self.is_empty():
             return -1
         base = self.vertices[0]

@@ -243,6 +243,14 @@ def test_hull_rejects_points_of_different_lengths():
         QPolyhedron.from_points([(0, 0), (1, 0)], rays=[(1, 0, 0)])
 
 
+def test_hull_reads_iterator_rays_and_lines_once():
+    ray = QPolyhedron.from_points([(0, 0)], rays=iter([(1, 0)]))
+    assert ray == QPolyhedron.from_points([(0, 0)], rays=[(1, 0)])
+    assert ray.affine_dim() == 1 and not ray.is_bounded()
+    line = QPolyhedron.from_points(iter([(0, 0)]), lines=iter([(0, 1)]))
+    assert line == QPolyhedron.from_points([(0, 0)], lines=[(0, 1)])
+
+
 def test_hull_reads_other_numbers_as_fractions():
     p = convex_hull([(0.5, 0), (0, 1), ("1/3", 1), (0, 0)])
     assert p == convex_hull([(F(1, 2), 0), (0, 1), (F(1, 3), 1), (0, 0)])
