@@ -298,10 +298,11 @@ def stable_multiplicity(component):
 
     The stable intersection of tropical hypersurfaces is carried by the
     vertices nu of their common refinement, and its multiplicity at nu is
-    the mixed volume of the initial Newton polytopes conv(vert_nu(f_i))
-    (Maclagan-Sturmfels, Introduction to Tropical Geometry, 3.6): the
-    Newton cells of the cells that the 0-dimensional piece at nu was cut
-    from.  Elsewhere in C they lie orthogonal to the piece and add zero.
+    the mixed volume of the initial Newton polytopes, the hulls of the
+    exponents where each f_i attains its minimum at nu (Maclagan-Sturmfels,
+    Introduction to Tropical Geometry, 3.6): the Newton cells of the cells
+    that the 0-dimensional piece at nu was cut from.  Elsewhere in C they
+    lie orthogonal to the piece and add zero.
     """
     points = sorted(
         (piece.cell.vertices[0], _as_int(mixed_volume([c.newton() for c in piece.cells])))

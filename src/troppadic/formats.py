@@ -155,16 +155,6 @@ def series_from_dict(obj) -> RestrictedSeries:
         raise FormatError(f"malformed series document: {exc}") from exc
 
 
-def polytope_to_dict(poly: QPolyhedron) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": poly.ambient,
-        "vertices": [[frac_str(x) for x in v] for v in poly.vertices],
-        "rays": [list(r) for r in poly.rays],
-        "lines": [list(l) for l in poly.lines],
-    }
-
-
 def polytope_from_dict(obj) -> QPolyhedron:
     try:
         _check_version(obj)

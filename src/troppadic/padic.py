@@ -203,12 +203,6 @@ class PadicScaled:
             )
         return self._u % self.p ** n_digits
 
-    def to_precision(self, prec: int) -> "PadicScaled":
-        """Forget digits beyond prec (turns an exact value approximate)."""
-        if self.is_zero():
-            raise ValueError("cannot truncate exact zero to finite precision")
-        return PadicScaled.approx(self.p, self.valuation(), self.unit_digits(prec), prec)
-
     # -- arithmetic --------------------------------------------------
 
     def _check_same(self, other):
@@ -369,11 +363,6 @@ def _exact(p, r, shift):
     return PadicScaled(p, _r=r, _shift=shift)
 
 
-def valuation(x: PadicScaled):
-    """v(x); +Infinity for exact zero."""
-    return x.valuation()
-
-
 def sum_floor(values):
     """A certified lower bound for the valuation of a sum; never raises on
     cancellation.
@@ -392,8 +381,3 @@ def sum_floor(values):
                 raise
             floor, total = val_min(floor, exc.floor), None
     return floor if total is None else val_min(floor, total.valuation())
-
-
-def difference_floor(a: PadicScaled, b: PadicScaled):
-    """A certified lower bound for v(a - b): sum_floor of a and -b."""
-    return sum_floor([a, -b])

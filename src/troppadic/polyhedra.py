@@ -260,15 +260,6 @@ def _dd_masks(rows, dim):
     return lines, rays
 
 
-def _dd_cone(rows, dim):
-    """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers,
-    sorted.  These are the generators of ``_dd_masks`` without the tight-row
-    masks it returns; its docstring gives the method and the exact
-    cardinality test that runs before each adjacency scan."""
-    lines, rays = _dd_masks(rows, dim)
-    return sorted(lines), sorted(v for v, _ in rays)
-
-
 def _bits(mask):
     """The indices of the set bits of mask, ascending."""
     out = []
@@ -303,13 +294,13 @@ def hrep_generators(ineqs, ambient):
         a = F(a)
         rows.append((a.numerator,) + tuple(-x * a.denominator for x in u))
     rows.append((1,) + (0,) * ambient)
-    lines, rays = _dd_cone(rows, ambient + 1)
+    lines, rays = _dd_masks(rows, ambient + 1)
     vertices, crays, clines = [], [], []
     for l in lines:
         if l[0] != 0:
             raise AssertionError("homogenization line with nonzero t")
         clines.append(l[1:])
-    for r in rays:
+    for r, _ in rays:
         if r[0] > 0:
             vertices.append(tuple(F(x, r[0]) for x in r[1:]))
         elif r[0] == 0:

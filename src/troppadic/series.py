@@ -279,9 +279,6 @@ class RestrictedSeries:
     def coeff(self, exps) -> PadicScaled:
         return self.terms.get(tuple(exps), PadicScaled.zero(self.p))
 
-    def support(self):
-        return sorted(self.terms)
-
     def max_degree(self) -> int:
         return max((sum(i) for i in self.terms), default=0)
 
@@ -382,21 +379,6 @@ class RestrictedSeries:
             pieces.append((min(ta.slope, tb.slope), ta.offset + tb.offset))
         tail = _merge_tail_pieces(cutoff, pieces, folds)
         return RestrictedSeries(self.p, self.nvars, kept, tail=tail, domain=dom)
-
-    def scalar_mul(self, c) -> "RestrictedSeries":
-        c = _coerce_coeff(self.p, c)
-        if c.is_zero():
-            return RestrictedSeries(self.p, self.nvars, {}, domain=self.domain)
-        tail = self.tail
-        if not tail.is_empty:
-            tail = TailBound(tail.cutoff, tail.slope, tail.offset + c.valuation())
-        return RestrictedSeries(
-            self.p,
-            self.nvars,
-            {i: a * c for i, a in self.terms.items()},
-            tail=tail,
-            domain=self.domain,
-        )
 
     def embed(self, nvars_new, var_map) -> "RestrictedSeries":
         """Reindex variables: old variable k becomes var_map[k]."""
@@ -516,36 +498,6 @@ def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
 
 
 # ---------------------------------------------------------------------------
-# derivation
-
-
-def derivative(f: RestrictedSeries, i: int, k: int = 1) -> RestrictedSeries:
-    """k-th formal partial derivative in variable i.
-
-    The tail transform keeps the slope, lowers the offset by k*slope and
-    the cutoff by k; this is the contracted (sound, not tight) bound.
-    """
-    if k < 0:
-        raise ValueError("order must be >= 0")
-    if k == 0:
-        return f
-    terms = {}
-    for exps, c in f.terms.items():
-        if exps[i] < k:
-            continue
-        mult = math.perm(exps[i], k)
-        new = list(exps)
-        new[i] -= k
-        terms[tuple(new)] = c * PadicScaled.exact(f.p, mult)
-    cutoff = max(f.tail.cutoff - k, 0)
-    if f.tail.is_empty:
-        tail = TailBound.empty(cutoff)
-    else:
-        tail = TailBound(cutoff, f.tail.slope, f.tail.offset - k * f.tail.slope)
-    return RestrictedSeries(f.p, f.nvars, terms, tail=tail, domain=f.domain)
-
-
-# ---------------------------------------------------------------------------
 # substitutions
 
 
@@ -568,69 +520,6 @@ def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSer
     if not f.tail.is_empty:
         out = _with_tail_error(out, f.tail.floor_at(F(0)))
     return RestrictedSeries(f.p, f.nvars, out, tail=f.tail, domain=f.domain)
-
-
-def scale_variable(f: RestrictedSeries, i: int, t) -> RestrictedSeries:
-    """Valuation bookkeeping for X_i -> X_i*xi^{-1}, v(xi) = t.
-
-    Coefficient valuations drop by I_i*t; the domain coordinate rises by t.
-    """
-    t = F(t)
-    terms = {
-        exps: c.shift_valuation(-exps[i] * t) for exps, c in f.terms.items()
-    }
-    dom = list(f.domain)
-    if dom[i] is not None:
-        dom[i] = dom[i] + t
-    tail = f.tail
-    if not tail.is_empty:
-        tail = TailBound(tail.cutoff, tail.slope - max(t, F(0)), tail.offset)
-    return RestrictedSeries(f.p, f.nvars, terms, tail=tail, domain=tuple(dom))
-
-
-def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> RestrictedSeries:
-    """Substitute X_i -> Z_i - Z_n^(d^(n-i)) for i < n (X_n fixed).
-
-    Raises BudgetExceeded as soon as the expansion would create a term of
-    total degree above the budget.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    n = f.nvars
-    for r in f.domain:
-        if r is not None and r > 0:
-            raise DomainViolation("monomial substitution needs domain containing [0,oo)^n")
-    exps_of_i = [d ** (n - 1 - i) for i in range(n - 1)]  # Z_n exponent per variable
-    out = {}
-    for exps, a in f.terms.items():
-        partial = {(0,) * (n - 1) + (exps[-1],): a}
-        for i, e in enumerate(exps[:-1]):
-            if e == 0:
-                continue
-            # (Z_i - Z_n^m)^e reaches total degree e*m (m >= 1) at j = 0
-            if max(map(sum, partial)) + e * exps_of_i[i] > degree_budget:
-                raise BudgetExceeded(
-                    f"monomial substitution exceeds degree budget {degree_budget}"
-                )
-            binomial = {
-                (0,) * i + (j,) + (0,) * (n - 2 - i) + ((e - j) * exps_of_i[i],):
-                PadicScaled.exact(f.p, math.comb(e, j) * (-1) ** (e - j))
-                for j in range(e + 1)
-            }
-            partial = _dict_mul(partial, binomial)
-        for k, c in partial.items():
-            _acc(out, k, c)
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    dom = tuple(F(0) for _ in range(n))
-    if f.tail.is_empty:
-        return RestrictedSeries(f.p, n, out, tail=TailBound.empty(degree_budget), domain=dom)
-    # tail terms land at degree > cutoff with slope divided by the largest
-    # exponent the substitution can multiply a degree by
-    emax = max(exps_of_i, default=1)
-    tail = TailBound(degree_budget, f.tail.slope / emax, f.tail.offset)
-    return RestrictedSeries(
-        f.p, n, _with_tail_error(out, f.tail.floor_at(F(0))), tail=tail, domain=dom
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,9 @@ from .polyhedra import (
     convex_hull,
     lower_cells,
     lower_hull,
-    primitive,
     vdot,
 )
-from .series import RestrictedSeries, scale_variable
+from .series import RestrictedSeries
 
 F = Fraction
 
@@ -75,23 +74,6 @@ class TropicalData:
     def is_empty(self):
         return not self.cells
 
-    def ray_directions(self):
-        dirs = set()
-        for c in self.cells:
-            for r in c.cell.rays:
-                dirs.add(primitive(r))
-            for l in c.cell.lines:
-                dirs.add(primitive(l))
-                dirs.add(primitive(tuple(-x for x in l)))
-        return sorted(dirs)
-
-    def vertices(self):
-        out = set()
-        for c in self.cells:
-            if c.cell.affine_dim() == 0:
-                out.update(c.cell.vertices)
-        return sorted(out)
-
 
 def _support_items(f: RestrictedSeries):
     return sorted((i, c.valuation()) for i, c in f.terms.items())
@@ -116,37 +98,6 @@ def _tail_floor_on_cell(f: RestrictedSeries, cell: QPolyhedron, base_point, base
     if any(g(r) < 0 for r in directions):
         return None
     return min(g(v) for v in cell.vertices) + d1 * f.tail.slope + f.tail.offset - base_val
-
-
-def vert_nu(f: RestrictedSeries, nu):
-    """Exact argmin set of v(a_I) + <I, nu> over all exponents."""
-    nu = tuple(F(x) for x in nu)
-    items = _support_items(f)
-    if not items:
-        if f.is_certified_zero():
-            raise ZeroSeries("zero series has no vert sets")
-        raise PrecisionExhausted("no stored terms to minimize over")
-    vals = [(v + vdot(i, nu), i, v) for i, v in items]
-    m = min(x[0] for x in vals)
-    if not f.tail.is_empty:
-        floor = f.tail.floor_at(min(nu))
-        if floor is None or floor <= m:
-            raise PrecisionExhausted(
-                "tail bound cannot exclude the minimum at this direction"
-            )
-    return {(i, v) for val, i, v in vals if val == m}
-
-
-def initial_form(f: RestrictedSeries, nu) -> RestrictedSeries:
-    """Sum of the minimum-attaining terms; a monomial exactly off the complex."""
-    vs = vert_nu(f, nu)
-    return RestrictedSeries(
-        f.p, f.nvars, {i: f.terms[i] for i, _ in vs}, domain=f.domain
-    )
-
-
-def is_in_tropicalization(f: RestrictedSeries, nu) -> bool:
-    return len(vert_nu(f, nu)) >= 2
 
 
 def trop_complex(f: RestrictedSeries) -> TropicalData:
@@ -180,16 +131,6 @@ def trop_complex(f: RestrictedSeries) -> TropicalData:
 
     cells.sort(key=lambda c: c.witness)
     return TropicalData(f, cells)
-
-
-def shift_trop(f: RestrictedSeries, t, direction) -> RestrictedSeries:
-    """Coefficient-valuation bookkeeping moving the complex by t*direction."""
-    t = F(t)
-    out = f
-    for i, vi in enumerate(direction):
-        if vi:
-            out = scale_variable(out, i, t * vi)
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Cell oracle for the tests: the dual cell of one lower face by one H-to-V
-double description of its rows, with no lifted hull.  Used by tests only."""
+double description of its rows, with no lifted hull, and the argmin sets
+(``vert_nu``) and vertices and rays of a complex.  Used by tests only."""
 
 from fractions import Fraction
 
-from troppadic.polyhedra import QPolyhedron, vadd, vdot, vsub
+from troppadic.errors import PrecisionExhausted, ZeroSeries
+from troppadic.polyhedra import QPolyhedron, primitive, vadd, vdot, vsub
+from troppadic.series import RestrictedSeries
+from troppadic.tropical import _support_items
 
 F = Fraction
 
@@ -63,3 +67,53 @@ def face_cell(items, face, clip=()):
     if {pair for pair, v in zip(items, vals) if v == m} != set(face):
         return None, None
     return nu, cell
+
+
+def vert_nu(f: RestrictedSeries, nu):
+    """Exact argmin set of v(a_I) + <I, nu> over all exponents."""
+    nu = tuple(F(x) for x in nu)
+    items = _support_items(f)
+    if not items:
+        if f.is_certified_zero():
+            raise ZeroSeries("zero series has no vert sets")
+        raise PrecisionExhausted("no stored terms to minimize over")
+    vals = [(v + vdot(i, nu), i, v) for i, v in items]
+    m = min(x[0] for x in vals)
+    if not f.tail.is_empty:
+        floor = f.tail.floor_at(min(nu))
+        if floor is None or floor <= m:
+            raise PrecisionExhausted(
+                "tail bound cannot exclude the minimum at this direction"
+            )
+    return {(i, v) for val, i, v in vals if val == m}
+
+
+def initial_form(f: RestrictedSeries, nu) -> RestrictedSeries:
+    """Sum of the minimum-attaining terms; a monomial exactly off the complex."""
+    vs = vert_nu(f, nu)
+    return RestrictedSeries(
+        f.p, f.nvars, {i: f.terms[i] for i, _ in vs}, domain=f.domain
+    )
+
+
+def is_in_tropicalization(f: RestrictedSeries, nu) -> bool:
+    return len(vert_nu(f, nu)) >= 2
+
+
+def ray_directions(data):
+    dirs = set()
+    for c in data.cells:
+        for r in c.cell.rays:
+            dirs.add(primitive(r))
+        for l in c.cell.lines:
+            dirs.add(primitive(l))
+            dirs.add(primitive(tuple(-x for x in l)))
+    return sorted(dirs)
+
+
+def vertices(data):
+    out = set()
+    for c in data.cells:
+        if c.cell.affine_dim() == 0:
+            out.update(c.cell.vertices)
+    return sorted(out)

@@ -1,11 +1,12 @@
 """Polyhedron queries that only the tests ask: null spaces, direction
 spaces, linear minima, support values, point and set containment and the
-face relation, as plain functions of a ``QPolyhedron``.  Used by tests
-only."""
+face relation, as plain functions of a ``QPolyhedron``, and the JSON
+document of a polyhedron.  Used by tests only."""
 
 from fractions import Fraction
 
 from troppadic.errors import Unbounded
+from troppadic.formats import SCHEMA_VERSION, frac_str
 from troppadic.polyhedra import (
     QPolyhedron,
     _kernel,
@@ -96,3 +97,13 @@ def is_face_of(face, poly):
         ambient=poly.ambient,
     )
     return same_set(cut, face)
+
+
+def polytope_to_dict(poly: QPolyhedron) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "dim": poly.ambient,
+        "vertices": [[frac_str(x) for x in v] for v in poly.vertices],
+        "rays": [list(r) for r in poly.rays],
+        "lines": [list(l) for l in poly.lines],
+    }

@@ -12,6 +12,7 @@ from itertools import product
 
 from oracle_roots import torus_root_count
 from polyhedra_helpers import direction_space, is_face_of
+from series_helpers import monomial_substitution
 from troppadic.bounds import (
     WBoundOracle,
     box_E,
@@ -26,7 +27,6 @@ from troppadic.series import (
     Budget,
     ParamSeries,
     RestrictedSeries,
-    monomial_substitution,
     regular_order,
     strassmann_count,
     weierstrass_divide,

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracle_cells import vert_nu
 from oracle_roots import torus_root_count
+from series_helpers import monomial_substitution
 from test_acceptance import _interp_mv
 from test_tropical import torus_system
 from troppadic.bounds import (
@@ -22,13 +24,8 @@ from troppadic.bounds import (
 )
 from troppadic.errors import OracleMissing
 from troppadic.polyhedra import convex_hull, mixed_volume
-from troppadic.series import (
-    ParamSeries,
-    RestrictedSeries,
-    monomial_substitution,
-    regular_order,
-)
-from troppadic.tropical import connected_components, trop_complex, vert_nu
+from troppadic.series import ParamSeries, RestrictedSeries, regular_order
+from troppadic.tropical import connected_components, trop_complex
 
 F = Fraction
 

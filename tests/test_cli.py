@@ -13,14 +13,13 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyhedra_helpers import same_set
+from polyhedra_helpers import polytope_to_dict, same_set
 from troppadic.cli import build_parser, main
 from troppadic.errors import FormatError, TropPadicError
 from troppadic.formats import (
     dump_json,
     is_prime,
     polytope_from_dict,
-    polytope_to_dict,
     series_from_dict,
     series_to_dict,
 )

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from series_helpers import difference_floor, to_precision
 from troppadic.errors import DivisionByZero, PrecisionExhausted
 from troppadic.formats import series_from_dict, series_to_dict
 from troppadic.padic import (
     _ZERO,
     INF,
     PadicScaled,
-    difference_floor,
     sum_floor,
-    valuation,
     vp_fraction,
 )
 from troppadic.series import RestrictedSeries
@@ -26,9 +25,9 @@ def ex(v, p=5):
 
 
 def test_valuation_examples():
-    assert valuation(ex(50)) == 2  # 50 = 2*5^2
-    assert valuation(PadicScaled.zero(5)) is INF
-    assert valuation(PadicScaled.approx(5, F(-1), 3, 4)) == -1
+    assert ex(50).valuation() == 2  # 50 = 2*5^2
+    assert PadicScaled.zero(5).valuation() is INF
+    assert PadicScaled.approx(5, F(-1), 3, 4).valuation() == -1
 
 
 def test_add_carry_across_uniformizer():
@@ -117,7 +116,7 @@ def test_div_mul_roundtrip_within_precision():
 
 def test_valuation_invariant_under_refinement():
     x = ex(F(250, 3))
-    assert x.to_precision(2).valuation() == x.to_precision(9).valuation() == x.valuation()
+    assert to_precision(x, 2).valuation() == to_precision(x, 9).valuation() == x.valuation()
 
 
 def test_mixed_exact_approx_add():

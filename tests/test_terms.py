@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defining_systems import (
+    coefficient_defining_systems,
+    distinctness_root_system,
+    matrix_row_values,
+)
+from series_helpers import derivative, difference_floor
 from troppadic.errors import NotClosedUnderDerivation
-from troppadic.padic import INF, PadicScaled, difference_floor
-from troppadic.series import Budget, RestrictedSeries, derivative, weierstrass_prepare
+from troppadic.padic import INF, PadicScaled
+from troppadic.series import Budget, RestrictedSeries, weierstrass_prepare
 from troppadic.terms import (
     Add,
     App,
@@ -15,11 +21,8 @@ from troppadic.terms import (
     Mul,
     RealizeContext,
     Var,
-    coefficient_defining_systems,
     default_registry,
     derive_term,
-    distinctness_root_system,
-    matrix_row_values,
     parse_term,
     print_term,
     realize,

@@ -6,20 +6,24 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_cells import face_cell
+from oracle_cells import (
+    face_cell,
+    initial_form,
+    is_in_tropicalization,
+    ray_directions,
+    vert_nu,
+    vertices,
+)
 from polyhedra_helpers import contains, direction_space, is_face_of, same_set
+from series_helpers import shift_trop
 from troppadic.errors import PrecisionExhausted, ZeroSeries
 from troppadic.polyhedra import QPolyhedron, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
     connected_components,
-    initial_form,
-    is_in_tropicalization,
     render_svg,
-    shift_trop,
     trop_complex,
-    vert_nu,
 )
 
 F = Fraction
@@ -72,8 +76,8 @@ def test_initial_form_examples():
 
 def test_figure_complex():
     data = trop_complex(fig_series())
-    assert data.vertices() == [(F(1, 4), F(1, 4))]
-    assert data.ray_directions() == sorted([(0, 1), (5, 1), (-1, -1)])
+    assert vertices(data) == [(F(1, 4), F(1, 4))]
+    assert ray_directions(data) == sorted([(0, 1), (5, 1), (-1, -1)])
     assert len(data.cells) == 4
     newton = [c.newton() for c in data.cells]
     duals = sorted(tuple(sorted(nc.vertices)) for nc in newton)
@@ -119,7 +123,7 @@ def test_domain_clipping():
     # segment, so only the two upward rays survive as directions
     f = RestrictedSeries(5, 2, {(1, 0): 5, (5, 0): 1, (0, 5): 1})
     data = trop_complex(f)
-    assert data.ray_directions() == sorted([(0, 1), (5, 1)])
+    assert ray_directions(data) == sorted([(0, 1), (5, 1)])
 
 
 def test_clipping_keeps_face_pairing():
@@ -275,7 +279,7 @@ def test_shift_trop_identity():
 def test_shift_trop_translates_vertex():
     f = fig_series()
     d = trop_complex(shift_trop(f, 1, (1, 1)))
-    assert d.vertices() == [(F(5, 4), F(5, 4))]
+    assert vertices(d) == [(F(5, 4), F(5, 4))]
 
 
 def test_shift_trop_univariate():
@@ -469,7 +473,7 @@ def test_tail_is_certified_on_each_cell():
     # 25 + X: one cell at nu = 2, where the tail floor is 2*(1 + 2) + 10 = 16
     f = RestrictedSeries(5, 1, {(0,): 25, (1,): 1}, tail=TailBound(1, F(1), F(10)))
     data = trop_complex(f)
-    assert data.vertices() == [(F(2),)]
+    assert vertices(data) == [(F(2),)]
     assert exps_of(vert_nu(f, (F(2),))) == {(0,), (1,)}
     # a tail that reaches the minimum on the cell still raises
     low = RestrictedSeries(5, 1, {(0,): 25, (1,): 1}, tail=TailBound(1, F(1), F(-5)))
@@ -547,7 +551,7 @@ def test_line_cell_directions_and_svg():
     # 1 + 5x in two variables: one cell, the line nu_1 = -1
     data = trop_complex(poly(5, 2, {(0, 0): 1, (1, 0): 5}))
     assert [len(c.cell.lines) for c in data.cells] == [1]
-    assert data.ray_directions() == [(0, -1), (0, 1)]
+    assert ray_directions(data) == [(0, -1), (0, 1)]
     # one line for the tropical line, one for its Newton segment
     svg = render_svg(data)
     assert svg.count("<line") == 2
