@@ -506,6 +506,23 @@ def test_cmd_mixed_volume_count_must_match_dimension(capsys, tmp_path):
     assert err.startswith("input error: mixed volume needs n polytopes")
 
 
+@pytest.mark.parametrize("key", ["rays", "lines"])
+def test_cmd_mixed_volume_refuses_unbounded_polytopes(capsys, tmp_path, key):
+    square = tmp_path / "square.json"
+    square.write_text(
+        dump_json(
+            {"schema_version": 1, "dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+        )
+    )
+    unbounded = tmp_path / "unbounded.json"
+    unbounded.write_text(
+        dump_json({"schema_version": 1, "dim": 2, "vertices": [["0", "0"]], key: [[1, 1]]})
+    )
+    code, out, err = run(capsys, "mixed-volume", str(square), str(unbounded))
+    assert (code, out) == (2, "")
+    assert err == "error: mixed volume needs bounded polytopes\n"
+
+
 def test_cmd_term_deriv(capsys):
     code, out, _ = run(capsys, "term-deriv", "Ep(x)", "--prime", "5")
     assert code == 0

@@ -74,6 +74,16 @@ def golden_commands():
          "--seed", "42", "-o", "{out}"],
         ("out",),
     )
+    # integer polytopes, denominators 2 and 3 in one sum, and a 3-D set
+    for names in (
+        ("int_pentagon", "int_triangle"),
+        ("half_quad", "third_triangle"),
+        ("box_3d", "half_simplex_3d", "third_octahedron_3d"),
+    ):
+        for norm in ("coefficient", "normalized"):
+            argv = ["mixed-volume", *(str(FIXTURES / f"{n}.polytope") for n in names)]
+            argv += ["--normalization", norm, "-o", "{out}"]
+            cmds[f"mixed-volume {' '.join(names)} {norm}"] = (argv, ("out",))
     cmds["term-deriv Ep(x)"] = (["term-deriv", "Ep(x)", "-o", "{out}"], ("out",))
     for name, argv in [
         ("Ep(-...) nested 20", ["Ep(-" * 20 + "x" + ")" * 20]),
