@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import GenericityFailure, OracleMissing, ZeroSeries
 from .formats import frac_str
 from .padic import PadicScaled, vp_fraction
-from .polyhedra import convex_hull, eliminate, mixed_volume
+from .polyhedra import eliminate, mixed_volume, vsub
 from .series import ParamSeries, RestrictedSeries, shift_variable
 from .tropical import connected_components, trop_complex
 
@@ -47,9 +47,10 @@ def _series_as_vector(s: RestrictedSeries):
         return None
     out = {}
     for exps, c in s.terms.items():
-        if not c.is_exact:
+        try:
+            out[exps] = c.rational_value()
+        except ValueError:  # approximate, or exact with a shift
             return None
-        out[exps] = c.rational_value()
     return out
 
 
@@ -214,12 +215,12 @@ def support_intersection(system):
 
 
 def pointed_check(system) -> bool:
-    """Is the convex closure of the common support full-dimensional?"""
-    common = support_intersection(system)
+    """Is the convex closure of the common support full-dimensional?  Its
+    affine rank is the rank of the differences to one common point."""
+    common = list(support_intersection(system))
     if not common:
         return False
-    n = system[0].nvars
-    return convex_hull(sorted(common)).affine_dim() == n
+    return len(eliminate([vsub(q, common[0]) for q in common[1:]])[0]) == system[0].nvars
 
 
 def _variable_occurs(f: RestrictedSeries, i: int) -> bool:

@@ -14,7 +14,7 @@ import re
 import tempfile
 from fractions import Fraction
 
-from .errors import FormatError
+from .errors import FormatError, Unbounded
 from .padic import INF, PadicScaled
 from .polyhedra import QPolyhedron
 from .series import RestrictedSeries, TailBound
@@ -156,6 +156,9 @@ def series_from_dict(obj) -> RestrictedSeries:
 
 
 def polytope_from_dict(obj) -> QPolyhedron:
+    """The hull of a polytope document's vertices.  Its rays and lines are
+    checked like the rest, then a nonzero one is refused: every reader of a
+    polytope needs it bounded."""
     try:
         _check_version(obj)
         dim = _int(obj["dim"], "dim", 1)
@@ -169,7 +172,9 @@ def polytope_from_dict(obj) -> QPolyhedron:
         raise FormatError(f"malformed polytope document: {exc}") from exc
     if not vertices:
         raise FormatError("polytope needs at least one vertex")
-    return QPolyhedron.from_points(vertices, rays=rays, lines=lines)
+    if any(any(d) for d in rays + lines):  # a zero direction adds nothing
+        raise Unbounded("mixed volume needs bounded polytopes")
+    return QPolyhedron.from_points(vertices)
 
 
 def trop_data_to_dict(data) -> dict:

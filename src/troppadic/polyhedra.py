@@ -3,7 +3,9 @@
 Conventions: an H-representation is a list of inequalities (u, a) meaning
 <u, x> <= a with primitive integer u and rational a; equalities are stored
 as inequality pairs.  V-representations carry rational vertices plus
-primitive integer rays and lines.
+primitive integer rays and lines.  Points are the only V-input: a hull
+takes points and gives a bounded polytope, and only ``from_hrep`` and the
+dual cells of ``lower_cells`` give rays and lines.
 
 One engine does the polyhedral work: an integer double-description cone
 method.  H-to-V conversion, emptiness and intersections run it on the
@@ -20,7 +22,8 @@ hulls the lift plus an upward ray once and walks the faces by these
 intersections.  A point hull works on its points scaled to integers and
 keeps them: its integer vertices, their denominator, its facet tight sets
 read off the masks and its affine dimension.  ``volume`` walks the faces
-by those tight sets, ``minkowski_sum`` sums the integer vertices, and
+by those tight sets; ``minkowski_sum`` sums the integer vertices of two
+bounded polytopes over the lcm of their denominators, its one path; and
 ``mixed_volume`` hulls each subset sum once.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
@@ -270,44 +273,16 @@ def _bits(mask):
     return out
 
 
-def _polar_cone(points, rays=(), lines=()):
+def _polar_cone(points, rays=()):
     """(lines, rays) of the cone of (c0, c) with c0 + <c, q> >= 0 on the
-    points, <c, r> >= 0 on the rays and <c, l> = 0 on the lines: each
-    generator (c0, c) with c != 0 is a valid inequality <-c, x> <= c0.
-    The rays are sorted (vector, mask) pairs of ``_dd_masks``; the points
-    are the first rows, so bit i of a mask says that (c0, c) is tight on
-    points[i]."""
+    points and <c, r> >= 0 on the rays: each generator (c0, c) with c != 0
+    is a valid inequality <-c, x> <= c0.  The rays are sorted (vector,
+    mask) pairs of ``_dd_masks``; the points are the first rows, so bit i
+    of a mask says that (c0, c) is tight on points[i]."""
     rows = [(1,) + tuple(q) for q in points]
     rows += [(0,) + tuple(r) for r in rays]
-    for l in lines:
-        rows.append((0,) + tuple(l))
-        rows.append((0,) + tuple(-x for x in l))
     lines, rays = _dd_masks(rows, len(points[0]) + 1)
     return sorted(lines), sorted(rays)
-
-
-def hrep_generators(ineqs, ambient):
-    """V-data (vertices, rays, lines) of {x: <u, x> <= a for (u, a) in
-    ineqs}, integer u; the DD rows are (a, -u) cleared of a's denominator."""
-    rows = []
-    for u, a in ineqs:
-        a = F(a)
-        rows.append((a.numerator,) + tuple(-x * a.denominator for x in u))
-    rows.append((1,) + (0,) * ambient)
-    lines, rays = _dd_masks(rows, ambient + 1)
-    vertices, crays, clines = [], [], []
-    for l in lines:
-        if l[0] != 0:
-            raise AssertionError("homogenization line with nonzero t")
-        clines.append(l[1:])
-    for r, _ in rays:
-        if r[0] > 0:
-            vertices.append(tuple(F(x, r[0]) for x in r[1:]))
-        elif r[0] == 0:
-            crays.append(r[1:])
-    if not vertices:
-        return [], [], []
-    return sorted(vertices), sorted(crays), sorted(clines)
 
 
 # ---------------------------------------------------------------------------
@@ -331,35 +306,43 @@ class QPolyhedron:
 
     @staticmethod
     def from_hrep(ineqs, ambient=None) -> "QPolyhedron":
+        """The polyhedron {x : <u, x> <= a}; its V-data are the generators
+        of the homogenized cone, whose DD rows are (a, -u) cleared of a's
+        denominator, plus t >= 0."""
         folded = [_normalized(u, a) for u, a in ineqs]
         if ambient is None:
             if not folded:
                 raise ValueError("ambient dimension required for an empty H-rep")
             ambient = len(folded[0][0])
-        vertices, rays, lines = hrep_generators(folded, ambient)
+        rows = [(a.numerator,) + tuple(-x * a.denominator for x in u) for u, a in folded]
+        rows.append((1,) + (0,) * ambient)
+        lines, rays = _dd_masks(rows, ambient + 1)
+        vertices = tuple(sorted(tuple(F(x, r[0]) for x in r[1:]) for r, _ in rays if r[0] > 0))
+        if not vertices:  # empty: the whole cone lies in t = 0
+            return QPolyhedron(ambient, tuple(folded), (), (), ())
+        # rays at t = 0 recede; every line is at t = 0, as t >= 0 is a row
         return QPolyhedron(
             ambient,
             tuple(folded),
-            tuple(vertices),
-            tuple(rays),
-            tuple(lines),
+            vertices,
+            tuple(sorted(r[1:] for r, _ in rays if r[0] == 0)),
+            tuple(sorted(l[1:] for l in lines)),
         )
 
     @staticmethod
-    def from_points(points, rays=(), lines=()) -> "QPolyhedron":
-        points, rays, lines = list(points), tuple(rays), tuple(lines)
+    def from_points(points) -> "QPolyhedron":
+        """The convex hull of the points, read once; an entry that is
+        neither an int nor a Fraction is read as a Fraction."""
+        points = list(points)
         if not points:
             raise ValueError("need at least one point")
         ambient = len(points[0])
-        if any(len(v) != ambient for v in (*points, *rays, *lines)):
-            raise ValueError("points, rays and lines must have one length")
-        if not rays and not lines:
-            pts, den = _int_scaled(
-                [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in points]
-            )
-            return _hull_of_points(list(dict.fromkeys(pts)), den, ambient)
-        points = list(dict.fromkeys(map(to_frac_point, points)))
-        return _hull_with_rays(points, rays, lines, ambient)
+        if any(len(q) != ambient for q in points):
+            raise ValueError("points must have one length")
+        pts, den = _int_scaled(
+            [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in points]
+        )
+        return _hull_of_points(list(dict.fromkeys(pts)), den, ambient)
 
     # -- queries --
 
@@ -437,24 +420,6 @@ def _hull_of_points(pts, den, ambient):
     vertices = tuple(tuple(F(x, den) for x in q) for q in verts)
     kept = (verts, den, tights, len(pivots))
     return QPolyhedron(ambient, tuple(sorted(ineqs)), vertices, (), (), kept)
-
-
-def _hull_with_rays(points, rays, lines, ambient):
-    """Facets of conv(points) + cone(rays) + span(lines) via the polar cone."""
-    dlines, drays = _polar_cone(points, rays, lines)
-    ineqs = []
-    for c, _ in drays:
-        u = tuple(-x for x in c[1:])
-        if all(x == 0 for x in u):
-            continue  # the trivial 0 <= c0 generator
-        ineqs.append((u, F(c[0])))
-    for c in dlines:
-        u = tuple(-x for x in c[1:])
-        if all(x == 0 for x in u):
-            continue
-        ineqs.append((u, F(c[0])))
-        ineqs.append((tuple(-x for x in u), -F(c[0])))
-    return QPolyhedron.from_hrep(ineqs, ambient=ambient)
 
 
 def convex_hull(points) -> QPolyhedron:
@@ -633,18 +598,21 @@ def lower_cells(lifted, clip=()):
 # volume and mixed volume
 
 
-def volume(poly: QPolyhedron) -> Fraction:
-    """Exact Euclidean volume; 0 for lower-dimensional input.
-
-    Reads the integer vertices, facet tight sets and affine dimension that
-    a point hull keeps; a polytope built another way hulls its vertices
-    for them."""
+def _hull_data(poly, what):
+    """A bounded polytope's (integer vertices, their denominator, facet
+    tight sets, affine dimension): a point hull keeps them, and a polytope
+    built another way hulls its vertices for them."""
     if not poly.is_bounded():
-        raise Unbounded("volume needs a bounded polyhedron")
+        raise Unbounded(f"{what} needs a bounded polyhedron")
+    return poly._kept or QPolyhedron.from_points(poly.vertices)._kept
+
+
+def volume(poly: QPolyhedron) -> Fraction:
+    """Exact Euclidean volume; 0 for lower-dimensional input."""
     if poly.is_empty():
         return F(0)
     n = poly.ambient
-    pts, den, facet_sets, dim = poly._kept or QPolyhedron.from_points(poly.vertices)._kept
+    pts, den, facet_sets, dim = _hull_data(poly, "volume")
     if dim < n:
         return F(0)
 
@@ -665,17 +633,19 @@ def volume(poly: QPolyhedron) -> Fraction:
 
 
 def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
-    """Pairwise vertex sums, then the hull; rays and lines accumulate.  Two
-    point hulls over one denominator sum their integer vertices."""
+    """The hull of the pairwise vertex sums of two bounded polytopes, summed
+    in integers over the lcm of their denominators."""
     if p.ambient != q.ambient:
         raise ValueError("ambient dimension mismatch")
-    if p._kept and q._kept and p._kept[1] == q._kept[1]:
-        pts = dict.fromkeys(vadd(v, w) for v in p._kept[0] for w in q._kept[0])
-        return _hull_of_points(list(pts), p._kept[1], p.ambient)
-    pts = [vadd(v, w) for v in p.vertices for w in q.vertices]
-    rays = tuple(sorted(set(p.rays) | set(q.rays)))
-    lines = tuple(sorted(set(p.lines) | set(q.lines)))
-    return QPolyhedron.from_points(pts, rays=rays, lines=lines)
+    pv, pden, _, _ = _hull_data(p, "Minkowski sum")
+    qv, qden, _, _ = _hull_data(q, "Minkowski sum")
+    den = math.lcm(pden, qden)
+    if pden != den:
+        pv = [vscale(v, den // pden) for v in pv]
+    if qden != den:
+        qv = [vscale(w, den // qden) for w in qv]
+    pts = dict.fromkeys(vadd(v, w) for v in pv for w in qv)
+    return _hull_of_points(list(pts), den, p.ambient)
 
 
 def mixed_volume(polys, normalization="coefficient") -> Fraction:

@@ -654,6 +654,21 @@ def test_cmd_bound_system_zero_series_is_an_input_error(capsys, tmp_path, index)
     assert f"series {index} " in err and "zero" in err and "Traceback" not in err
 
 
+def test_cmd_bound_system_shifted_coefficient_has_no_oracle(capsys, tmp_path):
+    # an exact coefficient with a fractional valuation shift is no rational
+    # monomial vector, so the finite-generation oracle cannot verify it
+    with open(data_path("line_a.series")) as fh:
+        doc = json.load(fh)
+    doc["terms"][0]["coeff"] = {"rational": "1", "shift": "1/2"}
+    shifted = tmp_path / "shifted.series"
+    shifted.write_text(dump_json(doc))
+    code, out, err = run(
+        capsys, "bound-system", str(shifted), data_path("line_b.series"), "--seed", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no registered constant and the representation is not verifiable\n"
+
+
 # --------------------------------------------------------------- loaders
 
 
@@ -879,6 +894,20 @@ def test_polytope_loader_property(case):
     _check_loader(
         doc, kind, "polytope.schema.json", polytope_from_dict,
         lambda path: ["mixed-volume"] + [path] * n,
+    )
+
+
+@settings(LOADER_PROPERTY, max_examples=300)
+@given(series_docs())
+def test_bound_system_loader_property(doc):
+    # bound-system takes only unbounded domains; the one document stands
+    # for every series of the system.  Most draws stop at a nonempty tail
+    # or a zero series, so this takes more draws than the other loaders.
+    doc["domain"] = [None] * doc["nvars"]
+    n = max(doc["nvars"], 1)
+    _check_loader(
+        doc, "none", "series.schema.json", series_from_dict,
+        lambda path: ["bound-system"] + [path] * n + ["--seed", "1"],
     )
 
 

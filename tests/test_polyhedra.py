@@ -239,16 +239,11 @@ def test_hull_collinear_is_segment():
 def test_hull_rejects_points_of_different_lengths():
     with pytest.raises(ValueError):
         QPolyhedron.from_points([(0, 0), (1, 0, 5), (0, 1)])
-    with pytest.raises(ValueError):
-        QPolyhedron.from_points([(0, 0), (1, 0)], rays=[(1, 0, 0)])
 
 
-def test_hull_reads_iterator_rays_and_lines_once():
-    ray = QPolyhedron.from_points([(0, 0)], rays=iter([(1, 0)]))
-    assert ray == QPolyhedron.from_points([(0, 0)], rays=[(1, 0)])
-    assert ray.affine_dim() == 1 and not ray.is_bounded()
-    line = QPolyhedron.from_points(iter([(0, 0)]), lines=iter([(0, 1)]))
-    assert line == QPolyhedron.from_points([(0, 0)], lines=[(0, 1)])
+def test_hull_reads_iterator_points_once():
+    pts = [(0, 0), (2, 0), (0, 1)]
+    assert QPolyhedron.from_points(iter(pts)) == QPolyhedron.from_points(pts)
 
 
 def test_hull_reads_other_numbers_as_fractions():
@@ -657,6 +652,18 @@ def test_minkowski_support_function_oracle():
             assert support_value(s, d) == support_value(p, d) + support_value(q, d)
 
 
+def test_minkowski_sum_of_an_unbounded_polyhedron_raises():
+    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    quadrant = QPolyhedron.from_hrep([((-1, 0), 0), ((0, -1), 0)])
+    strip = QPolyhedron.from_hrep([((1, 0), 1), ((-1, 0), 0)])
+    for other in (quadrant, strip):
+        assert not other.is_bounded()
+        with pytest.raises(Unbounded):
+            minkowski_sum(square, other)
+        with pytest.raises(Unbounded):
+            minkowski_sum(other, square)
+
+
 # --------------------------------------------------------------- volume
 
 
@@ -733,20 +740,23 @@ def test_volume_of_kept_data_matches_rebuilt_and_oracle(case):
 @PROPERTY
 @given(scaled_point_sets(), st.data())
 def test_integer_minkowski_sum_matches_fraction_sums(case, data):
-    """Two point hulls over one denominator sum their integer vertices, and
-    others hull the Fraction vertex sums; both give the hull of the
-    Fraction vertex sums."""
+    """Two point hulls, each over its own denominator, sum their integer
+    vertices over the lcm without scaling any point set again, and give
+    the hull of the Fraction vertex sums; a polytope built another way
+    gives the same sum."""
     pts, den = case
     d = len(pts[0])
-    other = [tuple(F(x, den) for x in q) for q in data.draw(point_sets(d, -4, 4, 1, 9))]
+    other_den = data.draw(st.integers(1, 6))
+    other = [tuple(F(x, other_den) for x in q) for q in data.draw(point_sets(d, -4, 4, 1, 9))]
     p, q = convex_hull(pts), convex_hull(other)
     with mock.patch.object(polyhedra, "_int_scaled", wraps=polyhedra._int_scaled) as scaled:
         s = minkowski_sum(p, q)
-    assert scaled.call_count == (p._kept[1] != q._kept[1])
+    assert scaled.call_count == 0
     want = QPolyhedron.from_points([vadd(v, w) for v in p.vertices for w in q.vertices])
     assert s == want
     assert s.key() == want.key() and repr(s) == repr(want) and s.ineqs == want.ineqs
     assert volume(s) == volume(want)
+    assert minkowski_sum(dataclasses.replace(p, _kept=None), q) == want
 
 
 @PROPERTY
