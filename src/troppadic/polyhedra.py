@@ -24,7 +24,7 @@ keeps them: its integer vertices, their denominator, its facet tight sets
 read off the masks and its affine dimension.  ``volume`` walks the faces
 by those tight sets; ``minkowski_sum`` sums the integer vertices of two
 bounded polytopes over the lcm of their denominators, its one path; and
-``mixed_volume`` hulls each subset sum once.
+``mixed_volume`` recurses on the faces of one Minkowski sum's facets.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
@@ -47,7 +47,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import Unbounded
 
@@ -599,12 +598,11 @@ def lower_cells(lifted, clip=()):
 
 
 def _hull_data(poly, what):
-    """A bounded polytope's (integer vertices, their denominator, facet
-    tight sets, affine dimension): a point hull keeps them, and a polytope
-    built another way hulls its vertices for them."""
+    """A bounded polytope as a point hull, whose ``_kept`` holds its integer
+    data: a polytope built another way hulls its vertices."""
     if not poly.is_bounded():
         raise Unbounded(f"{what} needs a bounded polyhedron")
-    return poly._kept or QPolyhedron.from_points(poly.vertices)._kept
+    return poly if poly._kept else QPolyhedron.from_points(poly.vertices)
 
 
 def volume(poly: QPolyhedron) -> Fraction:
@@ -612,7 +610,7 @@ def volume(poly: QPolyhedron) -> Fraction:
     if poly.is_empty():
         return F(0)
     n = poly.ambient
-    pts, den, facet_sets, dim = _hull_data(poly, "volume")
+    pts, den, facet_sets, dim = _hull_data(poly, "volume")._kept
     if dim < n:
         return F(0)
 
@@ -637,8 +635,8 @@ def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
     in integers over the lcm of their denominators."""
     if p.ambient != q.ambient:
         raise ValueError("ambient dimension mismatch")
-    pv, pden, _, _ = _hull_data(p, "Minkowski sum")
-    qv, qden, _, _ = _hull_data(q, "Minkowski sum")
+    pv, pden, _, _ = _hull_data(p, "Minkowski sum")._kept
+    qv, qden, _, _ = _hull_data(q, "Minkowski sum")._kept
     den = math.lcm(pden, qden)
     if pden != den:
         pv = [vscale(v, den // pden) for v in pv]
@@ -648,12 +646,45 @@ def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
     return _hull_of_points(list(pts), den, p.ambient)
 
 
-def mixed_volume(polys, normalization="coefficient") -> Fraction:
-    """The lambda_1...lambda_n coefficient of vol(sum lambda_i P_i).
+def _mixed(sets, hull=None):
+    """n! V(conv(sets[0]), ...) of n integer point lists in Z^n, see
+    ``mixed_volume``; ``hull`` is the point hull of sum(sets[1:]) if known."""
+    n = len(sets)
+    if n == 1:
+        return max(sets[0])[0] - min(sets[0])[0]
+    s = hull._kept[0] if hull else sets[1]
+    for f in [] if hull else sets[2:]:
+        s = list(dict.fromkeys(vadd(p, q) for p in s for q in f))
+    pivots, reduced, d = eliminate([vsub(q, s[0]) for q in s[1:]])
+    if len(pivots) < n - 1:
+        return 0
+    if len(pivots) == n - 1:
+        w = _kernel(pivots, reduced, d, n)[0]
+        normals = [w, vscale(w, -1)]
+    else:  # a full-rank point hull's inequalities are its facets
+        normals = [f[0] for f in (hull.ineqs if hull else _facets_fullrank(s))]
+    total = 0
+    for u in normals:
+        j = next(i for i, x in enumerate(u) if x)
+        faces = []
+        for pts in sets[1:]:
+            dots = [vdot(u, q) for q in pts]
+            top = max(dots)
+            faces.append([q[:j] + q[j + 1 :] for q, d in zip(pts, dots) if d == top])
+        total += max(vdot(u, q) for q in sets[0]) * _mixed(faces) // abs(u[j])
+    return total
 
-    Inclusion-exclusion: MV = sum over nonempty S of (-1)^(n-|S|) vol(sum_S P_i).
-    Each subset sum is one Minkowski sum: the sum of its prefix and its last
-    polytope.  ``normalized`` mode divides by n!.
+
+def mixed_volume(polys, normalization="coefficient") -> Fraction:
+    """The lambda_1...lambda_n coefficient of vol(sum lambda_i P_i), n! V;
+    ``normalized`` mode divides by n!.  The mixed area recursion (Schneider,
+    *Convex Bodies*, section 5.1): sum over the outer primitive normals u of
+    the (n - 1)-faces of S = P_2 + ... + P_n (n - 2 Minkowski sums) of
+    max <u, P_1> times the mixed volume of the faces F_u(P_2), ..., F_u(P_n)
+    in the lattice u-perp of Z^n.  Dropping a coordinate j with u_j != 0 maps
+    that lattice onto one of index |u_j| in Z^(n-1), u being primitive, so
+    that is the mixed volume of the projected faces over |u_j|.  n = 1 gives
+    max - min; the recursion runs on integer vertices over one denominator.
     """
     if normalization not in ("coefficient", "normalized"):
         raise ValueError("normalization must be 'coefficient' or 'normalized'")
@@ -663,12 +694,11 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
             raise ValueError("need n bounded polytopes in R^n")
         if not p.is_bounded():
             raise Unbounded("mixed volume needs bounded polytopes")
-    total = F(0)
-    sums = {(i,): p for i, p in enumerate(polys)}
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            if k > 1:
-                sums[combo] = minkowski_sum(sums[combo[:-1]], polys[combo[-1]])
-            total += (-1) ** (n - k) * volume(sums[combo])
+    if n < 2:
+        xs = [v[0] for p in polys for v in p.vertices]
+        return F(max(xs, default=0) - min(xs, default=0))
+    hulls = [_hull_data(p, "mixed volume") for p in polys]
+    den = math.lcm(*(h._kept[1] for h in hulls))
+    sets = [[vscale(v, den // h._kept[1]) for v in h._kept[0]] for h in hulls]
+    total = F(_mixed(sets, functools.reduce(minkowski_sum, hulls[2:], hulls[1])), den**n)
     return total / math.factorial(n) if normalization == "normalized" else total
-

@@ -38,6 +38,11 @@ ALLOWED = {
         "turns a term into a series; no CLI command realizes a term, but "
         "the benchmark's series workload calls and times it by this name"
     ),
+    "volume": (
+        "public API: mixed_volume reads the facets of one Minkowski sum and "
+        "takes no volume, but the benchmark's 4-D hull items and the tests "
+        "call it by this name"
+    ),
 }
 
 
