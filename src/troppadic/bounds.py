@@ -111,7 +111,7 @@ class WBoundOracle:
         if ps.is_identically_zero():
             return 1
         vectors = {}
-        for exps, s in ps.coeffs.items():
+        for exps, s in sorted(ps.coeffs.items()):
             vec = _series_as_vector(s)
             if vec is None:
                 return None

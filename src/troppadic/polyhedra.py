@@ -1,11 +1,14 @@
 """Exact rational polyhedral geometry.
 
-Conventions: an H-representation is a list of inequalities (u, a) meaning
-<u, x> <= a with primitive integer u and rational a; equalities are stored
-as inequality pairs.  V-representations carry rational vertices plus
+Conventions: an H-representation is a list of distinct inequalities (u, a)
+meaning <u, x> <= a with primitive integer u and rational a; equalities are
+stored as inequality pairs.  V-representations carry rational vertices plus
 primitive integer rays and lines.  Points are the only V-input: a hull
 takes points and gives a bounded polytope, and only ``from_hrep`` and the
-dual cells of ``lower_cells`` give rays and lines.
+dual cells of ``lower_cells`` give rays and lines.  Input is made exact
+once: a point keeps its int and Fraction entries, a vector is cleared of
+denominators times their lcm, and a row is normalized and kept once, so
+the double description inserts each distinct row once, as given.
 
 One engine does the polyhedral work: an integer double-description cone
 method.  H-to-V conversion, emptiness and intersections run it on the
@@ -73,15 +76,21 @@ def vscale(a, c):
     return tuple(x * c for x in a)
 
 
-def to_frac_point(pt):
-    return tuple(F(x) for x in pt)
+def _exact_point(pt):
+    """The point with its int and Fraction entries kept, others read as Fractions."""
+    return tuple(x if type(x) in (int, F) else F(x) for x in pt)
+
+
+def _cleared(vec):
+    """The rational vector times the lcm of its denominators, in integers."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
 
 
 def primitive(vec):
     """Scale a rational vector to coprime integers, preserving direction."""
     if not all(isinstance(x, int) for x in vec):
-        den = math.lcm(*(x.denominator for x in vec))
-        vec = [x.numerator * (den // x.denominator) for x in vec]
+        vec = _cleared(vec)
     g = math.gcd(*vec)
     return tuple(vec) if g <= 1 else tuple(i // g for i in vec)
 
@@ -95,10 +104,7 @@ def eliminate(rows):
     pivots[i] and 0 at the other pivots.  Every division is exact
     (Sylvester's identity); for a square matrix of full rank |d| is |det|.
     """
-    mat = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (den // x.denominator) for x in row])
+    mat = [_cleared(row) for row in rows]
     pivots, d = [], 1
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -133,29 +139,16 @@ def _kernel(pivots, reduced, d, dim):
     return basis
 
 
-def _affine_pivots(points):
-    """Elimination (pivots, reduced, d) of the directions q - points[0],
-    after scaling the points to integers: the pivots are the coordinates
-    that span the affine hull, and the kernel is its normal space."""
-    pts, _ = _int_scaled(points)
-    return eliminate([vsub(q, pts[0]) for q in pts[1:]])
-
-
 # ---------------------------------------------------------------------------
 # hulls: facet enumeration for full-rank point sets
 
 
 def _int_scaled(pts):
-    """Clear denominators globally; plane normals and tight sets are
-    invariant under the scaling, and integer arithmetic is much faster."""
-    den = 1
-    for q in pts:
-        for x in q:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-    if den == 1:
-        return [tuple(int(x) for x in q) for q in pts], 1
-    return [tuple(int(x * den) for x in q) for q in pts], den
+    """(integer points, den): the exact points times the lcm den of all
+    their denominators.  Plane normals and tight sets are invariant under
+    the scaling, and integer arithmetic is much faster."""
+    den = math.lcm(*(x.denominator for q in pts for x in q))
+    return [tuple(x.numerator * (den // x.denominator) for x in q) for q in pts], den
 
 
 def _facets_fullrank(pts, den=1):
@@ -189,8 +182,8 @@ def _dd_masks(rows, dim):
     each ray paired with the bit mask of the rows it is tight on.
 
     The double description method (Fukuda & Prodon 1996) in integer
-    arithmetic.  Rows are scaled to primitive integers.  Each mask is kept
-    exact incrementally when row k is inserted:
+    arithmetic, on the rows as given: a positive multiple of a row changes
+    no ray and no mask.  Each mask is kept exact when row k is inserted:
 
     - a ray that survives row k gains bit k exactly when it is zero on it;
     - a new ray sp*vn - sn*vp is a positive combination of two rays that
@@ -212,7 +205,6 @@ def _dd_masks(rows, dim):
     lines = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # (vector, zero-mask) pairs
     for k, row in enumerate(rows):
-        row = primitive(row)
         bit = 1 << k
         dots = [vdot(l, row) for l in lines]
         nz = [(l, d) for l, d in zip(lines, dots) if d]
@@ -305,10 +297,10 @@ class QPolyhedron:
 
     @staticmethod
     def from_hrep(ineqs, ambient=None) -> "QPolyhedron":
-        """The polyhedron {x : <u, x> <= a}; its V-data are the generators
-        of the homogenized cone, whose DD rows are (a, -u) cleared of a's
-        denominator, plus t >= 0."""
-        folded = [_normalized(u, a) for u, a in ineqs]
+        """The polyhedron {x : <u, x> <= a}, each normalized row once; its
+        V-data are the generators of the homogenized cone, whose DD rows
+        are (a, -u) cleared of a's denominator, plus t >= 0."""
+        folded = list(dict.fromkeys(_normalized(u, a) for u, a in ineqs))
         if ambient is None:
             if not folded:
                 raise ValueError("ambient dimension required for an empty H-rep")
@@ -338,9 +330,7 @@ class QPolyhedron:
         ambient = len(points[0])
         if any(len(q) != ambient for q in points):
             raise ValueError("points must have one length")
-        pts, den = _int_scaled(
-            [q if all(type(x) in (int, F) for x in q) else to_frac_point(q) for q in points]
-        )
+        pts, den = _int_scaled([_exact_point(q) for q in points])
         return _hull_of_points(list(dict.fromkeys(pts)), den, ambient)
 
     # -- queries --
@@ -355,8 +345,8 @@ class QPolyhedron:
         if self.is_empty():
             return -1
         base = self.vertices[0]
-        pts = list(self.vertices) + [vadd(base, r) for r in self.rays + self.lines]
-        return len(_affine_pivots(pts)[0])
+        dirs = [vsub(v, base) for v in self.vertices[1:]] + list(self.rays + self.lines)
+        return len(eliminate(dirs)[0])
 
     def intersection(self, other: "QPolyhedron") -> "QPolyhedron":
         if other.ambient != self.ambient:
@@ -377,15 +367,13 @@ class QPolyhedron:
 
 def _normalized(u, a):
     """The inequality <u, x> <= a rescaled to a primitive integer normal."""
-    pu = primitive(u)
+    pu, a = primitive(u), F(a)
     nz = next((i for i, x in enumerate(pu) if x != 0), None)
-    if nz is None:
-        if F(a) < 0:
-            raise ValueError("inconsistent trivial inequality")
-        return pu, F(a)
-    if pu == tuple(u):  # already normalized: intersections pass carried rows
-        return pu, F(a)
-    return pu, F(a) * pu[nz] / F(u[nz])
+    if nz is None and a < 0:
+        raise ValueError("inconsistent trivial inequality")
+    if nz is None or pu == tuple(u):  # already normalized: intersections pass carried rows
+        return pu, a
+    return pu, a * pu[nz] / F(u[nz])
 
 
 def _hull_of_points(pts, den, ambient):
@@ -431,12 +419,12 @@ def convex_hull(points) -> QPolyhedron:
 
 
 def _lifted_items(lifted):
-    """Sorted (point, height) pairs with Fraction entries; a duplicate
-    point keeps its minimal height (the rest can never support a
-    minimizing functional)."""
+    """Sorted (exact point, Fraction height) pairs; a duplicate point keeps
+    its minimal height (the rest can never support a minimizing
+    functional)."""
     best = {}
     for pt, h in lifted:
-        pt = to_frac_point(pt)
+        pt = _exact_point(pt)
         h = F(h)
         if pt not in best or h < best[pt]:
             best[pt] = h
@@ -555,11 +543,10 @@ def lower_cells(lifted, clip=()):
         return v
 
     def argmin(nu):
-        # on the integer lift: h + <q, nu> scaled by the lift's and nu's
+        # on the integer lift: <q, (nu, 1)> scaled by the lift's and nu's
         # common denominators
-        den = math.lcm(*(x.denominator for x in nu))
-        num = [x.numerator * (den // x.denominator) for x in nu]
-        vals = [q[-1] * den + vdot(q[:-1], num) for q in lift]
+        c = _cleared(nu + (1,))
+        vals = [vdot(q, c) for q in lift]
         m = min(vals)
         return {i for i, v in enumerate(vals) if v == m}
 
@@ -585,7 +572,7 @@ def lower_cells(lifted, clip=()):
         # the rows made on the integer lift: the scale cancels when a row
         # is normalized
         rows = _cell_rows(int_items, tuple(int_items[i] for i in sorted(f)))
-        ineqs = tuple(_normalized(u, a) for u, a in rows) + clip
+        ineqs = tuple(dict.fromkeys([*(_normalized(u, a) for u, a in rows), *clip]))
         cell = QPolyhedron(
             n, ineqs, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(basis))
         )
@@ -603,6 +590,15 @@ def _hull_data(poly, what):
     if not poly.is_bounded():
         raise Unbounded(f"{what} needs a bounded polyhedron")
     return poly if poly._kept else QPolyhedron.from_points(poly.vertices)
+
+
+def _over_lcm(hulls):
+    """(vertex lists, den): the kept integer vertices of point hulls over
+    the lcm den of their denominators; a list is scaled only when its
+    denominator differs."""
+    den = math.lcm(*(h._kept[1] for h in hulls))
+    kept = [h._kept[:2] for h in hulls]
+    return [vs if d == den else [vscale(v, den // d) for v in vs] for vs, d in kept], den
 
 
 def volume(poly: QPolyhedron) -> Fraction:
@@ -635,13 +631,7 @@ def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
     in integers over the lcm of their denominators."""
     if p.ambient != q.ambient:
         raise ValueError("ambient dimension mismatch")
-    pv, pden, _, _ = _hull_data(p, "Minkowski sum")._kept
-    qv, qden, _, _ = _hull_data(q, "Minkowski sum")._kept
-    den = math.lcm(pden, qden)
-    if pden != den:
-        pv = [vscale(v, den // pden) for v in pv]
-    if qden != den:
-        qv = [vscale(w, den // qden) for w in qv]
+    (pv, qv), den = _over_lcm([_hull_data(x, "Minkowski sum") for x in (p, q)])
     pts = dict.fromkeys(vadd(v, w) for v in pv for w in qv)
     return _hull_of_points(list(pts), den, p.ambient)
 
@@ -698,7 +688,6 @@ def mixed_volume(polys, normalization="coefficient") -> Fraction:
         xs = [v[0] for p in polys for v in p.vertices]
         return F(max(xs, default=0) - min(xs, default=0))
     hulls = [_hull_data(p, "mixed volume") for p in polys]
-    den = math.lcm(*(h._kept[1] for h in hulls))
-    sets = [[vscale(v, den // h._kept[1]) for v in h._kept[0]] for h in hulls]
+    sets, den = _over_lcm(hulls)
     total = F(_mixed(sets, functools.reduce(minkowski_sum, hulls[2:], hulls[1])), den**n)
     return total / math.factorial(n) if normalization == "normalized" else total

@@ -837,9 +837,6 @@ class ParamSeries:
     def support(self):
         return sorted(self.coeffs)
 
-    def max_degree(self) -> int:
-        return max((sum(i) for i in self.coeffs), default=0)
-
     def is_identically_zero(self) -> bool:
         return not self.coeffs
 

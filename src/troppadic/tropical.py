@@ -126,8 +126,7 @@ def trop_complex(f: RestrictedSeries) -> TropicalData:
                 raise PrecisionExhausted(
                     "tail bound cannot be excluded over a cell", floor=margin
                 )
-        vert = frozenset((tuple(int(x) for x in q), h) for q, h in face)
-        cells.append(TropCell(witness, vert, cell))
+        cells.append(TropCell(witness, frozenset(face), cell))
 
     cells.sort(key=lambda c: c.witness)
     return TropicalData(f, cells)
@@ -232,25 +231,9 @@ def render_svg(data: TropicalData) -> str:
         f'height="{SVG_SIZE}" viewBox="0 0 {2 * SVG_SIZE} {SVG_SIZE}">'
     ]
 
-    # panel 1: tropical cells
-    xs, ys = [F(0)], [F(0)]
+    # panel 1: tropical cells, framed by the drawn points (a label sits on
+    # one of them or midway between two)
     segs, dots, labels = [], [], []
-    for k, c in enumerate(data.cells):
-        poly = c.cell
-        pts = list(poly.vertices)
-        xs += [p[0] for p in pts]
-        ys += [p[1] for p in pts]
-        for r in poly.rays:
-            for v in pts:
-                end = (v[0] + ray_len * r[0], v[1] + ray_len * r[1])
-                xs.append(end[0])
-                ys.append(end[1])
-        for l in poly.lines:
-            for v in pts:
-                for sign in (-1, 1):
-                    xs.append(v[0] + sign * ray_len * l[0])
-                    ys.append(v[1] + sign * ray_len * l[1])
-    mp = _map_factory(xs, ys, SVG_SIZE, margin)
     for k, c in enumerate(data.cells):
         poly = c.cell
         name = f"g{k + 1}"
@@ -275,6 +258,8 @@ def render_svg(data: TropicalData) -> str:
                     b = (v[0] + ray_len * l[0], v[1] + ray_len * l[1])
                     segs.append((a, b))
                     labels.append((b, name))
+    drawn = [(F(0), F(0)), *dots, *(pt for seg in segs for pt in seg)]
+    mp = _map_factory([x for x, _ in drawn], [y for _, y in drawn], SVG_SIZE, margin)
     parts.append('<g id="trop">')
     for a, b in segs:
         (x1, y1), (x2, y2) = mp(a), mp(b)

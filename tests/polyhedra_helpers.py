@@ -12,13 +12,16 @@ from troppadic.polyhedra import (
     _kernel,
     eliminate,
     primitive,
-    to_frac_point,
     vdot,
     vscale,
     vsub,
 )
 
 F = Fraction
+
+
+def to_frac_point(pt):
+    return tuple(F(x) for x in pt)
 
 
 def null_space(rows, dim):

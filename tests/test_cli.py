@@ -669,6 +669,50 @@ def test_cmd_bound_system_shifted_coefficient_has_no_oracle(capsys, tmp_path):
     assert err == "error: no registered constant and the representation is not verifiable\n"
 
 
+def _reorderings(terms):
+    """The terms as listed, reversed, every rotation and with the first two
+    swapped."""
+    out = [terms, terms[::-1], terms[1::-1] + terms[2:]]
+    return out + [terms[k:] + terms[:k] for k in range(1, len(terms))]
+
+
+def _bound_system_report(capsys, tmp_path, system):
+    """The bound-system report of planar series at p = 5, each given as its
+    (exps, coeff) terms in document order."""
+    paths = []
+    for j, terms in enumerate(system):
+        path = tmp_path / f"s{j}.series"
+        path.write_text(dump_json({
+            "schema_version": 1, "prime": 5, "nvars": 2, "domain": [None, None],
+            "terms": [{"exps": list(e), "coeff": str(c)} for e, c in terms],
+            "tail": {"cutoff": max(sum(e) for e, _ in terms), "slope": "1", "offset": "inf"},
+        }))
+        paths.append(str(path))
+    code, out, _ = run(capsys, "bound-system", *paths, "--seed", "3")
+    assert code == 0
+    return out
+
+
+def test_cmd_bound_system_report_ignores_the_order_of_terms(capsys, tmp_path):
+    # the finite-generation constant of f = 1 + 5x + y + 5x^2 + 25y^2 once
+    # read the first lower coefficient in document order: with its first
+    # two terms swapped the report had e_boxes [3, 2] and t_cross 9504
+    f = [((0, 0), 1), ((1, 0), 5), ((0, 1), 1), ((2, 0), 5), ((0, 2), 25)]
+    g = [((0, 0), 2), ((1, 0), 1), ((0, 1), 3)]
+    lines = []
+    for name in ("line_a.series", "line_b.series"):
+        with open(data_path(name)) as fh:
+            lines.append([(tuple(t["exps"]), t["coeff"]) for t in json.load(fh)["terms"]])
+    for system in [(f, g), tuple(lines)]:
+        want = _bound_system_report(capsys, tmp_path, system)
+        for i, terms in enumerate(system):
+            for order in _reorderings(terms):
+                moved = system[:i] + (order,) + system[i + 1 :]
+                assert _bound_system_report(capsys, tmp_path, moved) == want
+    doc = json.loads(_bound_system_report(capsys, tmp_path, (f, g)))
+    assert (doc["e_boxes"], doc["t_cross"]) == ([2, 2], 2048)
+
+
 # --------------------------------------------------------------- loaders
 
 

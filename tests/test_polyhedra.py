@@ -14,7 +14,6 @@ from troppadic import polyhedra
 from troppadic.errors import Unbounded
 from troppadic.polyhedra import (
     QPolyhedron,
-    _affine_pivots,
     _facets_fullrank,
     _normalized,
     convex_hull,
@@ -295,7 +294,7 @@ def affine_point_sets(draw):
 @given(affine_point_sets())
 def test_affine_pivots_match_fraction_row_reduction(pts):
     dirs = [vsub(q, pts[0]) for q in pts[1:]]
-    assert _affine_pivots(pts)[0] == row_echelon(dirs)[1]
+    assert eliminate(dirs)[0] == row_echelon(dirs)[1]
 
 
 @st.composite
@@ -323,7 +322,7 @@ def test_eliminate_matches_fraction_oracles(case):
     pivots, reduced, d = eliminate(rows)
     rank, want = row_echelon(rows)
     assert pivots == want
-    assert _affine_pivots([(0,) * dim] + rows)[0] == want
+    assert QPolyhedron(dim, (), ((0,) * dim, *rows), (), ()).affine_dim() == len(want)
     for row, pc in zip(reduced, pivots):
         assert [row[c] for c in pivots] == [d if c == pc else 0 for c in pivots]
     if len(rows) == dim:
@@ -473,6 +472,69 @@ def test_dd_matches_brute_force_cone_oracle(case):
         assert math.gcd(*v) == 1
     for v, mask in rays:
         assert mask == tight_mask(rows, v)
+
+
+@st.composite
+def scaled_rows(draw):
+    """(rows, dim, factors): up to 7 integer rows in dimension 1-4, zero
+    and repeated rows included, and a positive integer for each row."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), max_size=7))
+    factors = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    return rows, dim, factors
+
+
+@PROPERTY
+@given(scaled_rows())
+def test_dd_is_unchanged_by_positive_row_multiples(case):
+    """Rows are inserted as given: a positive multiple of each row changes
+    no line, no ray, no mask and no order."""
+    rows, dim, factors = case
+    scaled = [vscale(r, k) for r, k in zip(rows, factors)]
+    assert polyhedra._dd_masks(scaled, dim) == polyhedra._dd_masks(rows, dim)
+
+
+def assert_cone_oracle_vdata(poly, ineqs):
+    """poly's vertices and rays are the extreme rays, and its lines span
+    the lineality space, of the cone of the rows a - <u, x> >= 0 and
+    t >= 0, by the brute-force oracle over every given row."""
+    dim = poly.ambient + 1
+    rows = [(F(a),) + tuple(-x for x in u) for u, a in ineqs] + [(1,) + (0,) * poly.ambient]
+    lin, want = brute_cone(rows, dim)
+    canon = coset_canonizer(lin, dim)
+    got = [(1,) + v for v in poly.vertices] + [(0,) + r for r in poly.rays]
+    assert sorted(canon(g) for g in got) == sorted(want)
+    assert len(poly.lines) == len(lin)
+
+
+def test_from_hrep_gives_the_dd_each_distinct_row_once():
+    """Rows that repeat, also only after normalization, and the rows that
+    two cells share reach the double description once each; the kept rows
+    are the distinct ones in first-occurrence order, and the V-data are
+    those of all the rows."""
+    square = [((1, 0), F(1)), ((-1, 0), F(0)), ((0, 1), F(1)), ((0, -1), F(0))]
+    rows = square + [((2, 0), 2), ((0, 1), F(1)), ((-3, 0), 0)]
+    with mock.patch.object(polyhedra, "_dd_masks", wraps=polyhedra._dd_masks) as dd:
+        poly = QPolyhedron.from_hrep(rows)
+    assert poly.ineqs == tuple(square)
+    assert len(dd.call_args.args[0]) == len(square) + 1  # and t >= 0
+    assert_cone_oracle_vdata(poly, rows)
+    # collinear lifted points give a cell the same equality row twice, and
+    # the cells of one clipped complex share rows
+    items = [((0, 0), 0), ((1, 0), 1), ((2, 0), 2), ((0, 1), 1), ((0, 2), 0), ((1, 1), 1)]
+    cells = [cell for _, _, cell in lower_cells(items, [((-1, 0), F(2)), ((0, -1), F(2))])]
+    assert all(len(set(c.ineqs)) == len(c.ineqs) for c in cells)
+    shared = 0
+    for a, b in combinations(cells, 2):
+        distinct = tuple(dict.fromkeys(a.ineqs + b.ineqs))
+        shared += len(a.ineqs) + len(b.ineqs) - len(distinct)
+        with mock.patch.object(polyhedra, "_dd_masks", wraps=polyhedra._dd_masks) as dd:
+            inter = a.intersection(b)
+        sent = dd.call_args.args[0]
+        assert len(sent) == len(set(sent)) == len(distinct) + 1
+        assert inter.ineqs == distinct
+        assert_cone_oracle_vdata(inter, a.ineqs + b.ineqs)
+    assert shared > 0
 
 
 # --------------------------------------------------------------- lower hull
@@ -775,11 +837,13 @@ def test_volume_of_a_point_hull_rebuilds_nothing():
     for n in (1, 2, 3, 4):
         hull = convex_hull(rand_points(rng, n, n + 4))
         with (
-            mock.patch.object(polyhedra, "_affine_pivots", wraps=polyhedra._affine_pivots) as piv,
+            mock.patch.object(
+                QPolyhedron, "affine_dim", autospec=True, side_effect=QPolyhedron.affine_dim
+            ) as rank,
             mock.patch.object(polyhedra, "_facets_fullrank", wraps=polyhedra._facets_fullrank) as fac,
         ):
             assert volume(hull) == signed_simplex_volume(hull)
-        assert piv.call_count == fac.call_count == 0
+        assert rank.call_count == fac.call_count == 0
 
 
 def test_volume_unbounded_raises():
