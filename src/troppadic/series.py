@@ -11,12 +11,25 @@ Everything downstream (tropicalization, root counting, effective bounds)
 rests on the operations here, so every transform recomputes a *sound* tail
 bound and every certification failure raises instead of degrading.
 
-All series arithmetic runs on sparse term dicts ``{exponents: coefficient}``
-and three helpers: ``_acc`` adds a coefficient at a key, ``_dict_mul``
-multiplies two dicts (optionally capped at a total degree), and ``_fold``
-splits a dict at a degree cutoff into kept terms and the (degree,
-valuation) points that the tail bound must absorb.  The first two work on
-any coefficient ring with ``+``, ``*`` and a zero that is false: the
+A series stores sparse term dicts ``{exponents: coefficient}``; products
+run on *packed* keys (Monagan and Pearce, CASC 2007).  With field width w,
+exponents ``(e_0, ..., e_{n-1})`` pack to the integer ``deg << w*n | ... |
+e_1 << w | e_0``, with the total degree ``deg`` on top (``_pack``,
+``_unpack``).
+
+Lemma.  Let i and j pack monomials whose exponents are below 2^w, and let
+2^w > cap.  Then ``i + j < (cap + 1) << w*n`` exactly when the product
+monomial has total degree at most cap, and then ``i + j`` packs it.  For
+the lower fields of i and j add up to a nonnegative number, so ``i + j`` is
+at least its degree field; and a degree at most cap bounds every field of
+the product below 2^w, so no field carries.
+
+So a caller packs its dicts once, with 2^w above every degree it stores or
+keeps, and ``_dict_mul`` multiplies with one add and one compare per pair.
+``_acc`` adds a coefficient at a key, and ``_fold`` splits a tuple-keyed
+dict at a degree cutoff into kept terms and the (degree, valuation) points
+that the tail bound must absorb.  ``_acc`` and ``_dict_mul`` work on any
+coefficient ring with ``+``, ``*`` and a zero that is false: the
 ``PadicScaled`` values of a series, or Python integers.
 
 Weierstrass division and composition run on integer numerators when every
@@ -66,7 +79,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -153,17 +165,32 @@ def _acc(terms, k, c):
     terms[k] = c if cur is None else cur + c
 
 
-def _dict_mul(a, b, cap=None):
-    """Product of two term dicts, without terms of total degree above cap."""
+def _pack(terms, n, w):
+    """The term dict in n variables with packed keys of field width w."""
+    return {
+        sum(e << w * i for i, e in enumerate(k)) | sum(k) << w * n: c
+        for k, c in terms.items()
+    }
+
+
+def _unpack(terms, n, w):
+    """The packed term dict with exponent tuples as keys."""
+    mask = (1 << w) - 1
+    return {tuple(k >> w * i & mask for i in range(n)): c for k, c in terms.items()}
+
+
+def _dict_mul(a, b, lim):
+    """Product of two packed term dicts, without keys of lim or above:
+    ``(cap + 1) << w*n`` drops the terms of total degree above cap."""
     out = {}
-    bs = [(j, y, sum(j)) for j, y in b.items()]
-    if cap is None:
-        cap = math.inf
+    get = out.get
+    bs = list(b.items())
     for i, x in a.items():
-        room = cap - sum(i)
-        for j, y, dj in bs:
-            if dj <= room:
-                _acc(out, tuple(map(add, i, j)), x * y)
+        for j, y in bs:
+            k = i + j
+            if k < lim:
+                c = get(k)
+                out[k] = x * y if c is None else c + x * y
     return {k: v for k, v in out.items() if v}
 
 
@@ -365,7 +392,9 @@ class RestrictedSeries:
             bounds.append(tb.cutoff + mf)
         bounds = [b for b in bounds if b is not None]
         cutoff = min(bounds) if bounds else ta.cutoff + tb.cutoff
-        kept, folds = _fold(_dict_mul(self.terms, other.terms), cutoff)
+        n, w = self.nvars, (self.max_degree() + other.max_degree()).bit_length()
+        prod = _dict_mul(_pack(self.terms, n, w), _pack(other.terms, n, w), 1 << w * (n + 1))
+        kept, folds = _fold(_unpack(prod, n, w), cutoff)
         pieces = []
         if not tb.is_empty:
             h = val_min(*(a.valuation() - tb.slope * sum(i) for i, a in self.terms.items()))
@@ -549,16 +578,17 @@ def regular_order(f: RestrictedSeries) -> int:
     raise NotRegular("no unit pure-axis coefficient within the cutoff")
 
 
-def _split_high(terms, axis, d):
-    """(low, high): axis-degree < d, and >= d shifted down by d."""
+def _split_high(terms, d, n, w):
+    """(low, high) of a packed term dict: last exponent < d, and >= d
+    shifted down by d, in the last field and the degree field."""
+    at, mask = w * (n - 1), (1 << w) - 1
+    down = d << at | d << w * n
     low, high = {}, {}
-    for exps, c in terms.items():
-        if exps[axis] < d:
-            low[exps] = c
+    for k, c in terms.items():
+        if k >> at & mask < d:
+            low[k] = c
         else:
-            k = list(exps)
-            k[axis] -= d
-            high[tuple(k)] = c
+            high[k - down] = c
     return low, high
 
 
@@ -611,20 +641,23 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     else:
         fs, gs = f.terms, g.terms
         c, over_c, floor = None, PadicScaled.exact(p, 1) / fs[top], sum_floor
-    minus_e = {k: -v for k, v in fs.items() if k != top}
+    # packed keys, with 2^w above every stored degree and the degree budget
+    w = max(budget.degree, f.max_degree(), g.max_degree()).bit_length()
+    minus_e = _pack({k: -v for k, v in fs.items() if k != top}, n, w)
+    fs, gs = _pack(fs, n, w), _pack(gs, n, w)
 
     # Q is the Neumann sum of term <- c^{-1} * high(-term*E) from
     # c^{-1} * high(g); the low parts of the same products sum to R - low(g).
     # On numerators each round multiplies Q and R by c instead.
     q_cur = {}
-    r_low, term = _split_high(gs, axis, d)
+    r_low, term = _split_high(gs, d, n, w)
     term = _scaled(term, over_c)
     rounds = 0
     while term and rounds < budget.prec + budget.degree + 2:
         q_cur, r_low = _scaled(q_cur, c), _scaled(r_low, c)
         for k, v in term.items():
             _acc(q_cur, k, v)
-        low, high = _split_high(_dict_mul(term, minus_e, budget.degree), axis, d)
+        low, high = _split_high(_dict_mul(term, minus_e, (budget.degree + 1) << w * n), d, n, w)
         for k, v in low.items():
             _acc(r_low, k, v)
         term = _scaled(high, over_c)
@@ -633,22 +666,23 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     # residue check against f itself: c^K g - Q f - R must vanish to budget
     # below the degree cutoff.  Its terms are listed per key, not summed,
     # so that a sum cancelling below its certified digits keeps its floor.
+    lim = budget.degree << w * n
     scaled_g = _scaled(gs, None if c is None else c**rounds)
     residue = {k: [v] for k, v in scaled_g.items()}
     for i, x in q_cur.items():
         for j, y in fs.items():
-            k = tuple(map(add, i, j))
-            if sum(k) < budget.degree:
-                residue.setdefault(k, []).append(-(x * y))
+            if i + j < lim:
+                residue.setdefault(i + j, []).append(-(x * y))
     for k, v in r_low.items():
         residue.setdefault(k, []).append(-v)
+    residue = _unpack({k: v for k, v in residue.items() if k < lim}, n, w)
+    q_cur, r_low = _unpack(q_cur, n, w), _unpack(r_low, n, w)
     for exps in sorted(residue):
-        if sum(exps) < budget.degree:
-            v = floor(residue[exps])
-            if v < budget.prec:
-                raise BudgetExceeded(
-                    f"division residue at {exps} has valuation {v} < {budget.prec}"
-                )
+        v = floor(residue[exps])
+        if v < budget.prec:
+            raise BudgetExceeded(
+                f"division residue at {exps} has valuation {v} < {budget.prec}"
+            )
 
     if c is not None:
         den = d_g * c**rounds
@@ -753,6 +787,12 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
                 raise BudgetExceeded("base tail slope too small to certify the precision")
             k_max += 1
         floor_beyond = c_b * (k_max + 1) + b_b
+        # the a_k with cutoff < k <= k_max are unknown, not zero, and a_k g^k
+        # starts at degree k*ord(g): when that reaches a kept degree, their
+        # error c_b*k + b_b >= c_b*(cutoff + 1) + b_b lands on kept terms
+        order = min(map(sum, g.terms), default=None)  # None: g = 0
+        if order is not None and (base.tail.cutoff + 1) * order <= budget.degree:
+            floor_beyond = min(floor_beyond, c_b * (base.tail.cutoff + 1) + b_b)
     weights = {k: base.coeff((k,)) for k in range(k_max + 1)}
     lifted_a, lifted_g = _numerators(weights), _numerators(g.terms)
     if lifted_a and lifted_g:
@@ -763,9 +803,10 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         one, den = 1, d_a * d_g**k_max
     else:
         gs, one, den = g.terms, PadicScaled.exact(p, 1), None
-    acc = {}
-    power = {(0,) * g.nvars: one}
+    acc, power = {}, {0: one}
     full_degree = max(k_max * deg_g, budget.degree)
+    n, w = g.nvars, max(full_degree, deg_g).bit_length()
+    gs, lim = _pack(gs, n, w), (full_degree + 1) << w * n
     for k, a_k in weights.items():
         if a_k:
             for exps, c in power.items():
@@ -773,9 +814,10 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         if k < k_max:
             # powers are never truncated below their true degree, so every
             # overflow term is computed and folded into the tail soundly
-            power = _dict_mul(power, gs, full_degree)
+            power = _dict_mul(power, gs, lim)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
+    acc = _unpack(acc, n, w)
     if den is None:
         kept, folds = _fold(acc, budget.degree)
         kept = _with_tail_error(kept, floor_beyond)

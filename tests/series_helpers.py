@@ -7,7 +7,7 @@ from fractions import Fraction
 from troppadic.errors import BudgetExceeded, DomainViolation
 from troppadic.padic import PadicScaled, sum_floor
 from troppadic.series import RestrictedSeries, TailBound
-from troppadic.series import _acc, _coerce_coeff, _dict_mul, _with_tail_error
+from troppadic.series import _acc, _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
 
 F = Fraction
 
@@ -69,6 +69,8 @@ def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> Re
         if r is not None and r > 0:
             raise DomainViolation("monomial substitution needs domain containing [0,oo)^n")
     exps_of_i = [d ** (n - 1 - i) for i in range(n - 1)]  # Z_n exponent per variable
+    w = degree_budget.bit_length()  # every product below has degree <= the budget
+    lim = 1 << w * (n + 1)
     out = {}
     for exps, a in f.terms.items():
         partial = {(0,) * (n - 1) + (exps[-1],): a}
@@ -85,7 +87,7 @@ def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> Re
                 PadicScaled.exact(f.p, math.comb(e, j) * (-1) ** (e - j))
                 for j in range(e + 1)
             }
-            partial = _dict_mul(partial, binomial)
+            partial = _unpack(_dict_mul(_pack(partial, n, w), _pack(binomial, n, w), lim), n, w)
         for k, c in partial.items():
             _acc(out, k, c)
     out = {k: v for k, v in out.items() if not v.is_zero()}

@@ -9,6 +9,12 @@ re-exports nor a definition's references to itself count.  ``ALLOWED``
 lists the definitions that stay without a route, each with its reason.  An
 allowlisted name that gains a caller or disappears fails the test too, so
 the list can only shrink.
+
+Since a method counts as referenced by any attribute of its name, a dead
+method would pass the scan on the calls of a live one of the same name in
+another class.  So a non-dunder method name may be defined in one class
+only; ``SHARED`` lists the names defined in several, each with the reason
+every one of its definitions is live, and can only shrink too.
 """
 
 import ast
@@ -45,6 +51,18 @@ ALLOWED = {
     ),
 }
 
+SHARED = {
+    "is_empty": (
+        "TailBound.is_empty (a property, read on every series tail), "
+        "QPolyhedron.is_empty (affine_dim and volume) and "
+        "TropicalData.is_empty (connected_components of empty data)"
+    ),
+    "key": (
+        "_Node.key (the cached sort key that orders terms) and "
+        "QPolyhedron.key (the order of the pieces of a component)"
+    ),
+}
+
 
 def _definitions(tree):
     """(qualified name, node, is a method) of every top-level function and
@@ -73,13 +91,17 @@ def _references(tree):
             yield True, node.attr, node.lineno
 
 
-def routeless():
-    """The qualified names of the definitions no other code refers to."""
-    trees = {
+def _trees():
+    return {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def routeless():
+    """The qualified names of the definitions no other code refers to."""
+    trees = _trees()
     refs = [(name, ref) for name, tree in trees.items() for ref in _references(tree)]
     out = set()
     for module, tree in trees.items():
@@ -100,3 +122,24 @@ def test_every_definition_has_a_route():
 
 def test_every_allowlisted_definition_is_still_routeless():
     assert sorted(ALLOWED.keys() - routeless()) == []
+
+
+def shared_method_names():
+    """{method name: the qualified names defining it} for every non-dunder
+    method name that more than one class defines."""
+    classes = {}
+    for tree in _trees().values():
+        for qualname, node, is_method in _definitions(tree):
+            if is_method:
+                classes.setdefault(node.name, []).append(qualname)
+    return {name: sorted(qs) for name, qs in classes.items() if len(qs) > 1}
+
+
+def test_every_method_name_is_defined_in_one_class():
+    assert {
+        name: qs for name, qs in shared_method_names().items() if name not in SHARED
+    } == {}
+
+
+def test_every_shared_method_name_is_still_shared():
+    assert sorted(SHARED.keys() - shared_method_names().keys()) == []

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from operator import add
 from unittest import mock
 
@@ -251,6 +252,166 @@ def same_series(a, b):
         return a == b
     same_terms = list(a.terms.items()) == list(b.terms.items())
     return same_terms and (a.tail, a.domain) == (b.tail, b.domain)
+
+
+def vp(r, p):
+    return INF if r == 0 else _oracle_split_p(F(r), p)[0]
+
+
+def power_sum(coeffs, g, n, maxdeg):
+    """sum_k coeffs[k] * g^k up to total degree maxdeg, in Fractions."""
+    out, power = {}, {(0,) * n: F(1)}
+    for k, a in enumerate(coeffs):
+        if k:
+            power = naive_mul(power, g, maxdeg)
+        for e, c in power.items():
+            out[e] = out.get(e, 0) + a * c
+    return out
+
+
+def exp_truth(p, g, n):
+    """The truth of Ep(g) for g with p-integral Fraction coefficients: the
+    sum of (m*g)^k/k!, m = p (4 at p = 2), to the first K whose remainder
+    has valuation >= the accuracy.  For v(k!) <= (k - 1)/(p - 1), so
+    v(m^k/k!) >= k*v(m) - (k - 1)/(p - 1) grows with k."""
+    m = 4 if p == 2 else p
+    vm = 2 if p == 2 else 1
+
+    def truth(maxdeg, accuracy):
+        K = 0
+        while (K + 1) * vm - F(K, p - 1) < accuracy:
+            K += 1
+        coeffs = [F(m) ** k / math.factorial(k) for k in range(K + 1)]
+        return power_sum(coeffs, g, n, maxdeg), accuracy
+
+    return truth
+
+
+def completion_truth(base, g, n):
+    """The truth of base(g) for one series the base certifies: each stored
+    coefficient's representative, zero where none is stored up to the
+    cutoff, and a_k = p^ceil(c*k + b) beyond it for a tail line (c, b), so
+    each unknown coefficient sits at its bound.  The terms beyond K have
+    valuation >= c*(K + 1) + b, as g has p-integral coefficients; without
+    a tail the sum is exact."""
+    p, tail = base.p, base.tail
+    known = {k: claimed(c)[0] for (k,), c in base.terms.items()}
+
+    def truth(maxdeg, accuracy):
+        coeffs = [known.get(k, 0) for k in range(tail.cutoff + 1)]
+        if tail.is_empty:
+            return power_sum(coeffs, g, n, maxdeg), INF
+        K = tail.cutoff
+        while tail.slope * (K + 1) + tail.offset < accuracy:
+            K += 1
+        for k in range(tail.cutoff + 1, K + 1):
+            coeffs.append(F(p) ** math.ceil(tail.slope * k + tail.offset))
+        return power_sum(coeffs, g, n, maxdeg), accuracy
+
+    return truth
+
+
+def claimed(c):
+    """(value, absolute precision) of a coefficient: a representative of
+    its certified digits, and the valuation to which they are certified."""
+    if c.is_exact:
+        return c.rational_value(), INF
+    v = c.valuation()
+    assert v.denominator == 1
+    return c.unit_digits(c.precision()) * F(c.p) ** int(v), v + c.precision()
+
+
+def assert_certified(got, truth, prec):
+    """Every digit that the series got certifies agrees with the truth:
+    each stored coefficient to its precision, each one missing up to the
+    cutoff as zero to the least precision of the stored ones, and the tail
+    line up to two degrees beyond the cutoff.  truth(maxdeg, accuracy)
+    gives the true coefficients up to total degree maxdeg, each known to
+    valuation accuracy (INF: exactly), and that accuracy."""
+    p = got.p
+    precisions = [claimed(c)[1] for c in got.terms.values()]
+    missing = min(precisions, default=INF)
+    maxdeg = got.tail.cutoff + 2
+    true, accuracy = truth(maxdeg, max([prec] + [a for a in precisions if a is not INF]) + 1)
+    for exps in product(range(maxdeg + 1), repeat=got.nvars):
+        deg = sum(exps)
+        if deg > maxdeg:
+            continue
+        if deg <= got.tail.cutoff:
+            value, known = claimed(got.terms[exps]) if exps in got.terms else (0, missing)
+            assert vp(true.get(exps, 0) - value, p) >= min(known, accuracy), exps
+        else:
+            line = INF if got.tail.is_empty else got.tail.slope * deg + got.tail.offset
+            assert vp(true.get(exps, 0), p) >= min(line, accuracy), exps
+
+
+# --------------------------------------------------------------- packed products
+
+
+def naive_mul(a, b, cap):
+    """The product of two tuple-keyed term dicts without terms of total
+    degree above cap (None: no cap), zero coefficients dropped."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if cap is None or sum(i) + sum(j) <= cap:
+                k = tuple(map(add, i, j))
+                out[k] = out[k] + x * y if k in out else x * y
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def packed_operands(draw):
+    """(n, w, a, b): two term dicts in 0-4 variables whose exponents fill
+    fields of width w, with int or PadicScaled coefficients."""
+    n, w = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2**w - 1) | st.just(2**w - 1)] * n)
+    if draw(st.booleans()):
+        coeffs = st.integers(-3, 3)
+    else:
+        p = draw(st.sampled_from(PRIMES))
+        exact = rationals(p).map(lambda r: ex(p, r))
+        coeffs = exact | st.builds(to_precision, exact, st.integers(1, 4))
+    a, b = (draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(2))
+    return n, w, a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packed_operands(), st.sampled_from(["none", "below", "max", "max+1", "field"]))
+# every field full: the products carry between fields and are all dropped
+@example((2, 2, {(3, 3): 1, (3, 0): 2}, {(3, 0): 1, (0, 3): -1}), "field")
+def test_packed_product_matches_the_tuple_product(operands, which):
+    n, w, a, b = operands
+    degrees = [sum(i) + sum(j) for i in a for j in b]
+    cap = {
+        "none": None,
+        "below": min(degrees, default=0) - 1,
+        "max": max(degrees, default=0),
+        "max+1": max(degrees, default=0) + 1,
+        "field": 2**w - 1,
+    }[which]
+    # widen the field until 2^w exceeds the cap (the lemma's condition)
+    w = max(w, (max(degrees, default=0) if cap is None else cap).bit_length())
+    lim = 1 << w * (n + 1) if cap is None else (cap + 1) << w * n
+    pa, pb = series._pack(a, n, w), series._pack(b, n, w)
+    assert series._unpack(pa, n, w) == a
+    # approximate sums that cancel raise, at the same pair on both sides
+    got = outcome(lambda: list(series._dict_mul(pa, pb, lim).items()))
+    want = outcome(lambda: list(series._pack(naive_mul(a, b, cap), n, w).items()))
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(packed_operands(), st.integers(0, 15))
+def test_packed_split_matches_the_tuple_split(operands, d):
+    n, w, terms_, _ = operands
+    if n == 0:
+        return
+    d %= 2**w
+    low, high = series._split_high(series._pack(terms_, n, w), d, n, w)
+    want_low, want_high = _oracle_split(terms_, n - 1, d)
+    assert list(low.items()) == list(series._pack(want_low, n, w).items())
+    assert list(high.items()) == list(series._pack(want_high, n, w).items())
 
 
 # --------------------------------------------------------------- evaluate
@@ -686,7 +847,43 @@ def test_composition_matches_the_padicscaled_oracle(inputs):
     if not all(c.is_exact for c in base.terms.values()):
         assert series._numerators(base.terms) is None  # the PadicScaled ring
     got = outcome(compose_univariate, base, g, budget)
-    assert same_series(got, outcome(oracle_compose, base, g, budget))
+    if isinstance(got, RestrictedSeries):
+        exact_g = {k: c.rational_value() for k, c in g.terms.items()}
+        assert_certified(got, completion_truth(base, exact_g, g.nvars), budget.prec)
+    # the replay reads a coefficient beyond the base cutoff as zero, which
+    # is right only when its a_k g^k reaches no kept degree
+    order = min(map(sum, g.terms), default=None)
+    if base.tail.is_empty or order is None or (base.tail.cutoff + 1) * order > budget.degree:
+        assert same_series(got, outcome(oracle_compose, base, g, budget))
+
+
+@st.composite
+def ep_arguments(draw):
+    """(p, g, budget): g with p-integral coefficients, mostly with a
+    constant term."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 2))
+    budget = Budget(draw(st.integers(1, 16)), draw(st.integers(1, 12)))
+    gterms = {}
+    if draw(st.integers(0, 3)):
+        gterms[(0,) * n] = p ** draw(st.integers(0, 2)) * draw(rationals(p))
+    for e in draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=2)):
+        gterms[e] = p ** draw(st.integers(0, 2)) * draw(rationals(p))
+    return p, poly(p, n, gterms), budget
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ep_arguments())
+# Ep(1+x): the partial sum to a_12 is off at valuation 11, not 16
+@example((5, poly(5, 1, {(0,): 1, (1,): 1}), EP_BUDGET))
+@example((5, poly(5, 1, {(0,): 1, (1,): 1}), Budget(4, 1)))
+@example((3, poly(3, 2, {(0, 0): F(1, 2), (1, 1): 3}), Budget(6, 4)))
+def test_ep_composition_matches_the_exp_truth(inputs):
+    p, g, budget = inputs
+    got = outcome(compose_univariate, terms._exp_p_build(p, budget), g, budget)
+    if isinstance(got, RestrictedSeries):
+        exact_g = {k: c.rational_value() for k, c in g.terms.items()}
+        assert_certified(got, exp_truth(p, exact_g, g.nvars), budget.prec)
 
 
 def test_compose_with_a_falling_floor_raises_at_once():
@@ -734,6 +931,10 @@ EP_TERMS = [
     st.integers(0, 2),
     st.sampled_from([Budget(8, 6), Budget(12, 8), Budget(16, 12)]),
 )
+# arguments with a constant term, Ep(1) among them
+@example(EP_TERMS[-1], [0, 0, 1], 1, 0, EP_BUDGET)
+@example(EP_TERMS[-1], [2, 3, 1], 3, 1, Budget(12, 8))
+@example(EP_TERMS[-1], [-3, 7, 10], 1, 2, Budget(8, 6))
 def test_ep_realization_matches_the_padicscaled_oracle(template, abc, den, order, budget):
     p = 5
     registry = terms.default_registry(p)
@@ -743,8 +944,25 @@ def test_ep_realization_matches_the_padicscaled_oracle(template, abc, den, order
     t = terms.derive_term(t, 0, order, registry=registry)
     ctx = terms.RealizeContext(p, len(names), budget, registry=registry)
     got = outcome(terms.realize, t, ctx)
-    with mock.patch.object(terms, "compose_univariate", oracle_compose):
-        assert same_series(got, outcome(terms.realize, t, ctx))
+    if template != EP_TERMS[-1] or not abc[2]:
+        with mock.patch.object(terms, "compose_univariate", oracle_compose):
+            assert same_series(got, outcome(terms.realize, t, ctx))
+    elif isinstance(got, RestrictedSeries):
+        # an argument with a constant term: the replay reads the a_k beyond
+        # the base cutoff as zero, so the truth is the order-th x-derivative
+        # of exp(5*g) for g = (c + a*x - b*x^2)/den
+        scale = F(1, den) if den % p else 1
+        g = {(0,): abc[2] * scale, (1,): abc[0] * scale, (2,): -abc[1] * scale}
+        exp_g = exp_truth(p, g, 1)
+
+        def truth(maxdeg, accuracy):
+            out, _ = exp_g(maxdeg + order, accuracy)
+            return {
+                (j,): math.perm(j + order, order) * out.get((j + order,), 0)
+                for j in range(maxdeg + 1)
+            }, accuracy
+
+        assert_certified(got, truth, budget.prec)
 
 
 def test_exact_ep_terms_finish_in_integers():
