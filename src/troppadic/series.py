@@ -71,7 +71,9 @@ series, so ``D_g`` is prime to p, and c is a unit; the denominator is then
 a unit and ``v(residue) = v_p(N)``, checked in integers key by key.
 Composition sums ``a_k*g^k`` the same way, over the one denominator
 ``D_a*D_g^K`` of the base coefficients ``a_k = n_k/D_a`` and the powers of
-``g = g'/D_g`` up to ``K = k_max``.
+``g = g'/D_g`` up to ``K``, the base cutoff: the coefficients past it
+are read as zero, their error bounded by the tail floor, so no higher
+power is formed.
 """
 
 from __future__ import annotations
@@ -793,25 +795,28 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         order = min(map(sum, g.terms), default=None)  # None: g = 0
         if order is not None and (base.tail.cutoff + 1) * order <= budget.degree:
             floor_beyond = min(floor_beyond, c_b * (base.tail.cutoff + 1) + b_b)
-    weights = {k: base.coeff((k,)) for k in range(k_max + 1)}
+    # the a_k past the cutoff are read as zero, their error bounded by
+    # floor_beyond and the tail piece below: no higher power reaches acc
+    top = base.tail.cutoff
+    weights = {k: base.coeff((k,)) for k in range(top + 1)}
     lifted_a, lifted_g = _numerators(weights), _numerators(g.terms)
     if lifted_a and lifted_g:
         # a_k = n_k/D_a and g = g'/D_g: sum a_k g^k is sum n_k D_g^(K-k) g'^k
-        # over M = D_a D_g^K, with K = k_max, summed in integers
+        # over M = D_a D_g^K, with K = top, summed in integers
         (d_a, weights), (d_g, gs) = lifted_a, lifted_g
-        weights = {k: w * d_g ** (k_max - k) for k, w in weights.items()}
-        one, den = 1, d_a * d_g**k_max
+        weights = {k: w * d_g ** (top - k) for k, w in weights.items()}
+        one, den = 1, d_a * d_g**top
     else:
         gs, one, den = g.terms, PadicScaled.exact(p, 1), None
     acc, power = {}, {0: one}
-    full_degree = max(k_max * deg_g, budget.degree)
+    full_degree = max(top * deg_g, budget.degree)
     n, w = g.nvars, max(full_degree, deg_g).bit_length()
     gs, lim = _pack(gs, n, w), (full_degree + 1) << w * n
     for k, a_k in weights.items():
         if a_k:
             for exps, c in power.items():
                 _acc(acc, exps, c * a_k)
-        if k < k_max:
+        if k < top:
             # powers are never truncated below their true degree, so every
             # overflow term is computed and folded into the tail soundly
             power = _dict_mul(power, gs, lim)

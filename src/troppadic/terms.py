@@ -15,7 +15,7 @@ elsewhere.  Each node computes its sort key once, when first read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
 from functools import cached_property, reduce
@@ -186,14 +186,20 @@ def _exp_p_build(p: int, budget: Budget) -> RestrictedSeries:
     return RestrictedSeries(p, 1, terms, tail=tail)
 
 
+@dataclass(frozen=True)
+class _EpRule:
+    """d Ep(u)/du = mult*Ep(u).  A value, so the symbols of two default
+    registries at one p are equal and key a context's compositions alike."""
+
+    mult: int
+
+    def __call__(self, args, k):
+        return Mul((Const(self.mult), App("Ep", args)))
+
+
 def default_registry(p: int):
     """The bundled symbol family: Ep(x) = exp(p*x) (exp(4x) at p = 2)."""
-    mult = 4 if p == 2 else p
-
-    def ep_rule(args, k):
-        return Mul((Const(mult), App("Ep", args)))
-
-    return {"Ep": FunctionSymbol("Ep", 1, _exp_p_build, ep_rule)}
+    return {"Ep": FunctionSymbol("Ep", 1, _exp_p_build, _EpRule(4 if p == 2 else p))}
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +251,29 @@ def _derive1(t, var, registry):
 
 @dataclass(frozen=True)
 class RealizeContext:
+    """Where terms are realized.  A context composes each symbol
+    application once and hands the same series to every later occurrence,
+    so a term and its partials share their Ep(g): realized series are
+    shared values, never to be edited in place."""
+
     p: int
     nvars: int
     budget: Budget
     domain: tuple = None
     registry: dict = None
+    # (symbol, App key) -> series: the symbol object keys it, so an edited
+    # registry never returns a stale series
+    _apps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def symbols(self):
         return self.registry if self.registry is not None else default_registry(self.p)
+
+
+def _var_index(v: Var, n: int) -> int:
+    """The index of v, refused unless it names one of the n variables."""
+    if not 0 <= v.index < n:
+        raise ValueError(f"variable index {v.index} out of range")
+    return v.index
 
 
 def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
@@ -262,9 +283,7 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
     if isinstance(t, Const):
         return RestrictedSeries.constant(p, t.value, nvars=n, domain=dom)
     if isinstance(t, Var):
-        if not 0 <= t.index < n:
-            raise ValueError(f"variable index {t.index} out of range")
-        return RestrictedSeries.variable(p, t.index, n, domain=dom)
+        return RestrictedSeries.variable(p, _var_index(t, n), n, domain=dom)
     if isinstance(t, (Add, Mul)):
         op = operator.add if isinstance(t, Add) else operator.mul
         return reduce(op, (realize(a, ctx) for a in t.args))
@@ -274,15 +293,18 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
             raise FormatError(f"unknown symbol {t.symbol!r}")
         if len(t.args) != sym.arity:
             raise FormatError(f"{t.symbol} expects {sym.arity} arguments")
-        base = sym.build(p, ctx.budget)
-        if sym.arity == 1:
-            arg = t.args[0]
-            if isinstance(arg, Var):
-                emb = base.embed(n, (arg.index,))
-                return RestrictedSeries(p, n, emb.terms, tail=emb.tail, domain=dom)
-            inner = realize(arg, ctx)
-            return compose_univariate(base, inner, ctx.budget)
-        raise BudgetExceeded("only unary symbols are realizable")
+        if sym.arity != 1:
+            raise BudgetExceeded("only unary symbols are realizable")
+        arg = t.args[0]
+        if isinstance(arg, Var):
+            emb = sym.build(p, ctx.budget).embed(n, (_var_index(arg, n),))
+            return RestrictedSeries(p, n, emb.terms, tail=emb.tail, domain=dom)
+        key = (sym, t.key)
+        out = ctx._apps.get(key)
+        if out is None:
+            base = sym.build(p, ctx.budget)
+            out = ctx._apps[key] = compose_univariate(base, realize(arg, ctx), ctx.budget)
+        return out
     raise TypeError(f"not a term: {t!r}")
 
 

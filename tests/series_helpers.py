@@ -1,5 +1,6 @@
 """Series operations that only the tests use: derivation, substitutions,
-scalar products, truncation and valuation floors.  Used by tests only."""
+scalar products, truncation, valuation floors and the compositions a
+term's realization makes.  Used by tests only."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from troppadic.errors import BudgetExceeded, DomainViolation
 from troppadic.padic import PadicScaled, sum_floor
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.series import _acc, _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
+from troppadic.terms import App, Var
 
 F = Fraction
 
@@ -139,3 +141,14 @@ def to_precision(x: PadicScaled, prec: int) -> PadicScaled:
 def difference_floor(a: PadicScaled, b: PadicScaled):
     """A certified lower bound for v(a - b): sum_floor of a and -b."""
     return sum_floor([a, -b])
+
+
+def composed_apps(t, out=None):
+    """The keys of the symbol applications whose realization composes:
+    those with an argument other than a variable, at any depth of t."""
+    out = set() if out is None else out
+    if isinstance(t, App) and not isinstance(t.args[0], Var):
+        out.add(t.key)
+    for a in getattr(t, "args", ()):
+        composed_apps(a, out)
+    return out

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from series_helpers import (
+    composed_apps,
     derivative,
     difference_floor,
     monomial_substitution,
@@ -942,11 +943,15 @@ def test_ep_realization_matches_the_padicscaled_oracle(template, abc, den, order
     if den % p:  # divide every Ep argument by den: the argument's D_g
         t = terms.simplify(scale_arguments(t, F(1, den)))
     t = terms.derive_term(t, 0, order, registry=registry)
-    ctx = terms.RealizeContext(p, len(names), budget, registry=registry)
-    got = outcome(terms.realize, t, ctx)
+
+    def fresh():  # a context's realizations are its own: replay in a new one
+        return terms.RealizeContext(p, len(names), budget, registry=registry)
+
+    got = outcome(terms.realize, t, fresh())
     if template != EP_TERMS[-1] or not abc[2]:
-        with mock.patch.object(terms, "compose_univariate", oracle_compose):
-            assert same_series(got, outcome(terms.realize, t, ctx))
+        with mock.patch.object(terms, "compose_univariate", wraps=oracle_compose) as spy:
+            assert same_series(got, outcome(terms.realize, t, fresh()))
+        assert spy.called == bool(composed_apps(t))
     elif isinstance(got, RestrictedSeries):
         # an argument with a constant term: the replay reads the a_k beyond
         # the base cutoff as zero, so the truth is the order-th x-derivative
@@ -974,9 +979,42 @@ def test_exact_ep_terms_finish_in_integers():
         ctx = terms.RealizeContext(5, len(names), EP_BUDGET, registry=reg)
         todo = [t, terms.derive_term(t, 0, 1, registry=reg)]
         want = [terms.realize(u, ctx) for u in todo]
-        with mock.patch.object(series, "_with_tail_error", side_effect=AssertionError):
+        ctx = terms.RealizeContext(5, len(names), EP_BUDGET, registry=reg)  # composes anew
+        with mock.patch.object(series, "_with_tail_error", side_effect=AssertionError), \
+                mock.patch.object(terms, "compose_univariate", wraps=compose_univariate) as spy:
             got = [terms.realize(u, ctx) for u in todo]
+        assert spy.call_count == 1  # one Ep(g), shared by t and its derivative
         assert all(same_series(a, b) for a, b in zip(got, want))
+
+
+def test_compose_forms_no_power_past_the_base_cutoff():
+    """The base coefficients past its cutoff are read as zero, so their
+    powers of g are never formed: at Budget(16, 12) exp(5x) is cut off at
+    degree 12 while its tail needs k_max = 20 for the precision, and
+    composition makes g^1 .. g^12, twelve products."""
+    base = terms._exp_p_build(5, EP_BUDGET)
+    k_max = base.tail.cutoff
+    while base.tail.slope * (k_max + 1) + base.tail.offset < EP_BUDGET.prec:
+        k_max += 1
+    assert (base.tail.cutoff, k_max) == (12, 20)
+    g = poly(5, 2, {(1, 0): 3, (0, 1): 7})
+    with mock.patch.object(series, "_dict_mul", wraps=series._dict_mul) as spy:
+        got = compose_univariate(base, g, EP_BUDGET)
+    assert spy.call_count == 12
+    assert_certified(got, exp_truth(5, {(1, 0): F(3), (0, 1): F(7)}, 2), EP_BUDGET.prec)
+
+
+def test_compose_of_a_dense_argument_fits_the_expansion_limit():
+    """A dense 3-variable argument whose powers past the base cutoff exceed
+    the expansion limit: with those powers unformed, it realizes, and every
+    certified digit agrees with exp(5g)."""
+    reg = terms.default_registry(5)
+    text = "x^3 + y^3 + z^3 + x*y + y*z + x*z + x + y + z"
+    t, names = terms.parse_term(f"Ep({text})", registry=reg)
+    got = terms.realize(t, terms.RealizeContext(5, 3, EP_BUDGET, registry=reg))
+    g = {e: F(1) for e in [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1),
+                           (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]}
+    assert_certified(got, exp_truth(5, g, 3), EP_BUDGET.prec)
 
 
 def scale_arguments(t, r):

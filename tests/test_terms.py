@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from defining_systems import (
     coefficient_defining_systems,
     distinctness_root_system,
     matrix_row_values,
 )
-from series_helpers import derivative, difference_floor
-from troppadic.errors import NotClosedUnderDerivation
+from series_helpers import composed_apps, derivative, difference_floor
+from troppadic.errors import NotClosedUnderDerivation, PrecisionExhausted
+from troppadic.formats import series_to_dict
 from troppadic.padic import INF, PadicScaled
-from troppadic.series import Budget, RestrictedSeries, weierstrass_prepare
+from troppadic.series import Budget, RestrictedSeries, compose_univariate, weierstrass_prepare
 from troppadic.terms import (
     Add,
     App,
@@ -159,6 +161,79 @@ def test_realize_composition_with_polynomial_argument():
     for e in range(budget.degree + 1):
         fl = difference_floor(got.coeff((e,)), ex(oracle.get(e, F(0))))
         assert fl is INF or fl >= budget.prec
+
+
+@pytest.mark.parametrize("index", [-1, 2, 3])
+def test_realize_checks_the_variable_index_of_a_symbol_argument(index):
+    """Ep(Var(i)) takes the embedding shortcut; it refuses an index out of
+    range like a bare Var, instead of reading Var(-1) as the last one."""
+    ctx = RealizeContext(5, 2, Budget(8, 6))
+    for t in (Var(index), App("Ep", (Var(index),))):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range"):
+            realize(t, ctx)
+
+
+def _polys():
+    """Polynomials in x, y without a constant term, with unit coefficients
+    at p = 5."""
+    monomials = [Var(0), Var(1), Mul((Var(0), Var(0))), Mul((Var(0), Var(1)))]
+    unit = st.sampled_from([c for c in range(-9, 10) if c % 5])
+    summand = st.tuples(unit, st.sampled_from(monomials))
+    return st.lists(summand, min_size=1, max_size=3, unique_by=lambda cm: cm[1].key).map(
+        lambda cms: simplify(Add(tuple(Mul((Const(c), m)) for c, m in cms)))
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_polys(), _polys(), st.integers(0, 2), st.booleans())
+def test_a_context_composes_each_application_once(g, h, shape, own_registry):
+    """A term and its partials realized in one context equal their
+    realizations in fresh contexts, and the context composes each distinct
+    application once."""
+    from troppadic import terms
+
+    e, f = App("Ep", (g,)), App("Ep", (h,))
+    t = simplify([
+        Add((Mul((e, e)), Mul((Var(0), e)))),
+        Add((e, f)),
+        Add((Mul((Var(1), e, f)), e)),
+    ][shape])
+    registry = default_registry(5) if own_registry else None
+    reg = default_registry(5)
+    todo = [t, derive_term(t, 0, 1, reg), derive_term(t, 0, 2, reg), derive_term(t, 1, 1, reg)]
+
+    def ctx():
+        return RealizeContext(5, 2, Budget(8, 6), registry=registry)
+
+    try:
+        want = [realize(u, ctx()) for u in todo]
+    except PrecisionExhausted:  # a cancellation: no series to compare
+        assume(False)
+    with mock.patch.object(terms, "compose_univariate", wraps=compose_univariate) as spy:
+        shared = ctx()
+        got = [realize(u, shared) for u in todo]
+    for a, b in zip(got, want):
+        assert series_to_dict(a) == series_to_dict(b)
+        assert list(a.terms) == list(b.terms)
+    apps = set()
+    for u in todo:
+        composed_apps(u, apps)
+    assert spy.call_count == len(apps)
+
+
+def test_an_edited_registry_realizes_its_new_symbol():
+    """A context's compositions are keyed by the symbol object: after the
+    registry's Ep is replaced, the same application realizes the new one."""
+    reg = default_registry(5)
+
+    def ctx():
+        return RealizeContext(5, 1, Budget(8, 6), registry=reg)
+
+    shared, t = ctx(), App("Ep", (Mul((Const(2), Var(0))),))
+    before = series_to_dict(realize(t, shared))
+    reg["Ep"] = FunctionSymbol("Ep", 1, lambda p, budget: RestrictedSeries(p, 1, {(0,): 1}))
+    after = series_to_dict(realize(t, shared))
+    assert after == series_to_dict(realize(t, ctx())) != before
 
 
 # --------------------------------------------------------------- parsing
