@@ -30,7 +30,17 @@ keeps, and ``_dict_mul`` multiplies with one add and one compare per pair.
 dict at a degree cutoff into kept terms and the (degree, valuation) points
 that the tail bound must absorb.  ``_acc`` and ``_dict_mul`` work on any
 coefficient ring with ``+``, ``*`` and a zero that is false: the
-``PadicScaled`` values of a series, or Python integers.
+``PadicScaled`` values of a series, or Python integers.  A product with a
+constant polynomial (one term, at the zero exponent, and no tail) skips
+the kernel: ``_times_constant`` scales the other side's terms in their
+order, finding the constant's valuation and unit digits once per
+precision, and the cutoff, fold and tail pieces are those of any product.
+
+A series has two constructors, which end in the same tail rule
+(``_finish``).  ``RestrictedSeries(...)`` checks and cleans outside input.
+``RestrictedSeries._made``, which only this module calls, takes the
+results of the algebra as they stand: tuple keys, nonzero ``PadicScaled``
+values and a normalized domain.
 
 Weierstrass division and composition run on integer numerators when every
 input coefficient is an exact rational (shift 0), and on ``PadicScaled``
@@ -201,6 +211,24 @@ def _scaled(terms, s):
     return terms if s is None else {k: c * s for k, c in terms.items()}
 
 
+def _times_constant(terms, c):
+    """{k: a*c} in the order of terms, for a nonzero PadicScaled c whose
+    valuation and unit digits are found once per precision, not per term."""
+    p, v_c, n_c, exact = c.p, c.valuation(), c.precision(), c.is_exact
+    digits = {}  # precision n -> (p^n, unit digits of c mod p^n)
+    out = {}
+    for k, a in terms.items():
+        if exact and a.is_exact:
+            out[k] = a * c
+            continue
+        n = int(min(a.precision(), n_c))
+        if n not in digits:
+            digits[n] = p**n, c.unit_digits(n)
+        mod, u = digits[n]
+        out[k] = PadicScaled.approx(p, a.valuation() + v_c, a.unit_digits(n) * u % mod, n)
+    return out
+
+
 def _numerators(terms):
     """(D, {k: D*c}): integer numerators over D, the lcm of the denominators,
     when every coefficient is an exact rational; None when any coefficient
@@ -250,30 +278,38 @@ class RestrictedSeries:
     __slots__ = ("p", "nvars", "terms", "tail", "domain")
 
     def __init__(self, p, nvars, terms, tail=None, domain=None):
-        self.p = p
-        self.nvars = nvars
         clean = {}
-        maxdeg = 0
         for exps, c in terms.items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             c = _coerce_coeff(p, c)
-            if c.is_zero():
-                continue
-            clean[exps] = c
-            maxdeg = max(maxdeg, sum(exps))
-        self.terms = clean
+            if not c.is_zero():
+                clean[exps] = c
         if domain is None:
             domain = tuple(F(0) for _ in range(nvars))
         else:
             domain = tuple(None if r is None else F(r) for r in domain)
             if len(domain) != nvars:
                 raise ValueError("domain length mismatch")
-        self.domain = domain
-        if tail is None:
-            tail = TailBound.empty(maxdeg)
-        if tail.is_empty and tail.cutoff < maxdeg:
+        self._finish(p, nvars, clean, tail, domain)
+
+    @classmethod
+    def _made(cls, p, nvars, terms, tail, domain):
+        """A series from data the algebra built, which it trusts: tuple keys
+        of nvars integers >= 0, nonzero PadicScaled values at p and a
+        normalized domain tuple.  The tail rule still runs."""
+        self = cls.__new__(cls)
+        self._finish(p, nvars, terms, tail, domain)
+        return self
+
+    def _finish(self, p, nvars, terms, tail, domain):
+        """The tail rule of both constructors: an empty tail's cutoff rises
+        to the max degree, no stored term lies beyond the cutoff, and a
+        tail converges on the domain."""
+        self.p, self.nvars, self.terms, self.domain = p, nvars, terms, domain
+        maxdeg = max(map(sum, terms), default=0)
+        if tail is None or tail.is_empty and tail.cutoff < maxdeg:
             tail = TailBound.empty(maxdeg)
         if maxdeg > tail.cutoff:
             raise ValueError("stored term beyond the tail cutoff")
@@ -351,13 +387,8 @@ class RestrictedSeries:
         return tuple(dom)
 
     def __neg__(self):
-        return RestrictedSeries(
-            self.p,
-            self.nvars,
-            {i: -c for i, c in self.terms.items()},
-            tail=self.tail,
-            domain=self.domain,
-        )
+        terms = {i: -c for i, c in self.terms.items()}
+        return RestrictedSeries._made(self.p, self.nvars, terms, self.tail, self.domain)
 
     def __add__(self, other):
         dom = self._common_domain(other)
@@ -373,7 +404,7 @@ class RestrictedSeries:
         tail = _merge_tail_pieces(
             cutoff, [(ta.slope, ta.offset), (tb.slope, tb.offset)], folds
         )
-        return RestrictedSeries(self.p, self.nvars, kept, tail=tail, domain=dom)
+        return RestrictedSeries._made(self.p, self.nvars, kept, tail, dom)
 
     def __sub__(self, other):
         return self + (-other)
@@ -394,9 +425,17 @@ class RestrictedSeries:
             bounds.append(tb.cutoff + mf)
         bounds = [b for b in bounds if b is not None]
         cutoff = min(bounds) if bounds else ta.cutoff + tb.cutoff
-        n, w = self.nvars, (self.max_degree() + other.max_degree()).bit_length()
-        prod = _dict_mul(_pack(self.terms, n, w), _pack(other.terms, n, w), 1 << w * (n + 1))
-        kept, folds = _fold(_unpack(prod, n, w), cutoff)
+        # a constant polynomial scales the other side's terms in their order
+        n, zero = self.nvars, (0,) * self.nvars
+        if ta.is_empty and len(self.terms) == 1 and zero in self.terms:
+            prod = _times_constant(other.terms, self.terms[zero])
+        elif tb.is_empty and len(other.terms) == 1 and zero in other.terms:
+            prod = _times_constant(self.terms, other.terms[zero])
+        else:
+            w = (self.max_degree() + other.max_degree()).bit_length()
+            prod = _dict_mul(_pack(self.terms, n, w), _pack(other.terms, n, w), 1 << w * (n + 1))
+            prod = _unpack(prod, n, w)
+        kept, folds = _fold(prod, cutoff)
         pieces = []
         if not tb.is_empty:
             h = val_min(*(a.valuation() - tb.slope * sum(i) for i, a in self.terms.items()))
@@ -409,7 +448,7 @@ class RestrictedSeries:
         if not ta.is_empty and not tb.is_empty:
             pieces.append((min(ta.slope, tb.slope), ta.offset + tb.offset))
         tail = _merge_tail_pieces(cutoff, pieces, folds)
-        return RestrictedSeries(self.p, self.nvars, kept, tail=tail, domain=dom)
+        return RestrictedSeries._made(self.p, self.nvars, kept, tail, dom)
 
     def embed(self, nvars_new, var_map) -> "RestrictedSeries":
         """Reindex variables: old variable k becomes var_map[k]."""
@@ -424,7 +463,7 @@ class RestrictedSeries:
         dom = [F(0)] * nvars_new
         for k in range(self.nvars):
             dom[var_map[k]] = self.domain[k]
-        return RestrictedSeries(self.p, nvars_new, terms, tail=self.tail, domain=tuple(dom))
+        return RestrictedSeries._made(self.p, nvars_new, terms, self.tail, tuple(dom))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +589,7 @@ def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSer
     out = {k: v for k, v in out.items() if not v.is_zero()}
     if not f.tail.is_empty:
         out = _with_tail_error(out, f.tail.floor_at(F(0)))
-    return RestrictedSeries(f.p, f.nvars, out, tail=f.tail, domain=f.domain)
+    return RestrictedSeries._made(f.p, f.nvars, out, f.tail, f.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +717,9 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     for k, v in r_low.items():
         residue.setdefault(k, []).append(-v)
     residue = _unpack({k: v for k, v in residue.items() if k < lim}, n, w)
-    q_cur, r_low = _unpack(q_cur, n, w), _unpack(r_low, n, w)
+    # the accumulators can cancel to 0, which a series does not store
+    q_cur = {k: v for k, v in _unpack(q_cur, n, w).items() if v}
+    r_low = {k: v for k, v in _unpack(r_low, n, w).items() if v}
     for exps in sorted(residue):
         v = floor(residue[exps])
         if v < budget.prec:
@@ -689,22 +730,14 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     if c is not None:
         den = d_g * c**rounds
         q_cur, r_low = _over(p, q_cur, d_f, den), _over(p, r_low, 1, den)
-    dom = f._common_domain(g)
-    q_series = RestrictedSeries(p, n, q_cur, tail=TailBound.empty(budget.degree), domain=dom)
+    dom, tail = f._common_domain(g), TailBound.empty(budget.degree)
+    q_series = RestrictedSeries._made(p, n, q_cur, tail, dom)
     a_list = []
     for j in range(d):
         a_terms = {
             exps[:axis]: v for exps, v in r_low.items() if exps[axis] == j
         }
-        a_list.append(
-            RestrictedSeries(
-                p,
-                axis,
-                a_terms,
-                tail=TailBound.empty(budget.degree),
-                domain=dom[:axis],
-            )
-        )
+        a_list.append(RestrictedSeries._made(p, axis, a_terms, tail, dom[:axis]))
     return q_series, a_list
 
 
@@ -836,7 +869,7 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
     if floor_beyond is not INF and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = _merge_tail_pieces(budget.degree, pieces, folds)
-    return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
+    return RestrictedSeries._made(p, g.nvars, kept, tail, g.domain)
 
 
 # ---------------------------------------------------------------------------

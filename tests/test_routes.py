@@ -15,6 +15,9 @@ method would pass the scan on the calls of a live one of the same name in
 another class.  So a non-dunder method name may be defined in one class
 only; ``SHARED`` lists the names defined in several, each with the reason
 every one of its definitions is live, and can only shrink too.
+
+A last scan keeps the calls of ``RestrictedSeries._made``, the constructor
+that skips the input checks, inside the series module.
 """
 
 import ast
@@ -143,3 +146,25 @@ def test_every_method_name_is_defined_in_one_class():
 
 def test_every_shared_method_name_is_still_shared():
     assert sorted(SHARED.keys() - shared_method_names().keys()) == []
+
+
+def private_constructor_calls():
+    """{module: lines} of the calls to ``RestrictedSeries._made``, the
+    constructor that trusts the data the series algebra built."""
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "_made":
+                    calls.setdefault(path.name, []).append(node.lineno)
+    return calls
+
+
+def test_only_the_series_algebra_skips_the_input_checks():
+    """Every other module (formats, cli, terms, bounds) builds a series
+    through the checking constructor."""
+    calls = private_constructor_calls()
+    assert "series.py" in calls
+    assert {m: lines for m, lines in calls.items() if m != "series.py"} == {}

@@ -705,12 +705,15 @@ def tails(terms):
 
 
 def division_outcome(divide, f, g, budget):
-    """(Q items, [A_j items]) in insertion order, or the failure raised."""
+    """(Q items, [A_j items]) in insertion order, or the failure raised;
+    a series result must be one the checking constructor accepts."""
     try:
         q, rems = divide(f, g, budget)
     except (BudgetExceeded, PrecisionExhausted) as exc:
         return type(exc), str(exc)
     if isinstance(q, RestrictedSeries):
+        for s in (q, *rems):
+            assert_rebuilds(s)
         q, rems = q.terms, [a.terms for a in rems]
     return list(q.items()), [list(a.items()) for a in rems]
 
@@ -1045,3 +1048,149 @@ def test_add_mul_tail_soundness():
 def test_series_constructor_rejects_bad_tail():
     with pytest.raises(DomainViolation):
         RestrictedSeries(5, 1, {(0,): 1}, tail=TailBound(3, F(-1), F(0)))
+
+
+# --------------------------------------------------------------- constant factors and constructors
+
+
+def assert_rebuilds(s):
+    """The checking constructor accepts s as it stands: the same terms in
+    the same order, tail and domain."""
+    again = RestrictedSeries(s.p, s.nvars, s.terms, tail=s.tail, domain=s.domain)
+    assert again == s and list(again.terms) == list(s.terms)
+
+
+def oracle_product(a, b):
+    """a*b by the tuple-key product, then the cutoff, fold and tail pieces
+    of RestrictedSeries.__mul__, built through the checking constructor."""
+    ta, tb = a.tail, b.tail
+    mf = min(map(sum, a.terms), default=None)
+    mg = min(map(sum, b.terms), default=None)
+    bounds = []
+    if not ta.is_empty:
+        bounds.append(ta.cutoff + tb.cutoff if not tb.is_empty else None)
+        if mg is not None:
+            bounds.append(ta.cutoff + mg)
+    if not tb.is_empty and mf is not None:
+        bounds.append(tb.cutoff + mf)
+    bounds = [x for x in bounds if x is not None]
+    cutoff = min(bounds) if bounds else ta.cutoff + tb.cutoff
+    kept, folds = series._fold(naive_mul(a.terms, b.terms, None), cutoff)
+    pieces = []
+    if not tb.is_empty:
+        h = val_min(*(c.valuation() - tb.slope * sum(i) for i, c in a.terms.items()))
+        if h is not INF:
+            pieces.append((tb.slope, tb.offset + h))
+    if not ta.is_empty:
+        h = val_min(*(c.valuation() - ta.slope * sum(j) for j, c in b.terms.items()))
+        if h is not INF:
+            pieces.append((ta.slope, ta.offset + h))
+    if not ta.is_empty and not tb.is_empty:
+        pieces.append((min(ta.slope, tb.slope), ta.offset + tb.offset))
+    tail = series._merge_tail_pieces(cutoff, pieces, folds)
+    return RestrictedSeries(a.p, a.nvars, kept, tail=tail, domain=a._common_domain(b))
+
+
+def coefficients(p):
+    """Exact values, exact values at a fractional shift, and approximate
+    values at 1-6 digits, so one series mixes several precisions."""
+    exact = rationals(p).map(lambda r: ex(p, r))
+    shifted = st.builds(
+        lambda r, s: PadicScaled.exact(p, r, s), rationals(p), st.sampled_from([F(1, 3), F(1, 2)])
+    )
+    return exact | shifted | st.builds(to_precision, exact, st.integers(1, 6))
+
+
+@st.composite
+def constant_products(draw):
+    """(constant, series, constant on the left): a constant polynomial at
+    p, with no tail (the scalar path) or with one (the packed kernel), and
+    a series in 0-3 variables with or without a tail."""
+    p, n = draw(st.sampled_from(PRIMES)), draw(st.integers(0, 3))
+    zero = (0,) * n
+    c = RestrictedSeries(p, n, {zero: draw(coefficients(p))})
+    if draw(st.integers(0, 3)) == 0:
+        c = RestrictedSeries(p, n, c.terms, tail=draw(tails(c.terms).filter(bool)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms_ = draw(st.dictionaries(exps, coefficients(p), max_size=8))
+    s = RestrictedSeries(p, n, terms_, tail=draw(tails(terms_)))
+    return c, s, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(constant_products())
+# an exact unit times digits at three precisions: a reused digit count fails
+@example((
+    poly(5, 1, {(0,): 7}),
+    poly(5, 1, {(0,): PadicScaled.approx(5, 0, 1234, 2), (1,): PadicScaled.approx(5, 1, 1234, 5),
+                (2,): PadicScaled.approx(5, 0, 3, 1)}),
+    True,
+))
+def test_a_constant_factor_scales_like_the_tuple_product(operands):
+    c, s, left = operands
+    a, b = (c, s) if left else (s, c)
+    zero = (0,) * s.nvars
+    scalar = any(x.tail.is_empty and list(x.terms) == [zero] for x in (c, s))
+    with mock.patch.object(series, "_dict_mul", wraps=series._dict_mul) as spy:
+        got = outcome(lambda: a * b)
+    assert spy.called != scalar
+    want = outcome(oracle_product, a, b)
+    assert same_series(got, want)
+    if isinstance(got, RestrictedSeries):
+        assert_rebuilds(got)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((5, 2, {(1,): 1}), {}, "bad exponent vector"),
+        ((5, 2, {(1, -1): 1}), {}, "bad exponent vector"),
+        ((5, 1, {(1,): PadicScaled.exact(3, 1)}), {}, "coefficient prime mismatch"),
+        ((5, 2, {(1, 0): 1}), {"domain": (0,)}, "domain length mismatch"),
+        ((5, 1, {(3,): 1}), {"tail": TailBound(2, F(1), F(0))}, "stored term beyond the tail cutoff"),
+    ],
+)
+def test_series_constructor_rejects_bad_input(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RestrictedSeries(*args, **kwargs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(constant_products(), st.integers(0, 2), st.integers(-30, 30))
+def test_every_internal_result_is_one_the_constructor_accepts(operands, i, shift):
+    c, s, _ = operands
+    ops = [
+        lambda: c * s,
+        lambda: s * c,
+        lambda: s * s * s,
+        lambda: s + c,
+        lambda: -s,
+        lambda: s * s - s,
+        lambda: s.embed(s.nvars + 1, list(range(s.nvars))[::-1]),
+    ]
+    if s.nvars:
+        ops.append(lambda: shift_variable(s * s, i % s.nvars, ex(s.p, s.p * shift)))
+    for op in ops:
+        r = outcome(op)  # sums may cancel below their certified digits
+        if isinstance(r, RestrictedSeries):
+            assert_rebuilds(r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(compositions())
+def test_every_composition_is_one_the_constructor_accepts(inputs):
+    got = outcome(compose_univariate, *inputs)
+    if isinstance(got, RestrictedSeries):
+        assert_rebuilds(got)
+
+
+def test_dividing_a_series_by_itself_stores_no_cancelled_remainder():
+    """f/f, in integers and in PadicScaled (a shifted coefficient): the
+    remainder accumulator cancels to exact zeros, which no result stores."""
+    for f in (poly(5, 2, {(0, 2): 1, (0, 0): 5, (1, 1): 3}),
+              poly(5, 2, {(0, 2): 1, (0, 0): 5, (1, 0): PadicScaled.exact(5, 2, F(1, 2))})):
+        q, rems = weierstrass_divide(f, f, Budget(8, 6))
+        assert list(q.terms.items()) == [((0, 0), ex(5, 1))]
+        assert all(not a.terms for a in rems)
+        for r in (q, *rems):
+            assert_rebuilds(r)
