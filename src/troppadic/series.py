@@ -49,15 +49,8 @@ otherwise; ``_numerators`` makes that choice from the inputs.  A term dict
 ``h'`` integral.  The loop is written once for both rings, and the
 numerators are turned back into ``PadicScaled`` once, at the end, so exact
 results are the same rationals as in field arithmetic and nothing is
-truncated.  Division builds each exact ``Q`` and ``R`` coefficient as one
-``Fraction(n*num, den)``.  Composition finishes in integers too
-(``_finish_numerators``): a coefficient ``n/M`` with ``n = n_u*p^a`` and
-``M = M_u*p^b`` (``n_u``, ``M_u`` prime to p) has valuation ``a - b``
-whether or not the fraction is reduced, since a common factor adds the
-same power of p to both, and unit digits ``n_u*M_u^{-1}`` mod ``p^digits``.
-So its fold and its cut to the tail's error floor read both off the
-numerator, with one modular inverse of ``M_u`` per digit count, and a
-``Fraction`` is built only for a coefficient kept exact.
+truncated.  Each exact result coefficient is built as one
+``Fraction(n*num, den)`` (``_over``).
 
 Weierstrass division is a contraction in the (p, X')-filtration: with
 ``f = c*Y^d + E`` (c the unit coefficient of the regularity order), the
@@ -81,13 +74,23 @@ series, so ``D_g`` is prime to p, and c is a unit; the denominator is then
 a unit and ``v(residue) = v_p(N)``, checked in integers key by key.
 Composition sums ``a_k*g^k`` the same way, over the one denominator
 ``D_a*D_g^K`` of the base coefficients ``a_k = n_k/D_a`` and the powers of
-``g = g'/D_g`` up to ``K``, the base cutoff: the coefficients past it
-are read as zero, their error bounded by the tail floor, so no higher
-power is formed.
+``g = g'/D_g`` up to ``K``, the base cutoff; no higher power is formed.
+
+Lemma.  Let the base tail certify ``v(a_k) >= c*k + b`` for k > K, and let
+g have p-integral coefficients and order ``ord(g)``, the least total degree
+of its terms.  Then ``a_k*g^k`` has no term below degree ``k*ord(g)``, so
+the unknown ``a_k`` reach no degree below ``(K + 1)*ord(g)``.  When that
+exceeds the degree budget, every kept coefficient of ``base(g)`` is the
+partial sum's own, exact when the stored ``a_k`` and g are.  Otherwise
+each kept coefficient is known to the floor ``c*(K + 1) + b``, and a kept
+monomial that the unknown ``a_k*g^k`` reach but the partial sum does not
+store raises instead of reading as zero.  Past the degree budget, the
+piece ``(c/deg(g), b)`` bounds every unexpanded term.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -499,45 +502,6 @@ def _with_tail_error(terms, floor):
     return {k: _with_error_floor(v, floor) for k, v in terms.items()}
 
 
-def _finish_numerators(p, nums, den, cutoff, floor):
-    """_fold and _with_tail_error of the exact coefficients n/den, read off
-    the integer numerators n (see the module docstring): (kept terms,
-    [(degree, valuation)] of the terms beyond the cutoff).  The same
-    values, order and exceptions as the two helpers."""
-    b = vp_int(den, p)
-    den_u = den // p**b
-    if floor is not INF:
-        top, low = math.ceil(floor), math.floor(floor)
-    inverses = {}  # digits -> (p^digits, den_u^-1 mod p^digits)
-    kept, folds = {}, []
-    for k, n in nums.items():
-        if not n:
-            continue
-        deg = sum(k)
-        if floor is INF and deg <= cutoff:
-            kept[k] = PadicScaled.exact(p, F(n, den))
-            continue
-        a = vp_int(n, p)
-        v = a - b
-        if deg > cutoff:
-            folds.append((deg, F(v)))
-            continue
-        if v >= top:
-            raise PrecisionExhausted(
-                "value is indistinguishable from zero at the certified floor",
-                floor=floor,
-            )
-        digits = low - v
-        if digits < 1:
-            raise PrecisionExhausted("no certified digit", floor=floor)
-        if digits not in inverses:
-            mod = p**digits
-            inverses[digits] = mod, pow(den_u, -1, mod)
-        mod, inv = inverses[digits]
-        kept[k] = PadicScaled.approx(p, F(v), n // p**a * inv, digits)
-    return kept, folds
-
-
 def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
     """Value of f at a point, certified to the provable precision."""
     if len(xs) != f.nvars:
@@ -796,6 +760,18 @@ def strassmann_count(f: RestrictedSeries) -> int:
 # composition (used by the term language)
 
 
+def _reached(gs, skip, lim):
+    """The packed keys below lim of the products of k monomials of gs, for
+    every k > skip."""
+    reached, level = set(), {0}
+    for k in itertools.count(1):
+        prev, level = level, {i + j for i in level for j in gs if i + j < lim}
+        if level == prev:  # every later product is one of these
+            return reached | level
+        if k > skip:
+            reached |= level
+
+
 def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budget):
     """base(g) for univariate base and polynomial g, certified to budget."""
     if base.nvars != 1:
@@ -810,27 +786,16 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
     if m is not INF and (m < 0 or (r0 is not None and m < r0)):
         raise DomainViolation("argument values leave the base domain")
     deg_g = g.max_degree()
-    # partial sum bound: stop once the base tail certifies the precision
-    if base.tail.is_empty:
-        k_max = base.tail.cutoff
-        floor_beyond = INF
-    else:
+    # the lemma of the module docstring: the unknown a_k past the cutoff
+    # reach a kept degree only when (cutoff + 1)*ord(g) <= budget.degree
+    top, order = base.tail.cutoff, min(map(sum, g.terms), default=None)  # None: g = 0
+    floor_beyond = INF
+    if not base.tail.is_empty:
         c_b, b_b = base.tail.slope, base.tail.offset
-        k_max = base.tail.cutoff
-        while c_b * (k_max + 1) + b_b < budget.prec:
-            if c_b <= 0:  # the floor never rises with k_max
-                raise BudgetExceeded("base tail slope too small to certify the precision")
-            k_max += 1
-        floor_beyond = c_b * (k_max + 1) + b_b
-        # the a_k with cutoff < k <= k_max are unknown, not zero, and a_k g^k
-        # starts at degree k*ord(g): when that reaches a kept degree, their
-        # error c_b*k + b_b >= c_b*(cutoff + 1) + b_b lands on kept terms
-        order = min(map(sum, g.terms), default=None)  # None: g = 0
-        if order is not None and (base.tail.cutoff + 1) * order <= budget.degree:
-            floor_beyond = min(floor_beyond, c_b * (base.tail.cutoff + 1) + b_b)
-    # the a_k past the cutoff are read as zero, their error bounded by
-    # floor_beyond and the tail piece below: no higher power reaches acc
-    top = base.tail.cutoff
+        if c_b <= 0 and c_b * (top + 1) + b_b < budget.prec:
+            raise BudgetExceeded("base tail slope too small to certify the precision")
+        if order is not None and (top + 1) * order <= budget.degree:
+            floor_beyond = c_b * (top + 1) + b_b
     weights = {k: base.coeff((k,)) for k in range(top + 1)}
     lifted_a, lifted_g = _numerators(weights), _numerators(g.terms)
     if lifted_a and lifted_g:
@@ -855,18 +820,25 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
             power = _dict_mul(power, gs, lim)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
+    if floor_beyond is not INF:
+        # a kept monomial that only unknown a_k reach would read as exactly 0
+        kept_lim = (budget.degree + 1) << w * n
+        if any(not acc.get(k) for k in _reached(gs, top, kept_lim)):
+            raise PrecisionExhausted(
+                "value is indistinguishable from zero at the certified floor",
+                floor=floor_beyond,
+            )
     acc = _unpack(acc, n, w)
-    if den is None:
-        kept, folds = _fold(acc, budget.degree)
+    if den is not None:
+        acc = _over(p, acc, 1, den)
+    kept, folds = _fold(acc, budget.degree)
+    if floor_beyond is not INF:
         kept = _with_tail_error(kept, floor_beyond)
-    else:
-        kept, folds = _finish_numerators(p, acc, den, budget.degree, floor_beyond)
-    # a_k g^k for k > k_max has valuation >= (c_b + v(g))k + b_b at each
+    # a_k g^k for k > cutoff has valuation >= (c_b + v(g))k + b_b at each
     # degree j <= k deg_g, and c_b + v(g) > 0 on the base domain: so the
-    # piece (c_b/deg_g, b_b) bounds every unexpanded term, and a folded
-    # valuation needs no cap at the floor
+    # piece (c_b/deg_g, b_b) bounds every unexpanded term
     pieces = []
-    if floor_beyond is not INF and deg_g > 0:
+    if not base.tail.is_empty and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = _merge_tail_pieces(budget.degree, pieces, folds)
     return RestrictedSeries._made(p, g.nvars, kept, tail, g.domain)

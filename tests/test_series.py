@@ -213,27 +213,30 @@ def oracle_compose(base, g, budget):
     if m is not INF and (m < 0 or (r0 is not None and m < r0)):
         raise DomainViolation("argument values leave the base domain")
     deg_g = g.max_degree()
-    k_max, floor_beyond = base.tail.cutoff, INF
+    top, floor_beyond = base.tail.cutoff, INF
     if not base.tail.is_empty:
-        while base.tail.slope * (k_max + 1) + base.tail.offset < budget.prec:
-            if base.tail.slope <= 0:
-                raise BudgetExceeded("base tail slope too small to certify the precision")
-            k_max += 1
-        floor_beyond = base.tail.slope * (k_max + 1) + base.tail.offset
+        c_b, b_b = base.tail.slope, base.tail.offset
+        if c_b <= 0 and c_b * (top + 1) + b_b < budget.prec:
+            raise BudgetExceeded("base tail slope too small to certify the precision")
+        # a_k g^k starts at degree k*ord(g): the a_k past the cutoff reach a
+        # kept degree only when (top + 1)*ord(g) <= budget.degree
+        order = min(map(sum, g.terms), default=None)
+        if order is not None and (top + 1) * order <= budget.degree:
+            floor_beyond = c_b * (top + 1) + b_b
     acc = {}
     power = {(0,) * g.nvars: PadicScaled.exact(p, 1)}
-    for k in range(k_max + 1):
+    for k in range(top + 1):
         a_k = base.coeff((k,))
         if not a_k.is_zero():
             for exps, c in power.items():
                 acc[exps] = acc[exps] + c * a_k if exps in acc else c * a_k
-        if k < k_max:
-            power = _oracle_mul(power, g.terms, max(k_max * deg_g, budget.degree))
+        if k < top:
+            power = _oracle_mul(power, g.terms, max(top * deg_g, budget.degree))
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
     kept, folds = oracle_finish(p, acc, budget.degree, floor_beyond)
     pieces = []
-    if floor_beyond is not INF and deg_g > 0:
+    if not base.tail.is_empty and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
     tail = series._merge_tail_pieces(budget.degree, pieces, folds)
     return RestrictedSeries(p, g.nvars, kept, tail=tail, domain=g.domain)
@@ -831,7 +834,7 @@ EP_BUDGET = Budget(16, 12)
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(compositions())
-# Ep(5*y) and Ep(x*x+5*y): both raise PrecisionExhausted at this budget
+# Ep(5*y) and Ep(x*x+5*y): no unknown a_k reaches a kept degree, so exact
 @example((terms._exp_p_build(5, EP_BUDGET), poly(5, 1, {(1,): 5}), EP_BUDGET))
 @example((terms._exp_p_build(5, EP_BUDGET), poly(5, 2, {(2, 0): 1, (0, 1): 5}), EP_BUDGET))
 # an empty base tail: exact coefficients, the terms beyond degree 2 folded
@@ -888,6 +891,10 @@ def test_ep_composition_matches_the_exp_truth(inputs):
     if isinstance(got, RestrictedSeries):
         exact_g = {k: c.rational_value() for k, c in g.terms.items()}
         assert_certified(got, exp_truth(p, exact_g, g.nvars), budget.prec)
+        if min(map(sum, g.terms), default=0) >= 1:
+            # the base is cut at budget.degree, so the a_k past it start
+            # beyond every kept degree: each kept coefficient is exact
+            assert all(c.is_exact for c in got.terms.values())
 
 
 def test_compose_with_a_falling_floor_raises_at_once():
@@ -991,10 +998,10 @@ def test_exact_ep_terms_finish_in_integers():
 
 
 def test_compose_forms_no_power_past_the_base_cutoff():
-    """The base coefficients past its cutoff are read as zero, so their
-    powers of g are never formed: at Budget(16, 12) exp(5x) is cut off at
-    degree 12 while its tail needs k_max = 20 for the precision, and
-    composition makes g^1 .. g^12, twelve products."""
+    """The base coefficients past its cutoff are never multiplied out: at
+    Budget(16, 12) exp(5x) is cut off at degree 12 while its tail line
+    reaches the precision only at degree 21, and composition makes
+    g^1 .. g^12, twelve products."""
     base = terms._exp_p_build(5, EP_BUDGET)
     k_max = base.tail.cutoff
     while base.tail.slope * (k_max + 1) + base.tail.offset < EP_BUDGET.prec:
@@ -1018,6 +1025,68 @@ def test_compose_of_a_dense_argument_fits_the_expansion_limit():
     g = {e: F(1) for e in [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1),
                            (1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]}
     assert_certified(got, exp_truth(5, g, 3), EP_BUDGET.prec)
+
+
+def realized_ep(text):
+    """(realize(t), g, n) at EP_BUDGET for a term t with one Ep(g), g as a
+    dict of Fraction coefficients in the term's n variables."""
+    reg = terms.default_registry(5)
+    t, names = terms.parse_term(text, registry=reg)
+    ctx = terms.RealizeContext(5, len(names), EP_BUDGET, registry=reg)
+    app = next(a for a in (t, *t.args) if isinstance(a, terms.App))
+    arg = terms.realize(app.args[0], ctx)
+    g = {k: c.rational_value() for k, c in arg.terms.items()}
+    return terms.realize(t, ctx), g, len(names)
+
+
+@pytest.mark.parametrize("text", ["Ep(5*x)", "Ep(25*x)", "Ep(5*y)", "Ep(x*x+5*y)"])
+def test_ep_of_a_p_divisible_argument_realizes_to_the_exp_truth(text):
+    """exp(5u) is cut off at degree 12 at Budget(16, 12), so its unknown
+    coefficients reach no kept degree of exp(5g) for ord(g) >= 1: these
+    terms realize, though their high coefficients have valuation >= 16."""
+    got, g, n = realized_ep(text)
+    assert all(c.is_exact for c in got.terms.values())
+    assert_certified(got, exp_truth(5, g, n), EP_BUDGET.prec)
+
+
+@pytest.mark.parametrize("text", ["Ep(x*y) - 1", "Ep(2*x) - 1", "Ep(x+y) - 1", "Ep(x*x) - 1"])
+def test_ep_minus_one_realizes_with_no_constant_term(text):
+    """The constant term of Ep(g) is exactly 1 when g(0) = 0, so
+    Ep(g) - 1 cancels it to an exact zero, which the series does not store."""
+    got, g, n = realized_ep(text)
+    assert (0,) * n not in got.terms
+    exp_g = exp_truth(5, g, n)
+
+    def truth(maxdeg, accuracy):
+        out, _ = exp_g(maxdeg, accuracy)
+        return {**out, (0,) * n: out[(0,) * n] - 1}, accuracy
+
+    assert_certified(got, truth, EP_BUDGET.prec)
+
+
+@pytest.mark.parametrize("base, g, budget, raises", [
+    # v(a_k) >= k + 5 past a_2: x^3 .. x^5 are unknown, v >= 8
+    (RestrictedSeries(5, 1, {(0,): 1, (1,): 1, (2,): 1}, tail=TailBound(2, F(1), F(5))),
+     poly(5, 1, {(1,): 1}), Budget(16, 5), True),
+    (RestrictedSeries(5, 1, {(0,): 1, (1,): 1, (2,): 1}, tail=TailBound(2, F(1), F(5))),
+     poly(5, 1, {(1,): 1}), Budget(16, 2), False),
+    # no stored term, and base(1) is only known to be O(2)
+    (RestrictedSeries(2, 1, {}, tail=TailBound(0, F(1), F(0))),
+     poly(2, 1, {(0,): 1}), Budget(1, 1), True),
+    # Ep(1+x): the floor 10 leaves no digit of the coefficient at x^12
+    (terms._exp_p_build(5, EP_BUDGET), poly(5, 1, {(0,): 1, (1,): 1}), EP_BUDGET, True),
+])
+def test_compose_raises_where_unknown_base_coefficients_reach(base, g, budget, raises):
+    """Where the unknown a_k g^k past the base cutoff reach a kept degree,
+    each kept coefficient is known only to the floor, and a kept monomial
+    they reach that the partial sum does not store is not a certified zero:
+    composition raises.  Below the degree they reach, it certifies."""
+    got = outcome(compose_univariate, base, g, budget)
+    if raises:
+        assert got[0] is PrecisionExhausted
+    else:
+        exact_g = {k: c.rational_value() for k, c in g.terms.items()}
+        assert_certified(got, completion_truth(base, exact_g, g.nvars), budget.prec)
 
 
 def scale_arguments(t, r):
