@@ -116,20 +116,15 @@ class WBoundOracle:
             if vec is None:
                 return None
             vectors[exps] = vec
-        degrees = sorted({sum(i) for i in vectors})
-        maxdeg = degrees[-1]
-        for d in range(1, maxdeg + 2):
+        # at d = maxdeg + 1 no vector is left to solve, so the loop returns
+        for d in range(1, max(map(sum, vectors)) + 2):
             low = [v for i, v in vectors.items() if sum(i) < d]
-            ok = True
-            for i, v in vectors.items():
-                if sum(i) < d:
-                    continue
-                if _solve_small_combination(v, low, ps.p) is None:
-                    ok = False
-                    break
-            if ok:
+            if all(
+                _solve_small_combination(v, low, ps.p) is not None
+                for i, v in vectors.items()
+                if sum(i) >= d
+            ):
                 return d
-        return maxdeg + 1
 
 
 def weierstrass_bound_1_to_n(f: ParamSeries, oracle: WBoundOracle) -> int:

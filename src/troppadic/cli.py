@@ -33,7 +33,7 @@ from .formats import (
     write_atomic,
 )
 from .polyhedra import mixed_volume
-from .series import Budget, ParamSeries, strassmann_count, weierstrass_divide
+from .series import Budget, ParamSeries, RestrictedSeries, strassmann_count, weierstrass_divide
 from .terms import default_registry, derive_term, parse_term, print_term
 from .tropical import render_svg, trop_complex
 
@@ -113,8 +113,6 @@ def _load_series(path, args):
     f = series_from_dict(load_json_file(path))
     dom = _parse_domain(args.domain, f.nvars)
     if dom is not None:
-        from .series import RestrictedSeries
-
         f = RestrictedSeries(f.p, f.nvars, f.terms, tail=f.tail, domain=dom)
     return f
 

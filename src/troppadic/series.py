@@ -72,6 +72,18 @@ from ``R' = low(g')``.  After K rounds ``Q = Q'*D_f/(D_g*c^K)`` and
 ``N/(D_g*c^K)`` with ``N = c^K*g' - Q'*f' - R'``.  Division needs integral
 series, so ``D_g`` is prime to p, and c is a unit; the denominator is then
 a unit and ``v(residue) = v_p(N)``, checked in integers key by key.
+
+Lemma (preparation).  Let f be regular of order d, and let the divisions
+``Y^d = Q*f + R`` and ``1 = U*Q`` pass their residue checks.  Then
+``P = Y^d - R`` has ``f - P*U = f*(1 - Q*U) - (P - Q*f)*U``.  Both
+brackets are the residues of the two divisions, so they vanish to budget,
+and f and U are integral, so ``f = P*U`` to budget.  Modulo p and the other
+variables, f is ``c*Y^d``, so ``c*Q(0) = 1`` and ``R(0,...,0,Y) =
+Y^d*(1 - c*Q(0,...,0,Y))``; R has Y-degree below d, so both sides vanish
+mod p.  Hence P is distinguished of order d, and Q(0) is a unit, so the
+second division is an inversion (regular order 0); ``weierstrass_prepare``
+raises unless the computed Q(0) certifies that.
+
 Composition sums ``a_k*g^k`` the same way, over the one denominator
 ``D_a*D_g^K`` of the base coefficients ``a_k = n_k/D_a`` and the powers of
 ``g = g'/D_g`` up to ``K``, the base cutoff; no higher power is formed.
@@ -156,17 +168,12 @@ def _merge_tail_pieces(cutoff, pieces, fold_points):
     pieces = [pc for pc in pieces if pc[1] is not INF]
     if not pieces and not fold_points:
         return TailBound.empty(cutoff)
-    if pieces:
-        c = min(s for s, _ in pieces)
-    else:
-        c = F(1)
+    c = min((s for s, _ in pieces), default=F(1))
     b = INF
     for s, o in pieces:
         b = val_min(b, o + (s - c) * (cutoff + 1))
     for deg, val in fold_points:
         b = val_min(b, val - c * deg)
-    if b is INF:
-        return TailBound.empty(cutoff)
     return TailBound(cutoff, c, b)
 
 
@@ -453,21 +460,6 @@ class RestrictedSeries:
         tail = _merge_tail_pieces(cutoff, pieces, folds)
         return RestrictedSeries._made(self.p, self.nvars, kept, tail, dom)
 
-    def embed(self, nvars_new, var_map) -> "RestrictedSeries":
-        """Reindex variables: old variable k becomes var_map[k]."""
-        if len(set(var_map)) != self.nvars:
-            raise ValueError("variable map must be injective")
-        terms = {}
-        for i, c in self.terms.items():
-            exps = [0] * nvars_new
-            for k, e in enumerate(i):
-                exps[var_map[k]] = e
-            terms[tuple(exps)] = c
-        dom = [F(0)] * nvars_new
-        for k in range(self.nvars):
-            dom[var_map[k]] = self.domain[k]
-        return RestrictedSeries._made(self.p, nvars_new, terms, self.tail, tuple(dom))
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -708,30 +700,20 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
 def weierstrass_prepare(f: RestrictedSeries, budget: Budget):
     """f = (Y^d + A_{d-1} Y^{d-1} + ... + A_0) * U with U a unit, to budget.
 
-    Returns ([A_0, ..., A_{d-1}], U).
+    Returns ([A_0, ..., A_{d-1}], U): Y^d = Q*f + R gives the A_j as -R,
+    and U is the inverse of Q (the preparation lemma of the module
+    docstring).
     """
     d = regular_order(f)
     p, n = f.p, f.nvars
-    axis = n - 1
-    y_d = RestrictedSeries(p, n, {(0,) * axis + (d,): 1}, domain=f.domain)
-    _, a1 = weierstrass_divide(f, y_d, budget)
-    a_list = [-a for a in a1]
-    dist_terms = {(0,) * axis + (d,): PadicScaled.exact(p, 1)}
-    for j, a in enumerate(a_list):
-        for exps, c in a.terms.items():
-            dist_terms[exps + (j,)] = c
-    dist = RestrictedSeries(p, n, dist_terms, domain=f.domain)
-    if regular_order(dist) != d:
-        raise BudgetExceeded("distinguished part is not regular of the same order")
-    u_series, rem = weierstrass_divide(dist, f, budget)
-    for a in rem:
-        for exps, c in a.terms.items():
-            if c.valuation() < budget.prec:
-                raise BudgetExceeded("unit division remainder not certified to budget")
-    const = u_series.coeff((0,) * n)
+    y_d = RestrictedSeries(p, n, {(0,) * (n - 1) + (d,): 1}, domain=f.domain)
+    q, rem = weierstrass_divide(f, y_d, budget)
+    # a quotient of regular order 0 makes the second division an inversion
+    const = q.coeff((0,) * n)
     if const.is_zero() or const.valuation() != 0:
-        raise BudgetExceeded("unit part has no certified unit constant term")
-    return a_list, u_series
+        raise BudgetExceeded("quotient has no certified unit constant term")
+    one = RestrictedSeries.constant(p, 1, nvars=n, domain=f.domain)
+    return [-a for a in rem], weierstrass_divide(q, one, budget)[0]
 
 
 def strassmann_count(f: RestrictedSeries) -> int:
@@ -855,9 +837,9 @@ class ParamSeries:
     that is what every finite-generation verification below needs.
     """
 
-    __slots__ = ("p", "nx", "nparams", "coeffs", "param_domain")
+    __slots__ = ("p", "nx", "nparams", "coeffs")
 
-    def __init__(self, p, nx, nparams, coeffs, param_domain=None):
+    def __init__(self, p, nx, nparams, coeffs):
         self.p = p
         self.nx = nx
         self.nparams = nparams
@@ -867,17 +849,13 @@ class ParamSeries:
             if len(exps) != nx:
                 raise ValueError("X-exponent length mismatch")
             if not isinstance(s, RestrictedSeries):
-                s = RestrictedSeries.constant(p, s, nvars=nparams) if nparams else \
-                    RestrictedSeries(p, 0, {(): s})
+                s = RestrictedSeries.constant(p, s, nvars=nparams)
             if s.p != p or s.nvars != nparams:
                 raise ValueError("coefficient series over the wrong parameter ring")
             if s.is_certified_zero():
                 continue
             clean[exps] = s
         self.coeffs = clean
-        if param_domain is None:
-            param_domain = tuple(F(0) for _ in range(nparams))
-        self.param_domain = tuple(param_domain)
 
     @classmethod
     def from_series(cls, f: RestrictedSeries) -> "ParamSeries":
@@ -907,7 +885,7 @@ class ParamSeries:
                 continue
             rest = exps[:k] + exps[k + 1:]
             coeffs[rest] = c
-        return ParamSeries(self.p, self.nx - 1, self.nparams, coeffs, self.param_domain)
+        return ParamSeries(self.p, self.nx - 1, self.nparams, coeffs)
 
     def canonical_key(self):
         """Hashable key of the exact coefficient data: every stored

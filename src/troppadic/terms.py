@@ -269,13 +269,6 @@ class RealizeContext:
         return self.registry if self.registry is not None else default_registry(self.p)
 
 
-def _var_index(v: Var, n: int) -> int:
-    """The index of v, refused unless it names one of the n variables."""
-    if not 0 <= v.index < n:
-        raise ValueError(f"variable index {v.index} out of range")
-    return v.index
-
-
 def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
     """The series a term denotes, certified to the context budget."""
     p, n = ctx.p, ctx.nvars
@@ -283,7 +276,9 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
     if isinstance(t, Const):
         return RestrictedSeries.constant(p, t.value, nvars=n, domain=dom)
     if isinstance(t, Var):
-        return RestrictedSeries.variable(p, _var_index(t, n), n, domain=dom)
+        if not 0 <= t.index < n:
+            raise ValueError(f"variable index {t.index} out of range")
+        return RestrictedSeries.variable(p, t.index, n, domain=dom)
     if isinstance(t, (Add, Mul)):
         op = operator.add if isinstance(t, Add) else operator.mul
         return reduce(op, (realize(a, ctx) for a in t.args))
@@ -295,15 +290,11 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
             raise FormatError(f"{t.symbol} expects {sym.arity} arguments")
         if sym.arity != 1:
             raise BudgetExceeded("only unary symbols are realizable")
-        arg = t.args[0]
-        if isinstance(arg, Var):
-            emb = sym.build(p, ctx.budget).embed(n, (_var_index(arg, n),))
-            return RestrictedSeries(p, n, emb.terms, tail=emb.tail, domain=dom)
         key = (sym, t.key)
         out = ctx._apps.get(key)
         if out is None:
             base = sym.build(p, ctx.budget)
-            out = ctx._apps[key] = compose_univariate(base, realize(arg, ctx), ctx.budget)
+            out = ctx._apps[key] = compose_univariate(base, realize(t.args[0], ctx), ctx.budget)
         return out
     raise TypeError(f"not a term: {t!r}")
 
@@ -312,14 +303,14 @@ def realize(t: Term, ctx: RealizeContext) -> RestrictedSeries:
 # parsing and printing
 
 
-def parse_term(text: str, var_names=None, registry=None):
+def parse_term(text: str, registry=None):
     """Parse infix syntax (+, -, *, ^, integer literals, symbol calls).
 
-    Returns (term, var_names).  Unknown identifiers become variables; when
-    var_names is None they are assigned indices in alphabetical order.  A
-    chain of + and - parses to one Add, a chain of * to one Mul, and a nest
-    of parentheses, unary minuses and call arguments deeper than
-    MAX_NESTING raises FormatError, so no term is deeper than its nesting.
+    Returns (term, var_names).  Unknown identifiers become variables, with
+    indices in alphabetical order.  A chain of + and - parses to one Add, a
+    chain of * to one Mul, and a nest of parentheses, unary minuses and call
+    arguments deeper than MAX_NESTING raises FormatError, so no term is
+    deeper than its nesting.
     A term of more than MAX_LEAVES leaves (constants and variables, the -1
     of each minus and the copies a power makes among them) raises
     FormatError as soon as the count passes the limit.
@@ -327,10 +318,7 @@ def parse_term(text: str, var_names=None, registry=None):
     if registry is None:
         registry = default_registry(2)
     toks = _tokenize(text)
-    if var_names is None:
-        names = sorted({tok[1] for tok in toks if tok[0] == "name" and tok[1] not in registry})
-    else:
-        names = list(var_names)
+    names = sorted({tok[1] for tok in toks if tok[0] == "name" and tok[1] not in registry})
     index = {nm: i for i, nm in enumerate(names)}
     pos = 0
     leaves = 0  # leaves of the raw tree parsed so far
@@ -424,8 +412,6 @@ def parse_term(text: str, var_names=None, registry=None):
                         f"{name} expects {registry[name].arity} arguments, got {len(args)}"
                     )
                 return App(name, tuple(args))
-            if name not in index:
-                raise FormatError(f"unknown variable {name!r}")
             count(1)
             return Var(index[name])
         raise FormatError(f"unexpected token {tok[1]!r}")

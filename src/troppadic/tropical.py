@@ -319,10 +319,8 @@ def render_svg(data: TropicalData) -> str:
 
 
 def _polygon_cycle(poly: QPolyhedron):
-    """Vertices of a planar polygon in cyclic order."""
+    """Vertices of a 2-dimensional polygon in cyclic order."""
     vs = sorted(poly.vertices)
-    if len(vs) <= 2:
-        return vs
     cx = sum(v[0] for v in vs) / len(vs)
     cy = sum(v[1] for v in vs) / len(vs)
 

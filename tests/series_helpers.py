@@ -9,7 +9,7 @@ from troppadic.errors import BudgetExceeded, DomainViolation
 from troppadic.padic import PadicScaled, sum_floor
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.series import _acc, _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
-from troppadic.terms import App, Var
+from troppadic.terms import App
 
 F = Fraction
 
@@ -145,9 +145,9 @@ def difference_floor(a: PadicScaled, b: PadicScaled):
 
 def composed_apps(t, out=None):
     """The keys of the symbol applications whose realization composes:
-    those with an argument other than a variable, at any depth of t."""
+    every one, at any depth of t."""
     out = set() if out is None else out
-    if isinstance(t, App) and not isinstance(t.args[0], Var):
+    if isinstance(t, App):
         out.add(t.key)
     for a in getattr(t, "args", ()):
         composed_apps(a, out)

@@ -30,6 +30,7 @@ from troppadic.series import (
     regular_order,
     strassmann_count,
     weierstrass_divide,
+    weierstrass_prepare,
 )
 from troppadic.tropical import trop_complex
 
@@ -177,6 +178,57 @@ def test_criterion_3_division_residue():
                     assert c.valuation() >= budget.prec
             done += 1
         assert time.monotonic() - t0 < 30.0
+
+
+def _vp(x, p):
+    """The p-adic valuation of a Fraction; infinity at 0."""
+    if x == 0:
+        return math.inf
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _fraction_product(a, b, below):
+    """The terms of total degree less than below of the product of two
+    {exponents: Fraction} dicts."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = tuple(e + f for e, f in zip(i, j))
+            if sum(k) < below:
+                out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def test_criterion_3_preparation_inverts_the_first_quotient():
+    """weierstrass_prepare succeeds on 60 random regular series at two
+    budgets: its A_j are the negated remainder of dividing Y^d by f, and
+    f - P*U vanishes to budget in Fraction arithmetic."""
+    p = 5
+    for budget in (Budget(24, 20), Budget(12, 10)):
+        rng = random.Random(1)
+        done = 0
+        while done < 60:
+            d = rng.randint(1, 4)
+            f = _random_regular(rng, p, d)
+            if regular_order(f) != d:
+                continue
+            a, u = weierstrass_prepare(f, budget)
+            _, rem = weierstrass_divide(f, RestrictedSeries(p, 2, {(0, d): 1}), budget)
+            assert a == [-r for r in rem]
+            dist = {(0, d): F(1)}
+            for j, aj in enumerate(a):
+                dist.update({(i, j): c.rational_value() for (i,), c in aj.terms.items()})
+            unit = {k: c.rational_value() for k, c in u.terms.items()}
+            back = _fraction_product(dist, unit, budget.degree)
+            want = {k: c.rational_value() for k, c in f.terms.items()}
+            for k in set(back) | {k for k in want if sum(k) < budget.degree}:
+                assert _vp(want.get(k, 0) - back.get(k, 0), p) >= budget.prec
+            done += 1
 
 
 # -------------------------------------------------------------------- 4

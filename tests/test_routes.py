@@ -36,8 +36,9 @@ ALLOWED = {
     "monomial_order_bound": _UNIFORM,
     "WBoundOracle.register": _UNIFORM,
     "weierstrass_prepare": (
-        "waits for the derived inner-division budget that certifies it, "
-        "after which the series benchmark runs it"
+        "computes the preparation that the paper's model-completeness "
+        "rests on; no CLI command prepares a series, and it waits for the "
+        "benchmark's series workload to run it"
     ),
     "PadicScaled.shift_valuation": (
         "builds an exact value from the private rational and shift of "

@@ -1235,7 +1235,6 @@ def test_every_internal_result_is_one_the_constructor_accepts(operands, i, shift
         lambda: s + c,
         lambda: -s,
         lambda: s * s - s,
-        lambda: s.embed(s.nvars + 1, list(range(s.nvars))[::-1]),
     ]
     if s.nvars:
         ops.append(lambda: shift_variable(s * s, i % s.nvars, ex(s.p, s.p * shift)))

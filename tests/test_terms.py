@@ -14,7 +14,7 @@ from series_helpers import composed_apps, derivative, difference_floor
 from troppadic.errors import NotClosedUnderDerivation, PrecisionExhausted
 from troppadic.formats import series_to_dict
 from troppadic.padic import INF, PadicScaled
-from troppadic.series import Budget, RestrictedSeries, compose_univariate, weierstrass_prepare
+from troppadic.series import Budget, RestrictedSeries, TailBound, compose_univariate, weierstrass_prepare
 from troppadic.terms import (
     Add,
     App,
@@ -117,15 +117,19 @@ def test_realize_constant_unit():
 def test_realize_ep_coefficients_and_tail():
     p = 5
     budget = Budget(12, 12)
-    s = realize(App("Ep", (Var(0),)), RealizeContext(p, 1, budget))
     import math
 
-    for k in range(13):
-        want = F(p) ** k / math.factorial(k)
-        assert s.coeff((k,)).rational_value() == want
-        if k >= 1:  # the certified tail line covers every index past 0
-            assert s.coeff((k,)).valuation() >= s.tail.slope * k + s.tail.offset
-    assert not s.tail.is_empty
+    # Ep(x) in one variable, and Ep(y) in two: only the y-axis is stored
+    for nvars, at in ((1, lambda k: (k,)), (2, lambda k: (0, k))):
+        s = realize(App("Ep", (Var(nvars - 1),)), RealizeContext(p, nvars, budget))
+        assert sorted(s.terms) == sorted(at(k) for k in range(13))
+        for k in range(13):
+            want = F(p) ** k / math.factorial(k)
+            assert s.coeff(at(k)).rational_value() == want
+            if k >= 1:  # the certified tail line covers every index past 0
+                assert s.coeff(at(k)).valuation() >= s.tail.slope * k + s.tail.offset
+        assert s.tail == TailBound(12, F(3, 4), F(1, 4))
+        assert s.domain == (F(0),) * nvars
 
 
 def test_realize_product_matches_series_multiplication_oracle():
@@ -165,8 +169,8 @@ def test_realize_composition_with_polynomial_argument():
 
 @pytest.mark.parametrize("index", [-1, 2, 3])
 def test_realize_checks_the_variable_index_of_a_symbol_argument(index):
-    """Ep(Var(i)) takes the embedding shortcut; it refuses an index out of
-    range like a bare Var, instead of reading Var(-1) as the last one."""
+    """Ep(Var(i)) refuses an index out of range like a bare Var, instead
+    of reading Var(-1) as the last one."""
     ctx = RealizeContext(5, 2, Budget(8, 6))
     for t in (Var(index), App("Ep", (Var(index),))):
         with pytest.raises(ValueError, match=f"variable index {index} out of range"):
