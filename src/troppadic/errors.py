@@ -17,8 +17,9 @@ class PrecisionExhausted(TropPadicError):
     """An operation cannot certify a single digit of its result.
 
     ``floor`` carries the surviving valuation lower bound when one is
-    known (the cancellation level of a subtraction, a tail floor, ...),
-    so callers that only need a lower bound can still recover it.
+    known (the cancellation floor of a sum, a tail floor, ...), so callers
+    that only need a lower bound can still recover it.  Every cancellation
+    raise of a sum carries its floor.
     """
 
     def __init__(self, message, floor=None):

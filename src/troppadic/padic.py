@@ -23,6 +23,18 @@ invariants that the arithmetic relies on:
 * a shift of 0 is stored as that same ``_ZERO`` object, so the common case
   of two shift-0 operands is recognised by identity and skips the shift sum
   and the fold of its integer part.
+
+Lemma (the sum rule of ``total``).  Group a list of values by valuation mod
+1, and let F be the lowest absolute floor v + N of its approximate values
+(+oo when every value is exact).  Values in distinct classes have distinct
+valuations, so class sums never cancel one another.  Within a class, each
+value is its representative (the exact rational, or u*p^v) up to an error
+of valuation >= F, so the representatives add exactly modulo p^F.  Hence a
+class whose representative sum reaches F leaves only F; the lowest class
+below F has the valuation of the whole sum and certifies its digits below
+the next class and below F; and when no class is below F, the sum is known
+only to have valuation >= F.  The result is a function of the multiset of
+values, so no sum depends on the order of its terms.
 """
 
 from __future__ import annotations
@@ -219,55 +231,11 @@ class PadicScaled:
 
     def __add__(self, other):
         self._check_same(other)
-        if self._r is _ZERO:
-            return other
-        if other._r is _ZERO:
-            return self
         if self._r is not None and other._r is not None:
             s = self._shift
             if s is other._shift or s == other._shift:
                 return _exact(self.p, self._r + other._r, s)
-        # exact values at distinct shifts have a non-integer valuation gap
-        return self._add_approx(other)
-
-    def _add_approx(self, other):
-        p = self.p
-        va, vb = self.valuation(), other.valuation()
-        fa = INF if self.is_exact else self._v + self._N
-        fb = INF if other.is_exact else other._v + other._N
-        floor = val_min(fa, fb)
-        a, b = (self, other) if va <= vb else (other, self)
-        vmin = min(va, vb)
-        delta = max(va, vb) - vmin
-        if delta.denominator != 1:
-            n = int(delta)
-            n = min(n, int(floor - vmin)) if floor is not INF else n
-            if n < 1:
-                raise PrecisionExhausted(
-                    "no certified digit at incommensurable valuations", floor=vmin
-                )
-            return PadicScaled.approx(p, vmin, a.unit_digits(n), n)
-        delta = int(delta)
-        if floor is INF:  # unreachable: two exact values here differ by a non-integer
-            raise AssertionError
-        m_digits = floor - vmin
-        if m_digits <= 0:
-            raise PrecisionExhausted("operands certify no overlapping digits", floor=floor)
-        m_digits = int(m_digits)
-        mod = p ** m_digits
-        w = a.unit_digits(m_digits)
-        if delta < m_digits:
-            w = (w + b.unit_digits(m_digits - delta) * p ** delta) % mod
-        if w == 0:
-            raise PrecisionExhausted(
-                "cancellation below certified precision", floor=vmin + m_digits
-            )
-        t = vp_int(w, p)
-        if t >= m_digits:
-            raise PrecisionExhausted(
-                "cancellation below certified precision", floor=vmin + m_digits
-            )
-        return PadicScaled.approx(p, vmin + t, w // p ** t, m_digits - t)
+        return total(self.p, [self, other])
 
     def __sub__(self, other):
         return self + (-other)
@@ -363,21 +331,55 @@ def _exact(p, r, shift):
     return PadicScaled(p, _r=r, _shift=shift)
 
 
-def sum_floor(values):
-    """A certified lower bound for the valuation of a sum; never raises on
-    cancellation.
-
-    Returns the exact valuation when the sum is representable and
-    +Infinity when it is exactly zero.  A partial sum that runs out of
-    certified digits is known only to have valuation >= its cancellation
-    floor, so it leaves that floor and the sum goes on from zero.
-    """
-    total, floor = None, INF
+def total(p, values):
+    """The certified sum of a list of values at the prime p, a function of
+    their multiset (the sum rule of the module docstring); exact zero for
+    an empty list.  Raises PrecisionExhausted, with the floor, when no digit
+    of the sum is certified."""
+    if len(values) == 1:
+        return values[0]
+    acc = None  # values exact at one shift add exactly, in any order
     for x in values:
-        try:
-            total = x if total is None else total + x
-        except PrecisionExhausted as exc:
-            if exc.floor is None:
-                raise
-            floor, total = val_min(floor, exc.floor), None
-    return floor if total is None else val_min(floor, total.valuation())
+        if x._r is None or acc is not None and x._shift != acc._shift:
+            break
+        acc = x if acc is None else acc + x
+    else:
+        return _exact(p, _ZERO, _ZERO) if acc is None else acc
+    classes, floor = {}, INF  # valuation mod 1 -> exact sum of representatives
+    for x in values:
+        if x._r is None:
+            v = x._v
+            k = v.numerator // v.denominator
+            key = 0 if v.denominator == 1 else v - k
+            r = x._u * p**k if k >= 0 else Fraction(x._u, p**-k)
+            if floor is INF or v + x._N < floor:
+                floor = v + x._N
+        elif x._r is _ZERO:
+            continue
+        else:
+            key, r = (0 if x._shift is _ZERO else x._shift), x._r
+        classes[key] = classes.get(key, 0) + r
+    # distinct classes have distinct valuations, so no tie is ever compared
+    sums = sorted((vp_fraction(r, p) + s, s, r) for s, r in classes.items() if r)
+    if not sums or sums[0][0] >= floor:
+        if floor is INF:
+            return _exact(p, _ZERO, _ZERO)
+        raise PrecisionExhausted("cancellation below certified precision", floor=floor)
+    w, s, r = sums[0]
+    top = val_min(floor, *(t[0] for t in sums[1:2]))
+    if top is INF:
+        return _exact(p, r, s or _ZERO)
+    n = int(top - w)
+    if n < 1:
+        raise PrecisionExhausted("no certified digit at incommensurable valuations", floor=w)
+    return PadicScaled(p, _v=w, _u=_unit_digits_of_rational(r, p, n), _N=n)
+
+
+def sum_floor(values):
+    """A certified lower bound for the valuation of a sum, which never raises
+    on cancellation: the valuation of ``total``, or the floor of its raise."""
+    values = list(values)
+    try:
+        return total(values[0].p, values).valuation() if values else INF
+    except PrecisionExhausted as exc:
+        return exc.floor

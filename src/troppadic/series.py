@@ -26,15 +26,16 @@ the product below 2^w, so no field carries.
 
 So a caller packs its dicts once, with 2^w above every degree it stores or
 keeps, and ``_dict_mul`` multiplies with one add and one compare per pair.
+It lists each key's products and sums them once, with ``sum`` on Python
+integers and with ``padic.total`` on ``PadicScaled`` values, so no product
+coefficient depends on the order of the operands or of their terms.
 ``_acc`` adds a coefficient at a key, and ``_fold`` splits a tuple-keyed
 dict at a degree cutoff into kept terms and the (degree, valuation) points
-that the tail bound must absorb.  ``_acc`` and ``_dict_mul`` work on any
-coefficient ring with ``+``, ``*`` and a zero that is false: the
-``PadicScaled`` values of a series, or Python integers.  A product with a
-constant polynomial (one term, at the zero exponent, and no tail) skips
-the kernel: ``_times_constant`` scales the other side's terms in their
-order, finding the constant's valuation and unit digits once per
-precision, and the cutoff, fold and tail pieces are those of any product.
+that the tail bound must absorb.  A product with a constant polynomial
+(one term, at the zero exponent, and no tail) skips the kernel:
+``_times_constant`` scales the other side's terms in their order, finding
+the constant's valuation and unit digits once per precision, and the
+cutoff, fold and tail pieces are those of any product.
 
 A series has two constructors, which end in the same tail rule
 (``_finish``).  ``RestrictedSeries(...)`` checks and cleans outside input.
@@ -106,6 +107,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -114,7 +116,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from .padic import INF, PadicScaled, sum_floor, val_min, vp_int
+from .padic import INF, PadicScaled, sum_floor, total, val_min, vp_int
 
 F = Fraction
 
@@ -205,15 +207,15 @@ def _dict_mul(a, b, lim):
     """Product of two packed term dicts, without keys of lim or above:
     ``(cap + 1) << w*n`` drops the terms of total degree above cap."""
     out = {}
-    get = out.get
     bs = list(b.items())
     for i, x in a.items():
         for j, y in bs:
-            k = i + j
-            if k < lim:
-                c = get(k)
-                out[k] = x * y if c is None else c + x * y
-    return {k: v for k, v in out.items() if v}
+            if i + j < lim:
+                out.setdefault(i + j, []).append(x * y)
+    if not out:
+        return out
+    add = partial(total, x.p) if isinstance(x, PadicScaled) else sum
+    return {k: s for k, v in out.items() if (s := add(v))}
 
 
 def _scaled(terms, s):
@@ -502,25 +504,20 @@ def evaluate(f: RestrictedSeries, xs) -> PadicScaled:
     for v, r in zip(nu, f.domain):
         if r is not None and not (v is INF or v >= r):
             raise DomainViolation(f"trop {nu} outside the domain {f.domain}")
-    total = PadicScaled.zero(f.p)
-    for exps, c in f.terms.items():
-        term = c
-        skip = False
-        for x, e in zip(xs, exps):
-            if e == 0:
-                continue
-            if x.is_zero():
-                skip = True
-                break
-            term = term * x ** e
-        if not skip:
-            total = total + term
+    values = [
+        math.prod((x**e for x, e in zip(xs, exps) if e), start=c)
+        for exps, c in f.terms.items()
+    ]
     live = [v for v in nu if v is not INF]
     nu_min = min(live) if live else INF
     floor = f.tail.floor_at(nu_min)
     if floor is None:
         raise PrecisionExhausted("tail sum valuation unbounded below at this point")
-    return _with_error_floor(total, floor)
+    try:
+        value = total(f.p, values)
+    except PrecisionExhausted as exc:  # the tail terms can lie below the sum's floor
+        raise PrecisionExhausted(str(exc), floor=val_min(exc.floor, floor)) from None
+    return _with_error_floor(value, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +537,8 @@ def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSer
         e = exps[i]
         for j in range(e + 1):
             coeff = a * PadicScaled.exact(f.p, math.comb(e, j)) * (-c) ** (e - j)
-            if not coeff.is_zero():
-                _acc(out, exps[:i] + (j,) + exps[i + 1:], coeff)
-    out = {k: v for k, v in out.items() if not v.is_zero()}
+            out.setdefault(exps[:i] + (j,) + exps[i + 1:], []).append(coeff)
+    out = {k: s for k, v in out.items() if (s := total(f.p, v))}
     if not f.tail.is_empty:
         out = _with_tail_error(out, f.tail.floor_at(F(0)))
     return RestrictedSeries._made(f.p, f.nvars, out, f.tail, f.domain)
@@ -661,8 +657,9 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
         rounds += 1
 
     # residue check against f itself: c^K g - Q f - R must vanish to budget
-    # below the degree cutoff.  Its terms are listed per key, not summed,
-    # so that a sum cancelling below its certified digits keeps its floor.
+    # below the degree cutoff.  Its terms are listed per key and summed
+    # once, so each residue coefficient is one sum of its terms in any order,
+    # and one that cancels below its certified digits keeps its floor.
     lim = budget.degree << w * n
     scaled_g = _scaled(gs, None if c is None else c**rounds)
     residue = {k: [v] for k, v in scaled_g.items()}

@@ -479,3 +479,40 @@ def test_sparse_systems_with_valuations_are_sound(f1, f2):
     if not report.transforms["unit_factors"] and report.transforms["shift"] is None:
         newton = [convex_hull(sorted(f)) for f in (f1, f2)]
         assert report.s_bound == mixed_volume(newton)
+
+
+# --------------------------------------------------------------- swaps
+# Swapping the equations, or the variables, keeps every torus root and its
+# multiplicity: the bound stays, and each component's points map along.
+
+
+def _components(report, perm=(0, 1)):
+    """The multiset of components, each the multiset of its points (nu, mv)
+    with the coordinates of nu taken in the order perm."""
+    return sorted(
+        sorted((tuple(F(pt["nu"][i]) for i in perm), pt["mv"]) for pt in c["points"])
+        for c in report.components
+    )
+
+
+def _bound(f1, f2):
+    return system_root_bound([to_param(5, f1), to_param(5, f2)], WBoundOracle(), seed="swap")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_sparse_support(), _sparse_support())
+def test_swapping_the_equations_keeps_the_bound(f1, f2):
+    report, swapped = _bound(f1, f2), _bound(f2, f1)
+    assert swapped.s_bound == report.s_bound
+    assert _components(swapped) == _components(report)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_sparse_support(), _sparse_support())
+def test_swapping_the_variables_keeps_the_bound(f1, f2):
+    def swap(f):
+        return {(j, i): c for (i, j), c in f.items()}
+
+    report, swapped = _bound(f1, f2), _bound(swap(f1), swap(f2))
+    assert swapped.s_bound == report.s_bound
+    assert _components(swapped, (1, 0)) == _components(report)

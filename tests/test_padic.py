@@ -13,6 +13,7 @@ from troppadic.padic import (
     INF,
     PadicScaled,
     sum_floor,
+    total,
     vp_fraction,
 )
 from troppadic.series import RestrictedSeries
@@ -302,3 +303,129 @@ def test_exact_arithmetic_agrees_with_a_fraction_oracle(operands, op, delta):
             assert got.valuation() == min(
                 _pair_valuation(p, (ra, sa)), _pair_valuation(p, (rb, sb))
             )
+
+
+# ------------------------------------------------------- sums, Fraction oracle
+# total(p, values) sums by the rule of the padic docstring.  The oracle below
+# reads each value's representative and floor, adds them per class
+# s = v mod 1 in Fractions, and builds its result with the constructors only.
+
+
+def _class_rep(p, x):
+    """(s, r, floor): x is r*p^s with s = v(x) mod 1, exactly (floor +oo),
+    or up to an error of valuation >= floor."""
+    if x.is_exact:
+        return x._shift, x._r, INF
+    v, n = x.valuation(), x.precision()
+    s = v - math.floor(v)
+    return s, x.unit_digits(n) * F(p) ** int(v - s), v + n
+
+
+def fraction_total(p, values):
+    """The sum of the values by the class-wise rule, in Fractions; raises
+    PrecisionExhausted with the floor as padic.total does."""
+    classes, floor = {}, INF
+    for x in values:
+        if not x.is_zero():
+            s, r, f = _class_rep(p, x)
+            classes[s], floor = classes.get(s, 0) + r, min(floor, f)
+    levels = sorted((_pair_valuation(p, (r, s)), s, r) for s, r in classes.items() if r)
+    if not levels or levels[0][0] >= floor:
+        if floor is INF:
+            return PadicScaled.zero(p)
+        raise PrecisionExhausted("cancellation below certified precision", floor=floor)
+    (w, s, r), cap = levels[0], min([floor] + [t[0] for t in levels[1:2]])
+    if cap is INF:
+        return PadicScaled.exact(p, r, s)
+    n = math.floor(cap - w)
+    if n < 1:
+        raise PrecisionExhausted("no certified digit at incommensurable valuations", floor=w)
+    unit = r / F(p) ** int(w - s)
+    return PadicScaled.approx(p, w, unit.numerator * pow(unit.denominator, -1, p**n), n)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc), exc.floor
+
+
+@st.composite
+def sum_lists(draw):
+    """(p, values): exact values at shifts 0, 1/3 and 1/2 or approximate
+    values at integer or third valuations, then cancelling partners: values
+    near the negatives of drawn ones, exact or approximate."""
+    p, thirds = draw(st.sampled_from([2, 3, 5])), draw(st.booleans())
+    values = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            r = F(draw(st.integers(-60, 60)), draw(st.sampled_from([1, 7, p, p * p])))
+            values.append(PadicScaled.exact(p, r, draw(st.sampled_from(SHIFTS)) if thirds else 0))
+        else:
+            v = F(draw(st.integers(-3, 6)), 3) if thirds else F(draw(st.integers(-1, 2)))
+            n = draw(st.integers(1, 5))
+            u = draw(st.integers(1, p**n - 1).filter(lambda u: u % p))
+            values.append(PadicScaled.approx(p, v, u, n))
+    for x in draw(st.lists(st.sampled_from(values), max_size=3)) if values else []:
+        s, r, _ = _class_rep(p, x)
+        q = -r + draw(st.integers(-3, 3)) * F(p) ** draw(st.integers(1, 4))
+        if q and draw(st.booleans()):
+            n = draw(st.integers(1, 5))
+            k = _pair_valuation(p, (q, 0))
+            unit = q / F(p) ** k
+            digits = unit.numerator * pow(unit.denominator, -1, p**n)
+            values.append(PadicScaled.approx(p, k + s, digits, n))
+        else:
+            values.append(PadicScaled.exact(p, q, s))
+    return p, values
+
+
+def _completion(draw, p, values):
+    """{class: rational}: the class-wise exact sum of one completion of the
+    values, each approximate one moved within its ball by t*p^(v+N) and by
+    a term of valuation >= v + N in a class of its own."""
+    classes = {}
+    for x in values:
+        s, r, floor = _class_rep(p, x)
+        parts = [(s, r)]
+        if floor is not INF:
+            parts.append((s, draw(st.integers(-(p**2), p**2)) * F(p) ** int(floor - s)))
+            e = floor + draw(st.sampled_from([F(0), F(1, 3), F(1, 2)]))
+            parts.append((e - math.floor(e), draw(st.integers(-9, 9)) * F(p) ** math.floor(e)))
+        for c, q in parts:
+            classes[c] = classes.get(c, 0) + q
+    return classes
+
+
+def _class_floor(p, classes):
+    """The valuation of a class-wise sum: classes never cancel each other."""
+    return min([INF] + [_pair_valuation(p, (r, s)) for s, r in classes.items() if r])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sum_lists(), st.data())
+def test_total_is_a_sound_function_of_the_multiset(case, data):
+    p, values = case
+    want = _outcome(total, p, values)
+    assert _outcome(fraction_total, p, values) == want
+    assert _outcome(total, p, data.draw(st.permutations(values))) == want
+    if len(values) == 2:
+        assert _outcome(lambda: values[0] + values[1]) == want
+    for _ in range(3):
+        truth = _completion(data.draw, p, values)
+        if isinstance(want, tuple):  # a raise: the sum has valuation >= its floor
+            assert _class_floor(p, truth) >= want[2]
+        elif want.is_exact:
+            assert {s: r for s, r in truth.items() if r} == (
+                {} if want.is_zero() else {want._shift: want._r}
+            )
+        else:  # every certified digit agrees with the truth
+            s, r, floor = _class_rep(p, want)
+            truth[s] = truth.get(s, 0) - r
+            assert _class_floor(p, truth) >= floor
+
+
+def test_total_of_no_values_is_exact_zero():
+    assert total(5, []).is_zero()
+    assert sum_floor([]) is INF

@@ -20,6 +20,7 @@ from series_helpers import (
     scale_variable,
     to_precision,
 )
+from test_padic import fraction_total
 from troppadic import series, terms
 from troppadic.errors import (
     BudgetExceeded,
@@ -91,15 +92,19 @@ def math_factorial(k):
     return out
 
 
-def _oracle_mul(a, b, cap):
-    """Product of two PadicScaled term dicts below a total-degree cap."""
+def naive_mul(a, b, cap):
+    """The product of two tuple-keyed term dicts without terms of total
+    degree above cap (None: no cap), zero coefficients dropped.  Each key's
+    products are summed once: by fraction_total, the Fraction oracle of the
+    sum rule, for PadicScaled values, and by sum otherwise."""
     out = {}
     for i, x in a.items():
         for j, y in b.items():
-            if sum(i) + sum(j) <= cap:
-                k = tuple(map(add, i, j))
-                out[k] = out[k] + x * y if k in out else x * y
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            if cap is None or sum(i) + sum(j) <= cap:
+                out.setdefault(tuple(map(add, i, j)), []).append(x * y)
+    if out and isinstance(x, PadicScaled):
+        return {k: s for k, v in out.items() if (s := fraction_total(x.p, v))}
+    return {k: s for k, v in out.items() if (s := sum(v))}
 
 
 def _oracle_split(terms, axis, d):
@@ -131,7 +136,7 @@ def oracle_divide(f, g, budget):
             break
         for k, c in term.items():
             q[k] = q[k] + c if k in q else c
-        low, high = _oracle_split(_oracle_mul(term, minus_e, budget.degree), axis, d)
+        low, high = _oracle_split(naive_mul(term, minus_e, budget.degree), axis, d)
         for k, c in low.items():
             r[k] = r[k] + c if k in r else c
         term = {k: c * one_over for k, c in high.items()}
@@ -231,7 +236,7 @@ def oracle_compose(base, g, budget):
             for exps, c in power.items():
                 acc[exps] = acc[exps] + c * a_k if exps in acc else c * a_k
         if k < top:
-            power = _oracle_mul(power, g.terms, max(top * deg_g, budget.degree))
+            power = naive_mul(power, g.terms, max(top * deg_g, budget.degree))
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
     kept, folds = oracle_finish(p, acc, budget.degree, floor_beyond)
@@ -352,18 +357,6 @@ def assert_certified(got, truth, prec):
 # --------------------------------------------------------------- packed products
 
 
-def naive_mul(a, b, cap):
-    """The product of two tuple-keyed term dicts without terms of total
-    degree above cap (None: no cap), zero coefficients dropped."""
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            if cap is None or sum(i) + sum(j) <= cap:
-                k = tuple(map(add, i, j))
-                out[k] = out[k] + x * y if k in out else x * y
-    return {k: v for k, v in out.items() if v}
-
-
 @st.composite
 def packed_operands(draw):
     """(n, w, a, b): two term dicts in 0-4 variables whose exponents fill
@@ -399,7 +392,7 @@ def test_packed_product_matches_the_tuple_product(operands, which):
     lim = 1 << w * (n + 1) if cap is None else (cap + 1) << w * n
     pa, pb = series._pack(a, n, w), series._pack(b, n, w)
     assert series._unpack(pa, n, w) == a
-    # approximate sums that cancel raise, at the same pair on both sides
+    # a key whose products certify no digit raises, at the same key on both sides
     got = outcome(lambda: list(series._dict_mul(pa, pb, lim).items()))
     want = outcome(lambda: list(series._pack(naive_mul(a, b, cap), n, w).items()))
     assert got == want
@@ -416,6 +409,75 @@ def test_packed_split_matches_the_tuple_split(operands, d):
     want_low, want_high = _oracle_split(terms_, n - 1, d)
     assert list(low.items()) == list(series._pack(want_low, n, w).items())
     assert list(high.items()) == list(series._pack(want_high, n, w).items())
+
+
+# --------------------------------------------------------------- order-free sums
+
+
+def test_product_with_a_cancelling_partial_sum_is_order_free():
+    # at X^4, b*a once summed 17 + 7758 (0 mod 25, where two floors lie)
+    # before -5 arrived; the three products sum to 4*5 + O(5^2)
+    p = 5
+    a = poly(p, 1, {(1,): PadicScaled.approx(p, 1, 1, 1), (2,): PadicScaled.approx(p, 0, 431, 4), (3,): 1})
+    b = poly(p, 1, {(1,): PadicScaled.approx(p, 0, 17, 2), (2,): 18, (3,): -1})
+    assert a * b == b * a
+    assert (b * a).coeff((4,)) == PadicScaled.approx(p, 1, 4, 1)
+
+
+def test_product_at_third_valuations_is_order_free():
+    # exact values at shift 1/3 meet an approximate one at valuation -1
+    p, third = 5, F(1, 3)
+    a = poly(p, 1, {(1,): PadicScaled.exact(p, 6, third), (2,): PadicScaled.exact(p, 13, third), (3,): 5})
+    b = poly(p, 1, {(1,): 28, (2,): 4, (3,): PadicScaled.approx(p, -1, 2476, 5)})
+    assert a * b == b * a
+    assert (b * a).coeff((4,)) == PadicScaled.approx(p, F(-2, 3), 1, 1)
+
+
+def test_evaluate_and_shift_variable_ignore_insertion_order():
+    p, one = 5, ex(5, 1)
+    seven = PadicScaled.approx(p, 0, 7, 3)
+    for terms_, c in (({(0,): seven, (1,): -7, (2,): 5}, "evaluate"), ({(0,): seven, (1,): 7, (2,): 5}, "shift")):
+        fwd, back = poly(p, 1, terms_), poly(p, 1, dict(reversed(terms_.items())))
+        assert fwd == back
+        if c == "evaluate":
+            assert evaluate(fwd, [one]) == evaluate(back, [one]) == PadicScaled.approx(p, 1, 1, 2)
+        else:
+            assert shift_variable(fwd, 0, one) == shift_variable(back, 0, one)
+            assert shift_variable(fwd, 0, one).coeff((0,)) == PadicScaled.approx(p, 1, 1, 2)
+
+
+def test_evaluate_raises_with_the_lower_of_the_sum_and_tail_floors():
+    # the stored terms cancel to O(5^3), and the tail allows v(a_2) = 1
+    seven = PadicScaled.approx(5, 0, 7, 3)
+    f = RestrictedSeries(5, 1, {(0,): seven, (1,): -7}, tail=TailBound(1, F(1), F(-1)))
+    with pytest.raises(PrecisionExhausted) as exc:
+        evaluate(f, [ex(5, 1)])
+    assert exc.value.floor == 1
+
+
+@st.composite
+def approximate_pairs(draw):
+    """Two series in X of degree <= 3 at one prime, each coefficient exact
+    (denominator 1, p or p^2; at shift 0 or, with thirds, 1/3) or
+    approximate to 1-5 digits at valuations -1 to 2 (in thirds, if drawn)."""
+    p, thirds = draw(st.sampled_from([3, 5])), draw(st.booleans())
+
+    def coeff():
+        if draw(st.booleans()):
+            r = F(draw(st.integers(-30, 30)), draw(st.sampled_from([1, p, p * p])))
+            return PadicScaled.exact(p, r, draw(st.sampled_from([0, F(1, 3)])) if thirds else 0)
+        v = F(draw(st.integers(-3, 6)), 3) if thirds else F(draw(st.integers(-1, 2)))
+        n = draw(st.integers(1, 5))
+        return PadicScaled.approx(p, v, draw(st.integers(1, p**n - 1).filter(lambda u: u % p)), n)
+
+    return tuple(poly(p, 1, {(k,): coeff() for k in range(draw(st.integers(0, 1)), 4)}) for _ in "ab")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(approximate_pairs())
+def test_products_do_not_depend_on_operand_order(pair):
+    a, b = pair
+    assert outcome(lambda: a * b) == outcome(lambda: b * a)
 
 
 # --------------------------------------------------------------- evaluate
