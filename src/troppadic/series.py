@@ -26,15 +26,15 @@ the product below 2^w, so no field carries.
 
 So a caller packs its dicts once, with 2^w above every degree it stores or
 keeps, and ``_dict_mul`` multiplies with one add and one compare per pair.
-It lists each key's products and sums them once, with ``sum`` on Python
-integers and with ``padic.total`` on ``PadicScaled`` values, so no product
-coefficient depends on the order of the operands or of their terms.
-``_acc`` adds a coefficient at a key, and ``_fold`` splits a tuple-keyed
-dict at a degree cutoff into kept terms and the (degree, valuation) points
-that the tail bound must absorb.  A product with a constant polynomial
-(one term, at the zero exponent, and no tail) skips the kernel:
-``_times_constant`` scales the other side's terms in their order, finding
-the constant's valuation and unit digits once per precision, and the
+Products, sums, shifts, the Weierstrass rounds and composition list each
+key's contributions, and ``_summed`` sums each list once, with ``sum`` on
+Python integers and ``padic.total`` on ``PadicScaled`` values, so no
+coefficient depends on the order of its contributions.  ``_fold`` splits a
+tuple-keyed dict at a degree cutoff into kept terms and the (degree,
+valuation) points that the tail bound must absorb.  A product with a
+constant polynomial (one term, at the zero exponent, and no tail) skips the
+kernel: ``_times_constant`` scales the other side's terms in their order,
+finding the constant's valuation and unit digits once per precision, and the
 cutoff, fold and tail pieces are those of any product.
 
 A series has two constructors, which end in the same tail rule
@@ -55,24 +55,30 @@ truncated.  Each exact result coefficient is built as one
 
 Weierstrass division is a contraction in the (p, X')-filtration: with
 ``f = c*Y^d + E`` (c the unit coefficient of the regularity order), the
-quotient is the fixed point of ``Q <- c^{-1} * high_part(g - Q*E)``.  Its
-iterates are the partial sums of the Neumann series
-``Q_0 + L(Q_0) + L^2(Q_0) + ...`` with ``Q_0 = c^{-1} * high_part(g)`` and
-``L(x) = -c^{-1} * high_part(x*E)``, so each round multiplies only the
-newest term by E; the low parts of the same products sum to the remainder.
-The iteration contracts exactly when every pure-Y coefficient of ``E`` has
-positive valuation; that condition (plus the matching tail certificate) is
-checked up front and its failure raises BudgetExceeded, because without it
-no restricted quotient exists (e.g. dividing by ``Y + Y^2``).
+quotient is the fixed point of ``Q <- c^{-1} * high_part(g - Q*E)``, the sum
+of the Neumann series ``Q_0 + L(Q_0) + ...`` with ``Q_0 = c^{-1} *
+high_part(g)`` and ``L(x) = -c^{-1} * high_part(x*E)``; the low parts of the
+same products sum to the remainder.  The iteration contracts exactly when
+every pure-Y coefficient of ``E`` has positive valuation; that condition
+(plus the matching tail certificate) is checked up front and its failure
+raises BudgetExceeded, because without it no restricted quotient exists
+(e.g. dividing by ``Y + Y^2``).
 
-On numerators ``f' = D_f*f`` and ``g' = D_g*g``, with c now the integer top
-coefficient of ``f'``, no round divides: ``T <- high(-T*E')`` from
-``T = high(g')``, while ``Q' <- c*Q' + T`` and ``R' <- c*R' + low(-T*E')``
-from ``R' = low(g')``.  After K rounds ``Q = Q'*D_f/(D_g*c^K)`` and
-``R = R'/(D_g*c^K)``.  The residue ``g - Q*f - R`` is
-``N/(D_g*c^K)`` with ``N = c^K*g' - Q'*f' - R'``.  Division needs integral
-series, so ``D_g`` is prime to p, and c is a unit; the denominator is then
-a unit and ``v(residue) = v_p(N)``, checked in integers key by key.
+No round divides.  With ``(L_0, T_0) = split(g)`` and
+``(L_{k+1}, T_{k+1}) = split(-T_k*E)`` (``_split_high``), the Neumann terms
+are ``c^-(k+1)*T_k`` with low parts ``c^-(k+1)*L_{k+1}``, by linearity.  So
+on ``PadicScaled`` values ``Q = sum c^-(k+1)*T_k`` and ``R = sum c^-k*L_k``
+over K rounds, with residue ``g - Q*f - R``.  On numerators ``f' = D_f*f``
+and ``g' = D_g*g`` (c the integer top coefficient of ``f'``), c^K times
+these sums are ``Q' = sum c^(K-1-k)*T_k`` and ``R' = sum c^(K-k)*L_k``, with
+``Q = Q'*D_f/(D_g*c^K)``, ``R = R'/(D_g*c^K)`` and residue ``N/(D_g*c^K)``,
+``N = c^K*g' - Q'*f' - R'``.  Each coefficient is one sum of its weighed
+round terms; on exact input both rings give the Neumann iteration's
+rationals, as the weights only move its powers of c out of the rounds and
+exact sums ignore grouping.  (Weighing the ``PadicScaled`` rounds by c^K
+and dividing back would make the exact low(g) approximate when c is.)
+Integral series make ``D_g`` prime to p, and c is a unit, so
+``v(residue) = v_p(N)``, checked in integers key by key.
 
 Lemma (preparation).  Let f be regular of order d, and let the divisions
 ``Y^d = Q*f + R`` and ``1 = U*Q`` pass their residue checks.  Then
@@ -183,10 +189,16 @@ def _merge_tail_pieces(cutoff, pieces, fold_points):
 # sparse term dicts
 
 
-def _acc(terms, k, c):
-    """Add the coefficient c at key k of a sparse term dict."""
-    cur = terms.get(k)
-    terms[k] = c if cur is None else cur + c
+def _summed(parts):
+    """{k: the sum of the list parts[k]}, without the zero sums.  Each list
+    is summed once, by ``sum`` on Python integers and by ``padic.total`` on
+    PadicScaled values, so no coefficient depends on the order of its
+    contributions."""
+    if not parts:
+        return {}
+    x = next(iter(parts.values()))[0]
+    add = partial(total, x.p) if isinstance(x, PadicScaled) else sum
+    return {k: s for k, v in parts.items() if (s := add(v))}
 
 
 def _pack(terms, n, w):
@@ -212,15 +224,7 @@ def _dict_mul(a, b, lim):
         for j, y in bs:
             if i + j < lim:
                 out.setdefault(i + j, []).append(x * y)
-    if not out:
-        return out
-    add = partial(total, x.p) if isinstance(x, PadicScaled) else sum
-    return {k: s for k, v in out.items() if (s := add(v))}
-
-
-def _scaled(terms, s):
-    """The term dict times the scalar s; None stands for 1."""
-    return terms if s is None else {k: c * s for k, c in terms.items()}
+    return _summed(out)
 
 
 def _times_constant(terms, c):
@@ -259,12 +263,10 @@ def _over(p, terms, num, den):
 
 
 def _fold(terms, cutoff):
-    """(nonzero terms of total degree <= cutoff, [(degree, valuation)] of
-    the nonzero terms beyond it)."""
+    """(terms of total degree <= cutoff, [(degree, valuation)] of the
+    terms beyond it), for a term dict without zero coefficients."""
     kept, folds = {}, []
     for k, c in terms.items():
-        if c.is_zero():
-            continue
         if sum(k) > cutoff:
             folds.append((sum(k), c.valuation()))
         else:
@@ -409,10 +411,10 @@ class RestrictedSeries:
         # sides with genuine tails constrain the cutoff
         live = [t.cutoff for t in (ta, tb) if not t.is_empty]
         cutoff = min(live) if live else max(ta.cutoff, tb.cutoff)
-        merged = dict(self.terms)
+        parts = {i: [c] for i, c in self.terms.items()}
         for i, c in other.terms.items():
-            _acc(merged, i, c)
-        kept, folds = _fold(merged, cutoff)
+            parts.setdefault(i, []).append(c)
+        kept, folds = _fold(_summed(parts), cutoff)
         tail = _merge_tail_pieces(
             cutoff, [(ta.slope, ta.offset), (tb.slope, tb.offset)], folds
         )
@@ -538,7 +540,7 @@ def shift_variable(f: RestrictedSeries, i: int, c: PadicScaled) -> RestrictedSer
         for j in range(e + 1):
             coeff = a * PadicScaled.exact(f.p, math.comb(e, j)) * (-c) ** (e - j)
             out.setdefault(exps[:i] + (j,) + exps[i + 1:], []).append(coeff)
-    out = {k: s for k, v in out.items() if (s := total(f.p, v))}
+    out = _summed(out)
     if not f.tail.is_empty:
         out = _with_tail_error(out, f.tail.floor_at(F(0)))
     return RestrictedSeries._made(f.p, f.nvars, out, f.tail, f.domain)
@@ -621,48 +623,47 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     p, n = f.p, f.nvars
     axis = n - 1
     top = (0,) * axis + (d,)
-    lifted_f, lifted_g = _numerators(f.terms), _numerators(g.terms)
-    if lifted_f and lifted_g:
+    lifted = _numerators(f.terms), _numerators(g.terms)
+    ints = all(lifted)
+    if ints:
         # integers f' = D_f*f and g' = D_g*g; the top coefficient c of f'
-        # is a unit, so it scales the accumulators instead of dividing
-        (d_f, fs), (d_g, gs) = lifted_f, lifted_g
-        c, over_c = fs[top], None
+        # is a unit, and the rounds are weighed by its powers, not divided
+        (d_f, fs), (d_g, gs) = lifted
 
         def floor(parts):
-            total = sum(parts)
-            return vp_int(total, p) if total else INF
+            s = sum(parts)
+            return vp_int(s, p) if s else INF
     else:
-        fs, gs = f.terms, g.terms
-        c, over_c, floor = None, PadicScaled.exact(p, 1) / fs[top], sum_floor
+        fs, gs, floor = f.terms, g.terms, sum_floor
+    c = fs[top]
     # packed keys, with 2^w above every stored degree and the degree budget
     w = max(budget.degree, f.max_degree(), g.max_degree()).bit_length()
     minus_e = _pack({k: -v for k, v in fs.items() if k != top}, n, w)
     fs, gs = _pack(fs, n, w), _pack(gs, n, w)
 
-    # Q is the Neumann sum of term <- c^{-1} * high(-term*E) from
-    # c^{-1} * high(g); the low parts of the same products sum to R - low(g).
-    # On numerators each round multiplies Q and R by c instead.
-    q_cur = {}
-    r_low, term = _split_high(gs, d, n, w)
-    term = _scaled(term, over_c)
-    rounds = 0
-    while term and rounds < budget.prec + budget.degree + 2:
-        q_cur, r_low = _scaled(q_cur, c), _scaled(r_low, c)
-        for k, v in term.items():
-            _acc(q_cur, k, v)
-        low, high = _split_high(_dict_mul(term, minus_e, (budget.degree + 1) << w * n), d, n, w)
-        for k, v in low.items():
-            _acc(r_low, k, v)
-        term = _scaled(high, over_c)
-        rounds += 1
+    # the rounds of the module docstring; T_k weighs as L_{k+1}
+    low, high = _split_high(gs, d, n, w)
+    lows, highs = [low], []
+    while high and len(highs) < budget.prec + budget.degree + 2:
+        highs.append(high)
+        low, high = _split_high(_dict_mul(high, minus_e, (budget.degree + 1) << w * n), d, n, w)
+        lows.append(low)
+    rounds = len(highs)
+    weights = [c ** (rounds - k) if ints else c**-k for k in range(rounds + 1)]
 
-    # residue check against f itself: c^K g - Q f - R must vanish to budget
-    # below the degree cutoff.  Its terms are listed per key and summed
-    # once, so each residue coefficient is one sum of its terms in any order,
-    # and one that cancels below its certified digits keeps its floor.
+    def weighed(parts, ws):
+        out = {}
+        for terms, s in zip(parts, ws):
+            for k, v in terms.items():
+                out.setdefault(k, []).append(v * s)
+        return _summed(out)
+
+    q_cur, r_low = weighed(highs, weights[1:]), weighed(lows, weights)
+
+    # residue check: weights[0]*g - Q*f - R vanishes to budget below the
+    # degree cutoff, each key summed once to its floor (no raise)
     lim = budget.degree << w * n
-    scaled_g = _scaled(gs, None if c is None else c**rounds)
-    residue = {k: [v] for k, v in scaled_g.items()}
+    residue = {k: [v * weights[0]] for k, v in gs.items()}
     for i, x in q_cur.items():
         for j, y in fs.items():
             if i + j < lim:
@@ -670,9 +671,6 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     for k, v in r_low.items():
         residue.setdefault(k, []).append(-v)
     residue = _unpack({k: v for k, v in residue.items() if k < lim}, n, w)
-    # the accumulators can cancel to 0, which a series does not store
-    q_cur = {k: v for k, v in _unpack(q_cur, n, w).items() if v}
-    r_low = {k: v for k, v in _unpack(r_low, n, w).items() if v}
     for exps in sorted(residue):
         v = floor(residue[exps])
         if v < budget.prec:
@@ -680,8 +678,9 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
                 f"division residue at {exps} has valuation {v} < {budget.prec}"
             )
 
-    if c is not None:
-        den = d_g * c**rounds
+    q_cur, r_low = _unpack(q_cur, n, w), _unpack(r_low, n, w)
+    if ints:
+        den = d_g * weights[0]  # c^K
         q_cur, r_low = _over(p, q_cur, d_f, den), _over(p, r_low, 1, den)
     dom, tail = f._common_domain(g), TailBound.empty(budget.degree)
     q_series = RestrictedSeries._made(p, n, q_cur, tail, dom)
@@ -785,20 +784,21 @@ def compose_univariate(base: RestrictedSeries, g: RestrictedSeries, budget: Budg
         one, den = 1, d_a * d_g**top
     else:
         gs, one, den = g.terms, PadicScaled.exact(p, 1), None
-    acc, power = {}, {0: one}
+    parts, power = {}, {0: one}
     full_degree = max(top * deg_g, budget.degree)
     n, w = g.nvars, max(full_degree, deg_g).bit_length()
     gs, lim = _pack(gs, n, w), (full_degree + 1) << w * n
     for k, a_k in weights.items():
         if a_k:
             for exps, c in power.items():
-                _acc(acc, exps, c * a_k)
+                parts.setdefault(exps, []).append(c * a_k)
         if k < top:
             # powers are never truncated below their true degree, so every
             # overflow term is computed and folded into the tail soundly
             power = _dict_mul(power, gs, lim)
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
+    acc = _summed(parts)  # each coefficient is one sum of its a_k*(g^k)[key]
     if floor_beyond is not INF:
         # a kept monomial that only unknown a_k reach would read as exactly 0
         kept_lim = (budget.degree + 1) << w * n

@@ -6,9 +6,9 @@ import math
 from fractions import Fraction
 
 from troppadic.errors import BudgetExceeded, DomainViolation
-from troppadic.padic import PadicScaled, sum_floor
+from troppadic.padic import PadicScaled, sum_floor, total
 from troppadic.series import RestrictedSeries, TailBound
-from troppadic.series import _acc, _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
+from troppadic.series import _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
 from troppadic.terms import App
 
 F = Fraction
@@ -91,8 +91,9 @@ def monomial_substitution(f: RestrictedSeries, d: int, degree_budget: int) -> Re
             }
             partial = _unpack(_dict_mul(_pack(partial, n, w), _pack(binomial, n, w), lim), n, w)
         for k, c in partial.items():
-            _acc(out, k, c)
-    out = {k: v for k, v in out.items() if not v.is_zero()}
+            out.setdefault(k, []).append(c)
+    # each coefficient is one sum of its terms' contributions
+    out = {k: s for k, v in out.items() if (s := total(f.p, v))}
     dom = tuple(F(0) for _ in range(n))
     if f.tail.is_empty:
         return RestrictedSeries(f.p, n, out, tail=TailBound.empty(degree_budget), domain=dom)

@@ -516,3 +516,20 @@ def test_swapping_the_variables_keeps_the_bound(f1, f2):
     report, swapped = _bound(f1, f2), _bound(swap(f1), swap(f2))
     assert swapped.s_bound == report.s_bound
     assert _components(swapped, (1, 0)) == _components(report)
+
+
+# --------------------------------------------------------------- constant factors
+# Multiplying an equation by a nonzero constant keeps its zeros, and a
+# factor of valuation k lifts the equation's tropical polynomial by k alike
+# at every exponent, so the complexes, the bound and each component's
+# points all stay.
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_sparse_support(), _sparse_support(), st.sampled_from([3, 25]), st.integers(0, 1))
+def test_a_constant_factor_keeps_the_bound(f1, f2, factor, which):
+    system = [f1, f2]
+    system[which] = {e: factor * c for e, c in system[which].items()}
+    report, scaled = _bound(f1, f2), _bound(*system)
+    assert scaled.s_bound == report.s_bound
+    assert _components(scaled) == _components(report)

@@ -16,8 +16,10 @@ another class.  So a non-dunder method name may be defined in one class
 only; ``SHARED`` lists the names defined in several, each with the reason
 every one of its definitions is live, and can only shrink too.
 
-A last scan keeps the calls of ``RestrictedSeries._made``, the constructor
-that skips the input checks, inside the series module.
+A scan keeps the calls of ``RestrictedSeries._made``, the constructor that
+skips the input checks, inside the series module; another keeps the series
+module's references to ``padic.total``, the rule that certifies a sum,
+inside its summation helper and ``evaluate``.
 """
 
 import ast
@@ -169,3 +171,33 @@ def test_only_the_series_algebra_skips_the_input_checks():
     calls = private_constructor_calls()
     assert "series.py" in calls
     assert {m: lines for m, lines in calls.items() if m != "series.py"} == {}
+
+
+def sum_rule_users():
+    """The top-level functions and methods of series.py, or "<module>" for
+    other top-level code, that refer to ``padic.total``; importing the name
+    unrenamed does not count."""
+    tree = ast.parse((SRC / "series.py").read_text(), filename="series.py")
+    users = set()
+    for node in tree.body:
+        for item in node.body if isinstance(node, ast.ClassDef) else [node]:
+            for x in ast.walk(item):
+                if (
+                    isinstance(x, ast.Name) and x.id == "total"
+                    or isinstance(x, ast.Attribute) and x.attr == "total"
+                    or isinstance(x, ast.alias) and x.name == "total" and x.asname
+                ):
+                    if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                        users.add(item.name if item is node else f"{node.name}.{item.name}")
+                    else:
+                        users.add("<module>")
+    return users
+
+
+def test_series_sums_coefficients_in_one_helper():
+    """Products, sums, shifts, Weierstrass rounds and composition reach the
+    sum rule through ``_summed``, so each coefficient is one sum of its
+    contributions; ``evaluate`` sums a point's terms with it directly."""
+    users = sum_rule_users()
+    assert "_summed" in users
+    assert sorted(users - {"_summed", "evaluate"}) == []

@@ -103,8 +103,14 @@ def naive_mul(a, b, cap):
             if cap is None or sum(i) + sum(j) <= cap:
                 out.setdefault(tuple(map(add, i, j)), []).append(x * y)
     if out and isinstance(x, PadicScaled):
-        return {k: s for k, v in out.items() if (s := fraction_total(x.p, v))}
+        return summed_once(x.p, out)
     return {k: s for k, v in out.items() if (s := sum(v))}
+
+
+def summed_once(p, parts):
+    """{k: the sum of the PadicScaled list parts[k]} by fraction_total,
+    without the zero sums."""
+    return {k: s for k, v in parts.items() if (s := fraction_total(p, v))}
 
 
 def _oracle_split(terms, axis, d):
@@ -118,36 +124,38 @@ def _oracle_split(terms, axis, d):
 
 
 def oracle_divide(f, g, budget):
-    """The reference for weierstrass_divide: its Neumann loop and residue
-    check in PadicScaled arithmetic on every input, exact or not.  The
-    input checks before the loop are the library's.  Returns ({key: Q_key},
-    [{key: A_j_key}]) with zero coefficients dropped, in insertion order."""
+    """The reference for weierstrass_divide: its rounds and residue check in
+    PadicScaled arithmetic on every input, exact or not.  The rounds are
+    (L_0, T_0) = split(g) and (L_{k+1}, T_{k+1}) = split(-T_k*E), and each
+    coefficient of Q = sum T_k/c^(k+1) and R = sum L_k/c^k is one sum of its
+    contributions.  The input checks before the loop are the library's.
+    Returns ({key: Q_key}, [{key: A_j_key}]) with zero coefficients dropped,
+    in insertion order."""
     d = series.regular_order(f)
     series._check_division_inputs(f, g, d, budget)
     p, axis = f.p, f.nvars - 1
     top = (0,) * axis + (d,)
-    one_over = PadicScaled.exact(p, 1) / f.terms[top]
-    minus_e = {k: -c for k, c in f.terms.items() if k != top}
-    q = {}
-    r, high = _oracle_split(g.terms, axis, d)
-    term = {k: c * one_over for k, c in high.items()}
-    for _ in range(budget.prec + budget.degree + 2):
-        if not term:
+    c = f.terms[top]
+    minus_e = {k: -x for k, x in f.terms.items() if k != top}
+    low, high = _oracle_split(g.terms, axis, d)
+    q_parts, r_parts = {}, {k: [x] for k, x in low.items()}
+    for k in range(budget.prec + budget.degree + 2):
+        if not high:
             break
-        for k, c in term.items():
-            q[k] = q[k] + c if k in q else c
-        low, high = _oracle_split(naive_mul(term, minus_e, budget.degree), axis, d)
-        for k, c in low.items():
-            r[k] = r[k] + c if k in r else c
-        term = {k: c * one_over for k, c in high.items()}
-    residue = {k: [c] for k, c in g.terms.items()}
+        for key, x in high.items():
+            q_parts.setdefault(key, []).append(x / c ** (k + 1))
+        low, high = _oracle_split(naive_mul(high, minus_e, budget.degree), axis, d)
+        for key, x in low.items():
+            r_parts.setdefault(key, []).append(x / c ** (k + 1))
+    q, r = summed_once(p, q_parts), summed_once(p, r_parts)
+    residue = {k: [x] for k, x in g.terms.items()}
     for i, x in q.items():
         for j, y in f.terms.items():
             k = tuple(map(add, i, j))
             if sum(k) < budget.degree:
                 residue.setdefault(k, []).append(-(x * y))
-    for k, c in r.items():
-        residue.setdefault(k, []).append(-c)
+    for k, x in r.items():
+        residue.setdefault(k, []).append(-x)
     for exps in sorted(residue):
         if sum(exps) < budget.degree:
             v = sum_floor(residue[exps])
@@ -155,12 +163,8 @@ def oracle_divide(f, g, budget):
                 raise BudgetExceeded(
                     f"division residue at {exps} has valuation {v} < {budget.prec}"
                 )
-    nonzero = {k: c for k, c in q.items() if not c.is_zero()}
-    rems = [
-        {k[:axis]: c for k, c in r.items() if k[axis] == j and not c.is_zero()}
-        for j in range(d)
-    ]
-    return nonzero, rems
+    rems = [{k[:axis]: x for k, x in r.items() if k[axis] == j} for j in range(d)]
+    return q, rems
 
 
 def _oracle_split_p(r, p):
@@ -228,18 +232,19 @@ def oracle_compose(base, g, budget):
         order = min(map(sum, g.terms), default=None)
         if order is not None and (top + 1) * order <= budget.degree:
             floor_beyond = c_b * (top + 1) + b_b
-    acc = {}
+    parts = {}
     power = {(0,) * g.nvars: PadicScaled.exact(p, 1)}
     for k in range(top + 1):
         a_k = base.coeff((k,))
         if not a_k.is_zero():
             for exps, c in power.items():
-                acc[exps] = acc[exps] + c * a_k if exps in acc else c * a_k
+                parts.setdefault(exps, []).append(c * a_k)
         if k < top:
             power = naive_mul(power, g.terms, max(top * deg_g, budget.degree))
             if len(power) > 20000:
                 raise BudgetExceeded("composition expansion too large for the budget")
-    kept, folds = oracle_finish(p, acc, budget.degree, floor_beyond)
+    # each coefficient is one sum of its a_k*(g^k)[key]
+    kept, folds = oracle_finish(p, summed_once(p, parts), budget.degree, floor_beyond)
     pieces = []
     if not base.tail.is_empty and deg_g > 0:
         pieces.append((base.tail.slope / deg_g, base.tail.offset))
@@ -705,10 +710,61 @@ def test_approximate_division_agrees_with_exact_lifts(rng, d, digits):
     except (BudgetExceeded, PrecisionExhausted):
         return  # not certifiable from the digits given: allowed
     q, a = weierstrass_divide(f, g, budget)
-    for approx, exact in [(q_approx, q), *zip(a_approx, a)]:
-        for k in set(approx.terms) | set(exact.terms):
-            got = approx.coeff(k)
-            assert difference_floor(got, exact.coeff(k)) >= got.valuation() + got.precision()
+    assert_agrees([q_approx, *a_approx], [q, *a])
+
+
+def assert_agrees(approx, exact):
+    """Every certified digit of the approximate series is the exact one's,
+    and a coefficient the approximate series does not store is exactly 0."""
+    for s, t in zip(approx, exact, strict=True):
+        for k in set(s.terms) | set(t.terms):
+            got = s.coeff(k)
+            assert difference_floor(got, t.coeff(k)) >= got.valuation() + got.precision()
+
+
+def exact_lift(s, rng):
+    """s with each approximate coefficient u*p^v + O(p^(v+N)), v an integer,
+    replaced by the exact u*p^v + t*p^(v+N), t a random integer."""
+    terms = {}
+    for k, c in s.terms.items():
+        if not c.is_exact:
+            n, v = c.precision(), int(c.valuation())
+            c = (c.unit_digits(n) + rng.randint(-99, 99) * s.p**n) * F(s.p) ** v
+        terms[k] = c
+    return RestrictedSeries(s.p, s.nvars, terms, tail=s.tail, domain=s.domain)
+
+
+def two_adic(v, unit, digits):
+    return PadicScaled.approx(2, v, unit, digits)
+
+
+def test_division_sums_each_coefficient_once():
+    """The rounds are not divided by c = 1 + O(2), which would cut each to
+    one digit, so that the next round's product cancels below its floor;
+    each coefficient of Q and R is one sum of its weighed round terms."""
+    f = poly(2, 1, {(0,): two_adic(1, 1, 2), (1,): 196, (2,): two_adic(0, 1, 1)})
+    g = poly(2, 1, {(0,): two_adic(0, 3, 2), (1,): 126, (2,): 42, (3,): two_adic(2, 5, 4)})
+    budget = Budget(2, 2)
+    q, (a0, a1) = weierstrass_divide(f, g, budget)
+    assert q.terms == {(0,): two_adic(1, 1, 1), (1,): two_adic(2, 1, 1)}
+    assert a0.terms == {(): two_adic(0, 3, 2)}
+    assert a1.terms == {(): two_adic(1, 7, 4)}
+    rng = random.Random(32)
+    for _ in range(300):
+        exact_q, exact_a = weierstrass_divide(exact_lift(f, rng), exact_lift(g, rng), budget)
+        assert_agrees([q, a0, a1], [exact_q, *exact_a])
+
+
+def test_composition_sums_each_coefficient_once():
+    """base(23) is one sum of its a_k*23^k; the running sum 4 + 2300
+    cancelled below its floor 2^3 and raised."""
+    base = poly(2, 1, {(0,): two_adic(2, 1, 1), (1,): 100, (2,): two_adic(0, 13, 4)})
+    g, budget = poly(2, 1, {(0,): 23}), Budget(7, 3)
+    got = compose_univariate(base, g, budget)
+    assert got.terms == {(0,): two_adic(0, 5, 3)}
+    rng = random.Random(32)
+    for _ in range(300):
+        assert_agrees([got], [compose_univariate(exact_lift(base, rng), g, budget)])
 
 
 PRIMES = [2, 3, 5, 7]
@@ -785,6 +841,12 @@ def division_outcome(divide, f, g, budget):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(division_inputs())
+# rounds divided by c = 1 + O(2) would cancel below their floor
+@example((
+    poly(2, 1, {(0,): two_adic(1, 1, 2), (1,): 196, (2,): two_adic(0, 1, 1)}),
+    poly(2, 1, {(0,): two_adic(0, 3, 2), (1,): 126, (2,): 42, (3,): two_adic(2, 5, 4)}),
+    Budget(2, 2),
+))
 def test_division_matches_the_padicscaled_oracle(inputs):
     f, g, budget = inputs
     lifted = [series._numerators(s.terms) for s in (f, g)]
@@ -904,6 +966,12 @@ EP_BUDGET = Budget(16, 12)
     poly(5, 1, {(0,): F(1, 3), (1,): 2, (2,): F(-5, 7), (3,): 1}),
     poly(5, 2, {(1, 0): F(1, 2), (0, 1): 5}),
     Budget(8, 2),
+))
+# the running sum 4 + O(2^3) + 2300 cancels below its floor
+@example((
+    poly(2, 1, {(0,): two_adic(2, 1, 1), (1,): 100, (2,): two_adic(0, 13, 4)}),
+    poly(2, 1, {(0,): 23}),
+    Budget(7, 3),
 ))
 # the floor 3/2 leaves one digit at valuation 0 and none at valuation 1
 @example((
