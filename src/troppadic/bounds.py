@@ -18,7 +18,6 @@ either normalization convention.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -333,9 +332,6 @@ class BoundReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def system_root_bound(system, oracle: WBoundOracle, seed):

@@ -1,9 +1,12 @@
 """Batch front end.
 
 Subcommands: trop, bound-system, strassmann, wdiv, mixed-volume,
-term-deriv.  Inputs are the JSON documents defined in formats.py; output
-is JSON (stdout or --output, written atomically).  Exit codes: 0 success,
-2 input error, 3 precision error, 4 genericity failure.
+term-deriv.  Inputs are the JSON documents defined in formats.py.  The
+parser is the one table of subcommands: each subparser names its handler,
+a function from the parsed arguments to a JSON document.  ``main`` writes
+that document (stdout, or --output written atomically) and maps errors to
+exit codes: 0 success, 2 input error, 3 precision error, 4 genericity
+failure.
 """
 
 from __future__ import annotations
@@ -48,35 +51,36 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="troppadic")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, help):
+    def command(name, handler, help):
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("-o", "--output", help="write the JSON report here")
         return sp
 
     def domain_flag(sp):
         sp.add_argument("--domain", help="comma list of rationals or 'none' per variable")
 
-    sp = command("trop", "tropicalization report (and SVG at n=2)")
+    sp = command("trop", cmd_trop, "tropicalization report (and SVG at n=2)")
     sp.add_argument("input")
     sp.add_argument("--svg", help="write a deterministic SVG here")
     domain_flag(sp)
 
-    sp = command("bound-system", "uniform root-count bound report")
+    sp = command("bound-system", cmd_bound_system, "uniform root-count bound report")
     sp.add_argument("inputs", nargs="+")
     sp.add_argument("--seed", help=f"random seed (or {SEED_ENV}); required")
 
-    sp = command("strassmann", "unit-ball zero count")
+    sp = command("strassmann", cmd_strassmann, "unit-ball zero count")
     sp.add_argument("input")
     domain_flag(sp)
 
-    sp = command("wdiv", "Weierstrass division report")
+    sp = command("wdiv", cmd_wdiv, "Weierstrass division report")
     sp.add_argument("divisor")
     sp.add_argument("dividend")
     sp.add_argument("--prec", type=int, default=16, help="valuation budget")
     sp.add_argument("--deg", type=int, default=12, help="degree budget")
     domain_flag(sp)
 
-    sp = command("mixed-volume", "mixed volume of polytopes")
+    sp = command("mixed-volume", cmd_mixed_volume, "mixed volume of polytopes")
     sp.add_argument("inputs", nargs="+")
     sp.add_argument(
         "--normalization",
@@ -84,7 +88,7 @@ def build_parser():
         default="coefficient",
     )
 
-    sp = command("term-deriv", "derivative of a term expression")
+    sp = command("term-deriv", cmd_term_deriv, "derivative of a term expression")
     sp.add_argument("expr")
     sp.add_argument("--prime", type=int, default=5, help="prime of the term registry")
     sp.add_argument("--var", help="variable name (default: first)")
@@ -100,13 +104,6 @@ def _parse_domain(text, nvars):
     if len(parts) != nvars:
         raise FormatError(f"domain needs {nvars} entries")
     return tuple(None if s.strip() == "none" else parse_frac(s.strip()) for s in parts)
-
-
-def _emit(args, payload: str):
-    if args.output:
-        write_atomic(args.output, payload)
-    else:
-        sys.stdout.write(payload)
 
 
 def _load_series(path, args):
@@ -137,8 +134,7 @@ def cmd_trop(args):
     # the SVG is written first, so a failure to write it leaves no report
     if args.svg:
         write_atomic(args.svg, render_svg(data))
-    _emit(args, dump_json(trop_data_to_dict(data)))
-    return 0
+    return trop_data_to_dict(data)
 
 
 def cmd_bound_system(args):
@@ -161,18 +157,14 @@ def cmd_bound_system(args):
                 "so every domain entry must be null"
             )
         system.append(ParamSeries.from_series(f))
-    report = system_root_bound(system, WBoundOracle(), seed)
-    _emit(args, report.to_json())
-    return 0
+    return system_root_bound(system, WBoundOracle(), seed).to_dict()
 
 
 def cmd_strassmann(args):
     f = _load_series(args.input, args)
     if f.nvars != 1:
         raise FormatError(f"{args.input}: strassmann needs a one-variable series, got {f.nvars}")
-    n = strassmann_count(f)
-    _emit(args, dump_json({"schema_version": 1, "count": n}))
-    return 0
+    return {"schema_version": 1, "count": strassmann_count(f)}
 
 
 def cmd_wdiv(args):
@@ -188,17 +180,11 @@ def cmd_wdiv(args):
         if any(c.valuation() < 0 for c in s.terms.values()):
             raise FormatError(f"{path}: Weierstrass division needs integral coefficients")
     q, a = weierstrass_divide(f, g, Budget(args.prec, args.deg))
-    _emit(
-        args,
-        dump_json(
-            {
-                "schema_version": 1,
-                "quotient": series_to_dict(q),
-                "remainders": [series_to_dict(x) for x in a],
-            }
-        ),
-    )
-    return 0
+    return {
+        "schema_version": 1,
+        "quotient": series_to_dict(q),
+        "remainders": [series_to_dict(x) for x in a],
+    }
 
 
 def cmd_mixed_volume(args):
@@ -209,17 +195,7 @@ def cmd_mixed_volume(args):
             f"mixed volume needs n polytopes in dimension n, got {len(polys)} in {dims}"
         )
     mv = mixed_volume(polys, args.normalization)
-    _emit(
-        args,
-        dump_json(
-            {
-                "schema_version": 1,
-                "normalization": args.normalization,
-                "value": frac_str(mv),
-            }
-        ),
-    )
-    return 0
+    return {"schema_version": 1, "normalization": args.normalization, "value": frac_str(mv)}
 
 
 def cmd_term_deriv(args):
@@ -236,29 +212,13 @@ def cmd_term_deriv(args):
     if var not in names:
         raise FormatError(f"unknown variable {var!r}")
     d = derive_term(term, names.index(var), args.order, registry=registry)
-    _emit(
-        args,
-        dump_json(
-            {
-                "schema_version": 1,
-                "input": args.expr,
-                "variable": var,
-                "order": args.order,
-                "derivative": print_term(d, names),
-            }
-        ),
-    )
-    return 0
-
-
-HANDLERS = {
-    "trop": cmd_trop,
-    "bound-system": cmd_bound_system,
-    "strassmann": cmd_strassmann,
-    "wdiv": cmd_wdiv,
-    "mixed-volume": cmd_mixed_volume,
-    "term-deriv": cmd_term_deriv,
-}
+    return {
+        "schema_version": 1,
+        "input": args.expr,
+        "variable": var,
+        "order": args.order,
+        "derivative": print_term(d, names),
+    }
 
 
 def _attach_domain(argv):
@@ -276,7 +236,12 @@ def _attach_domain(argv):
 def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_domain(sys.argv[1:] if argv is None else argv))
     try:
-        return HANDLERS[args.command](args)
+        payload = dump_json(args.handler(args))
+        if args.output:
+            write_atomic(args.output, payload)
+        else:
+            sys.stdout.write(payload)
+        return 0
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -373,13 +373,3 @@ def total(p, values):
     if n < 1:
         raise PrecisionExhausted("no certified digit at incommensurable valuations", floor=w)
     return PadicScaled(p, _v=w, _u=_unit_digits_of_rational(r, p, n), _N=n)
-
-
-def sum_floor(values):
-    """A certified lower bound for the valuation of a sum, which never raises
-    on cancellation: the valuation of ``total``, or the floor of its raise."""
-    values = list(values)
-    try:
-        return total(values[0].p, values).valuation() if values else INF
-    except PrecisionExhausted as exc:
-        return exc.floor

@@ -78,7 +78,11 @@ rationals, as the weights only move its powers of c out of the rounds and
 exact sums ignore grouping.  (Weighing the ``PadicScaled`` rounds by c^K
 and dividing back would make the exact low(g) approximate when c is.)
 Integral series make ``D_g`` prime to p, and c is a unit, so
-``v(residue) = v_p(N)``, checked in integers key by key.
+``v(residue) = v_p(N)``, checked in integers key by key.  On
+``PadicScaled`` values each residue key is one ``padic.total``: a
+certified valuation below the precision budget raises BudgetExceeded, and
+a sum that cancels below the inputs' digits raises PrecisionExhausted when
+its floor lies below the budget, since more input digits could decide it.
 
 Lemma (preparation).  Let f be regular of order d, and let the divisions
 ``Y^d = Q*f + R`` and ``1 = U*Q`` pass their residue checks.  Then
@@ -122,7 +126,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from .padic import INF, PadicScaled, sum_floor, total, val_min, vp_int
+from .padic import INF, PadicScaled, total, val_min, vp_int
 
 F = Fraction
 
@@ -629,12 +633,8 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
         # integers f' = D_f*f and g' = D_g*g; the top coefficient c of f'
         # is a unit, and the rounds are weighed by its powers, not divided
         (d_f, fs), (d_g, gs) = lifted
-
-        def floor(parts):
-            s = sum(parts)
-            return vp_int(s, p) if s else INF
     else:
-        fs, gs, floor = f.terms, g.terms, sum_floor
+        fs, gs = f.terms, g.terms
     c = fs[top]
     # packed keys, with 2^w above every stored degree and the degree budget
     w = max(budget.degree, f.max_degree(), g.max_degree()).bit_length()
@@ -661,7 +661,7 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
     q_cur, r_low = weighed(highs, weights[1:]), weighed(lows, weights)
 
     # residue check: weights[0]*g - Q*f - R vanishes to budget below the
-    # degree cutoff, each key summed once to its floor (no raise)
+    # degree cutoff, each key summed once
     lim = budget.degree << w * n
     residue = {k: [v * weights[0]] for k, v in gs.items()}
     for i, x in q_cur.items():
@@ -672,7 +672,20 @@ def weierstrass_divide(f: RestrictedSeries, g: RestrictedSeries, budget: Budget)
         residue.setdefault(k, []).append(-v)
     residue = _unpack({k: v for k, v in residue.items() if k < lim}, n, w)
     for exps in sorted(residue):
-        v = floor(residue[exps])
+        if ints:
+            s = sum(residue[exps])
+            v = vp_int(s, p) if s else INF
+        else:
+            try:
+                v = total(p, residue[exps]).valuation()
+            except PrecisionExhausted as exc:  # the inputs' digits end at exc.floor
+                if exc.floor < budget.prec:
+                    raise PrecisionExhausted(
+                        f"division residue at {exps} is certified only to valuation "
+                        f"{exc.floor} < {budget.prec}",
+                        floor=exc.floor,
+                    ) from None
+                continue
         if v < budget.prec:
             raise BudgetExceeded(
                 f"division residue at {exps} has valuation {v} < {budget.prec}"
@@ -869,9 +882,7 @@ class ParamSeries:
 
     def specialize(self, ys, x_domain=None) -> RestrictedSeries:
         """Evaluate every coefficient at parameters ys."""
-        terms = {}
-        for exps, s in self.coeffs.items():
-            terms[exps] = evaluate(s, ys) if self.nparams else s.coeff(())
+        terms = {exps: evaluate(s, ys) for exps, s in self.coeffs.items()}
         return RestrictedSeries(self.p, self.nx, terms, domain=x_domain)
 
     def slice_at_zero(self, s: int, k: int) -> "ParamSeries":

@@ -5,8 +5,8 @@ term's realization makes.  Used by tests only."""
 import math
 from fractions import Fraction
 
-from troppadic.errors import BudgetExceeded, DomainViolation
-from troppadic.padic import PadicScaled, sum_floor, total
+from troppadic.errors import BudgetExceeded, DomainViolation, PrecisionExhausted
+from troppadic.padic import INF, PadicScaled, total
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.series import _coerce_coeff, _dict_mul, _pack, _unpack, _with_tail_error
 from troppadic.terms import App
@@ -137,6 +137,16 @@ def to_precision(x: PadicScaled, prec: int) -> PadicScaled:
     if x.is_zero():
         raise ValueError("cannot truncate exact zero to finite precision")
     return PadicScaled.approx(x.p, x.valuation(), x.unit_digits(prec), prec)
+
+
+def sum_floor(values):
+    """A certified lower bound for the valuation of a sum, which never raises
+    on cancellation: the valuation of ``total``, or the floor of its raise."""
+    values = list(values)
+    try:
+        return total(values[0].p, values).valuation() if values else INF
+    except PrecisionExhausted as exc:
+        return exc.floor
 
 
 def difference_floor(a: PadicScaled, b: PadicScaled):

@@ -1,13 +1,17 @@
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -394,6 +398,79 @@ def test_unwritable_outputs_are_input_errors(capsys, tmp_path, argv, flag):
     assert not list(taken.iterdir())
 
 
+# --------------------------------------------------------------- parser and writer
+
+
+FIXTURES = Path(__file__).with_name("data")
+README = Path(__file__).parents[1] / "README.md"
+
+# one run of every subcommand on bundled inputs
+BUNDLED_RUNS = {
+    "trop": ["trop", data_path("fig1_p5.series")],
+    "bound-system": [
+        "bound-system", data_path("line_a.series"), data_path("line_b.series"), "--seed", "42",
+    ],
+    "strassmann": ["strassmann", data_path("strassmann_5x_x5.series")],
+    "wdiv": ["wdiv", data_path("wdiv_divisor.series"), data_path("wdiv_dividend.series")],
+    "mixed-volume": [
+        "mixed-volume",
+        str(FIXTURES / "int_pentagon.polytope"),
+        str(FIXTURES / "int_triangle.polytope"),
+    ],
+    "term-deriv": ["term-deriv", "Ep(x)"],
+}
+
+
+def subparsers():
+    """{subcommand: its parser}, read off the one parser table."""
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_bundled_runs_cover_every_subcommand():
+    assert sorted(BUNDLED_RUNS) == sorted(subparsers())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_RUNS))
+def test_one_writer_for_stdout_and_output_file(capsys, tmp_path, name):
+    # main writes every report: stdout and -o get the same bytes, and an
+    # -o that cannot be written is an input error that writes nothing
+    argv = BUNDLED_RUNS[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = tmp_path / "report.json"
+    assert run(capsys, *argv, "-o", str(report)) == (0, "", "")
+    assert report.read_bytes() == out.encode()
+    missing = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, *argv, "-o", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {missing}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def readme_flags():
+    """{subcommand: set of flags} from the README's subcommand/flags table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start:]):
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        table[name.strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    # every option a subcommand takes is documented, except -h and -o
+    common = {"-h", "--help", "-o", "--output"}
+    parsed = {
+        name: {s for a in sp._actions for s in a.option_strings} - common
+        for name, sp in subparsers().items()
+    }
+    assert readme_flags() == parsed
+
+
 # --------------------------------------------------------------- misc
 
 
@@ -456,7 +533,8 @@ def test_one_parser_per_process_keeps_no_state(capsys):
 
 def test_cmd_wdiv_approximate_divisor(capsys, tmp_path):
     # the divisor's unit coefficient 1 + O(5^12): the residue of the right
-    # quotient cancels below its certified digits, and only its floor counts
+    # quotient cancels below its certified digits, and only its floor counts;
+    # a floor below --prec is a precision error, as more digits could pass
     doc = json.loads(open(data_path("wdiv_divisor.series")).read())
     for t in doc["terms"]:
         if t["exps"] == [2]:
@@ -471,8 +549,8 @@ def test_cmd_wdiv_approximate_divisor(capsys, tmp_path):
     assert q.coeff((1,)) == PadicScaled.approx(5, 0, 1, 12)
     assert series_from_dict(doc["remainders"][1]).coeff(()) == PadicScaled.approx(5, 1, 1, 12)
     code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert "division residue at (1,) has valuation 13 < 16" in err
+    assert code == 3
+    assert "division residue at (1,) is certified only to valuation 13 < 16" in err
 
 
 def test_cmd_mixed_volume(capsys, tmp_path):

@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from series_helpers import difference_floor, to_precision
+from series_helpers import difference_floor, sum_floor, to_precision
 from troppadic.errors import DivisionByZero, PrecisionExhausted
 from troppadic.formats import series_from_dict, series_to_dict
 from troppadic.padic import (
     _ZERO,
     INF,
     PadicScaled,
-    sum_floor,
     total,
     vp_fraction,
 )

@@ -29,7 +29,7 @@ from troppadic.errors import (
     PrecisionExhausted,
     ZeroSeries,
 )
-from troppadic.padic import INF, PadicScaled, sum_floor, val_min
+from troppadic.padic import INF, PadicScaled, val_min
 from troppadic.series import (
     Budget,
     RestrictedSeries,
@@ -158,7 +158,16 @@ def oracle_divide(f, g, budget):
         residue.setdefault(k, []).append(-x)
     for exps in sorted(residue):
         if sum(exps) < budget.degree:
-            v = sum_floor(residue[exps])
+            try:
+                v = fraction_total(p, residue[exps]).valuation()
+            except PrecisionExhausted as exc:
+                if exc.floor < budget.prec:
+                    raise PrecisionExhausted(
+                        f"division residue at {exps} is certified only to valuation "
+                        f"{exc.floor} < {budget.prec}",
+                        floor=exc.floor,
+                    ) from None
+                continue
             if v < budget.prec:
                 raise BudgetExceeded(
                     f"division residue at {exps} has valuation {v} < {budget.prec}"
