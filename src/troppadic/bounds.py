@@ -297,13 +297,15 @@ def stable_multiplicity(component):
     exponents where each f_i attains its minimum at nu (Maclagan-Sturmfels,
     Introduction to Tropical Geometry, 3.6): the Newton cells of the cells
     that the 0-dimensional piece at nu was cut from.  Elsewhere in C they
-    lie orthogonal to the piece and add zero.
+    lie orthogonal to the piece and add zero.  ``mixed_volume`` takes each
+    cell's ``vert`` exponents as they are and hulls only the ones it reads.
     """
-    points = sorted(
-        (piece.cell.vertices[0], _as_int(mixed_volume([c.newton() for c in piece.cells])))
-        for piece in component
-        if piece.cell.affine_dim() == 0
-    )
+    points = []
+    for piece in component:
+        if piece.cell.affine_dim() == 0:
+            exps = [[i for i, _ in c.vert] for c in piece.cells]
+            points.append((piece.cell.vertices[0], _as_int(mixed_volume(exps))))
+    points.sort()
     return sum(mv for _, mv in points), points
 
 

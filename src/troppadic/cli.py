@@ -189,8 +189,8 @@ def cmd_wdiv(args):
 
 def cmd_mixed_volume(args):
     polys = [polytope_from_dict(load_json_file(path)) for path in args.inputs]
-    if any(poly.ambient != len(polys) for poly in polys):
-        dims = sorted({poly.ambient for poly in polys})
+    dims = sorted({len(pts[0]) for pts in polys})
+    if dims != [len(polys)]:
         raise FormatError(
             f"mixed volume needs n polytopes in dimension n, got {len(polys)} in {dims}"
         )

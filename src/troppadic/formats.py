@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import FormatError, Unbounded
 from .padic import INF, PadicScaled
-from .polyhedra import QPolyhedron
 from .series import RestrictedSeries, TailBound
 
 F = Fraction
@@ -155,10 +154,11 @@ def series_from_dict(obj) -> RestrictedSeries:
         raise FormatError(f"malformed series document: {exc}") from exc
 
 
-def polytope_from_dict(obj) -> QPolyhedron:
-    """The hull of a polytope document's vertices.  Its rays and lines are
-    checked like the rest, then a nonzero one is refused: every reader of a
-    polytope needs it bounded."""
+def polytope_from_dict(obj) -> list:
+    """A polytope document's checked vertices, each of ``dim`` entries, not
+    their hull: ``mixed_volume`` hulls only the sets its recursion reads.
+    The rays and lines are checked like the rest, then a nonzero one is
+    refused: every reader of a polytope needs it bounded."""
     try:
         _check_version(obj)
         dim = _int(obj["dim"], "dim", 1)
@@ -174,7 +174,7 @@ def polytope_from_dict(obj) -> QPolyhedron:
         raise FormatError("polytope needs at least one vertex")
     if any(any(d) for d in rays + lines):  # a zero direction adds nothing
         raise Unbounded("mixed volume needs bounded polytopes")
-    return QPolyhedron.from_points(vertices)
+    return vertices
 
 
 def trop_data_to_dict(data) -> dict:

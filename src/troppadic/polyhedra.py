@@ -27,7 +27,9 @@ keeps them: its integer vertices, their denominator, its facet tight sets
 read off the masks and its affine dimension.  ``volume`` walks the faces
 by those tight sets; ``minkowski_sum`` sums the integer vertices of two
 bounded polytopes over the lcm of their denominators, its one path; and
-``mixed_volume`` recurses on the faces of one Minkowski sum's facets.
+``mixed_volume`` takes point sets and recurses on the faces of one
+Minkowski sum's facets: it hulls every set but the first, which it reads
+only as points.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
@@ -88,10 +90,14 @@ def _cleared(vec):
 
 
 def primitive(vec):
-    """Scale a rational vector to coprime integers, preserving direction."""
-    if not all(isinstance(x, int) for x in vec):
+    """Scale a rational vector to coprime integers, preserving direction.
+    Integer vectors go straight to ``math.gcd``, which refuses a Fraction
+    entry; only then are the denominators cleared."""
+    try:
+        g = math.gcd(*vec)
+    except TypeError:
         vec = _cleared(vec)
-    g = math.gcd(*vec)
+        g = math.gcd(*vec)
     return tuple(vec) if g <= 1 else tuple(i // g for i in vec)
 
 
@@ -178,12 +184,15 @@ def _subfaces(face, facet_sets):
 
 
 def _dd_masks(rows, dim):
-    """Generators of {x : <row, x> >= 0}: (lines, rays), primitive integers,
-    each ray paired with the bit mask of the rows it is tight on.
+    """Generators of {x : <row, x> >= 0} for integer rows: (lines, rays),
+    primitive integers, each ray paired with the bit mask of the rows it is
+    tight on.
 
     The double description method (Fukuda & Prodon 1996) in integer
     arithmetic, on the rows as given: a positive multiple of a row changes
-    no ray and no mask.  Each mask is kept exact when row k is inserted:
+    no ray and no mask.  Every caller passes integer rows, so a new ray is
+    one integer combination divided by its gcd.  Each mask is kept exact
+    when row k is inserted:
 
     - a ray that survives row k gains bit k exactly when it is zero on it;
     - a new ray sp*vn - sn*vp is a positive combination of two rays that
@@ -213,10 +222,11 @@ def _dd_masks(rows, dim):
             if d0 < 0:
                 l0, d0 = vscale(l0, -1), -d0
             lines = [l for l, d in zip(lines, dots) if not d]
-            lines += [primitive(vsub(vscale(l, d0), vscale(l0, d))) for l, d in nz[1:]]
-            cand = [
-                (vsub(vscale(v, d0), vscale(l0, vdot(v, row))), m | bit) for v, m in rays
-            ]
+            lines += [primitive([d0 * x - d * y for x, y in zip(l, l0)]) for l, d in nz[1:]]
+            cand = []
+            for v, m in rays:
+                s = vdot(v, row)
+                cand.append(([d0 * x - s * y for x, y in zip(v, l0)], m | bit))
             cand.append((l0, bit - 1))
             rays, seen = [], set()
             for vec, mask in cand:
@@ -247,7 +257,9 @@ def _dd_masks(rows, dim):
                         if hits > 2:
                             break
                 else:
-                    w = primitive(vsub(vscale(vn, sp), vscale(vp, sn)))
+                    w = [sp * b - sn * a for a, b in zip(vp, vn)]
+                    g = math.gcd(*w)
+                    w = tuple(w) if g <= 1 else tuple(x // g for x in w)
                     if w not in seen:
                         seen.add(w)
                         rays.append((w, common | bit))
@@ -592,13 +604,12 @@ def _hull_data(poly, what):
     return poly if poly._kept else QPolyhedron.from_points(poly.vertices)
 
 
-def _over_lcm(hulls):
-    """(vertex lists, den): the kept integer vertices of point hulls over
-    the lcm den of their denominators; a list is scaled only when its
-    denominator differs."""
-    den = math.lcm(*(h._kept[1] for h in hulls))
-    kept = [h._kept[:2] for h in hulls]
-    return [vs if d == den else [vscale(v, den // d) for v in vs] for vs, d in kept], den
+def _over_lcm(scaled):
+    """(point lists, den): integer point lists, each given with its
+    denominator, over the lcm den of those denominators; a list is scaled
+    only when its denominator differs."""
+    den = math.lcm(*(d for _, d in scaled))
+    return [vs if d == den else [vscale(v, den // d) for v in vs] for vs, d in scaled], den
 
 
 def volume(poly: QPolyhedron) -> Fraction:
@@ -631,17 +642,30 @@ def minkowski_sum(p: QPolyhedron, q: QPolyhedron) -> QPolyhedron:
     in integers over the lcm of their denominators."""
     if p.ambient != q.ambient:
         raise ValueError("ambient dimension mismatch")
-    (pv, qv), den = _over_lcm([_hull_data(x, "Minkowski sum") for x in (p, q)])
+    (pv, qv), den = _over_lcm([_hull_data(x, "Minkowski sum")._kept[:2] for x in (p, q)])
     pts = dict.fromkeys(vadd(v, w) for v in pv for w in qv)
     return _hull_of_points(list(pts), den, p.ambient)
 
 
 def _mixed(sets, hull=None):
     """n! V(conv(sets[0]), ...) of n integer point lists in Z^n, see
-    ``mixed_volume``; ``hull`` is the point hull of sum(sets[1:]) if known."""
+    ``mixed_volume``; every list but the first holds distinct points, and
+    ``hull`` is the point hull of sum(sets[1:]) if known.
+
+    A list of one point gives 0 before any hull: the mixed volume is
+    translation invariant and multilinear in each argument, so a point
+    counts as 0 times any body.  With two lists and no known hull the
+    normals come from the smaller one, as the mixed volume is symmetric: a
+    segment's two normals are one kernel vector, where a polygon's facets
+    take a double description.
+    """
     n = len(sets)
+    if any(len(pts) == 1 for pts in sets):
+        return 0
     if n == 1:
         return max(sets[0])[0] - min(sets[0])[0]
+    if n == 2 and hull is None and len(sets[0]) < len(sets[1]):
+        sets = sets[::-1]
     s = hull._kept[0] if hull else sets[1]
     for f in [] if hull else sets[2:]:
         s = list(dict.fromkeys(vadd(p, q) for p in s for q in f))
@@ -665,29 +689,36 @@ def _mixed(sets, hull=None):
     return total
 
 
-def mixed_volume(polys, normalization="coefficient") -> Fraction:
-    """The lambda_1...lambda_n coefficient of vol(sum lambda_i P_i), n! V;
-    ``normalized`` mode divides by n!.  The mixed area recursion (Schneider,
-    *Convex Bodies*, section 5.1): sum over the outer primitive normals u of
-    the (n - 1)-faces of S = P_2 + ... + P_n (n - 2 Minkowski sums) of
-    max <u, P_1> times the mixed volume of the faces F_u(P_2), ..., F_u(P_n)
-    in the lattice u-perp of Z^n.  Dropping a coordinate j with u_j != 0 maps
-    that lattice onto one of index |u_j| in Z^(n-1), u being primitive, so
-    that is the mixed volume of the projected faces over |u_j|.  n = 1 gives
-    max - min; the recursion runs on integer vertices over one denominator.
+def mixed_volume(point_sets, normalization="coefficient") -> Fraction:
+    """n! V(conv A_1, ..., conv A_n) of n nonempty finite point sets in
+    Q^n: the lambda_1...lambda_n coefficient of vol(sum lambda_i conv A_i);
+    ``normalized`` mode divides by n!.  Duplicate and interior points
+    change nothing.
+
+    The mixed area recursion (Schneider, *Convex Bodies*, section 5.1): sum
+    over the outer primitive normals u of the (n - 1)-faces of S = conv A_2
+    + ... + conv A_n of max <u, A_1> times the mixed volume of the faces
+    F_u(A_2), ..., F_u(A_n) in the lattice u-perp of Z^n.  Dropping a
+    coordinate j with u_j != 0 maps that lattice onto one of index |u_j|
+    in Z^(n-1), u being primitive, so that is the mixed volume of the
+    projected faces over |u_j|.  n = 1 gives max - min.
+
+    Only what the recursion reads is built: A_2, ..., A_n are hulled by
+    ``QPolyhedron.from_points`` and summed by n - 2 ``minkowski_sum``
+    calls, A_1 enters only through max <u, a> over its points, and a set
+    of one point gives 0 before any hull.  The recursion runs on integer
+    points over one denominator.
     """
     if normalization not in ("coefficient", "normalized"):
         raise ValueError("normalization must be 'coefficient' or 'normalized'")
-    n = len(polys)
-    for p in polys:
-        if p.ambient != n:
-            raise ValueError("need n bounded polytopes in R^n")
-        if not p.is_bounded():
-            raise Unbounded("mixed volume needs bounded polytopes")
-    if n < 2:
-        xs = [v[0] for p in polys for v in p.vertices]
-        return F(max(xs, default=0) - min(xs, default=0))
-    hulls = [_hull_data(p, "mixed volume") for p in polys]
-    sets, den = _over_lcm(hulls)
-    total = F(_mixed(sets, functools.reduce(minkowski_sum, hulls[2:], hulls[1])), den**n)
+    sets = [[_exact_point(q) for q in pts] for pts in point_sets]
+    n = len(sets)
+    if any(not pts or any(len(q) != n for q in pts) for pts in sets):
+        raise ValueError("need n nonempty point sets in Q^n")
+    if not sets or any(len(set(pts)) == 1 for pts in sets):
+        return F(0)
+    hulls = [QPolyhedron.from_points(pts) for pts in sets[1:]]
+    ints, den = _over_lcm([_int_scaled(sets[0])] + [h._kept[:2] for h in hulls])
+    hull = functools.reduce(minkowski_sum, hulls[1:], hulls[0]) if hulls else None
+    total = F(_mixed(ints, hull), den**n)
     return total / math.factorial(n) if normalization == "normalized" else total

@@ -7,9 +7,11 @@ of directions whose weighted minimum is attained exactly on F
 (polyhedra.lower_cells).  Every cell, clipped to the domain or not, is
 read off the facets of one lifted hull: the domain's bounds enter the lift
 as rays, and a support in a hyperplane gives every cell the same lines.
-The Newton cell of a cell is the projected convex hull of its face, built
-where it is read (TropCell.newton); the two families are dual
-(complementary dimensions, orthogonal spans, reversed face order).
+The Newton cell of a cell is the projected convex hull of its face; the
+two families are dual (complementary dimensions, orthogonal spans,
+reversed face order).  TropCell.newton builds it for the reports that draw
+or list it; the root-count bound reads the face's exponents (TropCell.vert)
+and lets the mixed volume hull only what it needs.
 
 Series with a nonempty tail get a per-cell certificate that the tail can
 never reach the minimum anywhere on the cell, read off the cell's vertices,

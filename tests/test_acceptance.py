@@ -279,20 +279,18 @@ def test_criterion_4_mixed_volume():
         rng = random.Random(44)
         for trial in range(50):
             n = 2 if trial < 35 else 3
-            polys = [
-                convex_hull(
-                    [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(n + 2)]
-                )
+            sets = [
+                [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(n + 2)]
                 for _ in range(n)
             ]
-            assert mixed_volume(polys) == _interp_mv(polys)
+            assert mixed_volume(sets) == _interp_mv([convex_hull(pts) for pts in sets])
         # diagonal identity and monotonicity
         for _ in range(8):
             n = rng.choice([2, 3])
             pl = convex_hull(
                 [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(n + 3)]
             )
-            assert mixed_volume([pl] * n) == math.factorial(n) * volume(pl)
+            assert mixed_volume([pl.vertices] * n) == math.factorial(n) * volume(pl)
         for _ in range(50):
             inner1 = convex_hull([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)])
             inner2 = convex_hull([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)])
@@ -304,7 +302,9 @@ def test_criterion_4_mixed_volume():
                 list(inner2.vertices)
                 + [(rng.randint(-2, 5), rng.randint(-2, 5)) for _ in range(3)]
             )
-            assert mixed_volume([inner1, inner2]) <= mixed_volume([outer1, outer2])
+            assert mixed_volume([inner1.vertices, inner2.vertices]) <= mixed_volume(
+                [outer1.vertices, outer2.vertices]
+            )
 
 
 # -------------------------------------------------------------------- 5

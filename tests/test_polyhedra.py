@@ -141,8 +141,9 @@ def grid_argmin(lifted, nu):
 
 
 def interpolated_volume_poly(polys, _grid_max=None):
-    """vol(sum lambda_i P_i) as a homogeneous degree-n polynomial by exact
-    interpolation on a principal-lattice grid; returns {exponent: coeff}."""
+    """vol(sum lambda_i conv A_i) of point sets A_i as a homogeneous
+    degree-n polynomial by exact interpolation on a principal-lattice grid;
+    returns {exponent: coeff}."""
     n = len(polys)
     monos = [e for e in product(range(n + 1), repeat=n) if sum(e) == n]
     # lambda = (x_1..x_{n-1}, 1) on the degree-n principal lattice, which is
@@ -157,7 +158,7 @@ def interpolated_volume_poly(polys, _grid_max=None):
         s = None
         for lam_i, p in zip(lam, polys):
             scaled = QPolyhedron.from_points(
-                [tuple(F(lam_i) * x for x in v) for v in p.vertices]
+                [tuple(F(lam_i) * x for x in v) for v in p]
             )
             s = scaled if s is None else minkowski_sum(s, scaled)
         rows.append([math.prod(F(l) ** e for l, e in zip(lam, mono)) for mono in monos])
@@ -857,54 +858,55 @@ def test_volume_unbounded_raises():
 
 def test_mixed_volume_simplex_pair():
     for n in (2, 4):
-        simplex = convex_hull(
-            [(0,) * n] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        )
+        simplex = [(0,) * n] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         # vol((l1+...+ln) simplex) = (l1+...+ln)^n/n!: coefficient of l1...ln is 1
         assert mixed_volume([simplex] * n) == 1
 
 
 def test_mixed_volume_segments():
-    seg_x = convex_hull([(0, 0), (1, 0)])
-    seg_y = convex_hull([(0, 0), (0, 1)])
-    assert mixed_volume([seg_x, seg_y]) == 1
+    assert mixed_volume([[(0, 0), (1, 0)], [(0, 0), (0, 1)]]) == 1
 
 
 def test_mixed_volume_diagonal_is_factorial_times_volume():
     rng = random.Random(2024)
     for n, count in ((2, 4), (3, 4), (4, 1)):
         for _ in range(count):
-            p = convex_hull(rand_points(rng, n, n + 4))
-            mv = mixed_volume([p] * n)
+            pts = rand_points(rng, n, n + 4)
+            p = convex_hull(pts)
+            mv = mixed_volume([pts] * n)
             assert mv == math.factorial(n) * volume(p)
-            assert mixed_volume([p] * n, "normalized") == volume(p)
+            assert mixed_volume([pts] * n, "normalized") == volume(p)
 
 
 def test_mixed_volume_matches_interpolation_oracle():
     rng = random.Random(55)
     for n in (2, 3):
         for _ in range(3):
-            polys = [convex_hull(rand_points(rng, n, 5, 0, 4)) for _ in range(n)]
-            coeffs = interpolated_volume_poly(polys, n + 2)
-            assert mixed_volume(polys) == coeffs[(1,) * n]
+            sets = [rand_points(rng, n, 5, 0, 4) for _ in range(n)]
+            coeffs = interpolated_volume_poly(sets, n + 2)
+            assert mixed_volume(sets) == coeffs[(1,) * n]
 
 
 def test_mixed_volume_monotonicity():
     rng = random.Random(31)
     for _ in range(10):
-        inner1 = convex_hull(rand_points(rng, 2, 5, 0, 3))
-        inner2 = convex_hull(rand_points(rng, 2, 5, 0, 3))
-        outer1 = convex_hull(list(inner1.vertices) + rand_points(rng, 2, 3, -2, 6))
-        outer2 = convex_hull(list(inner2.vertices) + rand_points(rng, 2, 3, -2, 6))
+        inner1 = rand_points(rng, 2, 5, 0, 3)
+        inner2 = rand_points(rng, 2, 5, 0, 3)
+        outer1 = inner1 + rand_points(rng, 2, 3, -2, 6)
+        outer2 = inner2 + rand_points(rng, 2, 3, -2, 6)
         assert mixed_volume([inner1, inner2]) <= mixed_volume([outer1, outer2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mixed_volume_hulls_each_subset_sum_once(monkeypatch, n):
-    """The one subset sum the recursion hulls is P_2 + ... + P_n, built by
-    max(n - 2, 0) Minkowski sums; no volume is taken."""
+    """The recursion hulls A_2, ..., A_n once each through from_points and
+    their one sum P_2 + ... + P_n through max(n - 2, 0) Minkowski sums; the
+    first set is never hulled, and no volume is taken."""
     rng = random.Random(70 + n)
-    polys = [convex_hull(rand_points(rng, n, n + 1, 0, 2)) for _ in range(n)]
+    sets = [rand_points(rng, n, n + 1, 0, 2) for _ in range(n)]
+    assert all(len(set(pts)) > 1 for pts in sets)
+    want = interpolated_volume_poly(sets)[(1,) * n]
+    polys = [convex_hull(pts) for pts in sets]
     calls = {"minkowski_sum": 0, "volume": 0}
 
     def counted(name):
@@ -918,8 +920,18 @@ def test_mixed_volume_hulls_each_subset_sum_once(monkeypatch, n):
 
     counted("minkowski_sum")
     counted("volume")
-    assert mixed_volume(polys) == interpolated_volume_poly(polys)[(1,) * n]
+    hulled = []
+    from_points = QPolyhedron.from_points
+
+    def recorded(points):
+        points = list(points)
+        hulled.append(points)
+        return from_points(points)
+
+    monkeypatch.setattr(QPolyhedron, "from_points", staticmethod(recorded))
+    assert mixed_volume(sets) == want
     assert calls == {"minkowski_sum": max(n - 2, 0), "volume": 0}
+    assert hulled == sets[1:]
 
     def no_facets(pts):
         raise AssertionError("volume re-hulled its polytope")
@@ -930,7 +942,7 @@ def test_mixed_volume_hulls_each_subset_sum_once(monkeypatch, n):
 
 
 def test_mixed_volume_checks_the_normalization_first(monkeypatch):
-    cube = convex_hull(list(product((0, 1), repeat=3)))
+    cube = list(product((0, 1), repeat=3))
     calls = []
     for name in ("minkowski_sum", "_facets_fullrank", "_hull_data", "eliminate"):
         inner = getattr(polyhedra, name)
@@ -943,12 +955,20 @@ def test_mixed_volume_checks_the_normalization_first(monkeypatch):
     assert mixed_volume([cube, cube, cube]) == 6 and calls.count("minkowski_sum") == 1
 
 
+def test_mixed_volume_needs_n_nonempty_point_sets_in_dimension_n():
+    square = [(0, 0), (1, 0), (0, 1)]
+    for sets in ([square, []], [square, [(0, 0, 0)]], [square, square, square]):
+        with pytest.raises(ValueError, match="need n nonempty point sets"):
+            mixed_volume(sets)
+
+
 @st.composite
 def polytope_lists(draw, n):
-    """n polytopes in R^n over denominators 1-3: full, flat (in the
+    """n point sets in Q^n over denominators 1-3: full, flat (in the
     hyperplane x_n = 2 x_1 - x_(n-1)), segments and single points, some
-    rebuilt through from_hrep so that they keep no integer data."""
-    polys = []
+    with a repeated point and the mean of the points, which is no vertex
+    of their hull unless the set is one point, added in a drawn order."""
+    sets = []
     for _ in range(n):
         shape = draw(st.sampled_from(["full"] * 4 + ["flat", "segment", "point"]))
         lo = -1 if n == 4 else -2
@@ -960,12 +980,12 @@ def polytope_lists(draw, n):
         elif shape == "point":
             pts = pts[:1]
         den = draw(st.integers(1, 3))
-        hull = convex_hull([tuple(F(x, den) for x in q) for q in pts])
+        pts = [tuple(F(x, den) for x in q) for q in pts]
         if draw(st.booleans()):
-            hull = QPolyhedron.from_hrep(hull.ineqs, ambient=n)
-            assert hull._kept is None
-        polys.append(hull)
-    return polys
+            mean = tuple(sum(xs) / len(pts) for xs in zip(*pts))
+            pts = draw(st.permutations(pts + [pts[-1], mean]))
+        sets.append(pts)
+    return sets
 
 
 # the oracle takes 35 volumes of Minkowski sums in R^4, about 1 s
@@ -973,39 +993,81 @@ def polytope_lists(draw, n):
 def test_mixed_volume_recursion_matches_interpolation_oracle(n, examples):
     """The mixed area recursion gives the coefficient that the
     interpolation oracle reads off volumes of Minkowski sums, and the same
-    value in every order of the polytopes, though it treats the first one
-    apart."""
+    value in every order of the sets, though it reads the first one as
+    points and hulls the others."""
 
     @settings(PROPERTY, max_examples=examples)
     @given(polytope_lists(n))
-    def check(polys):
-        want = interpolated_volume_poly(polys)[(1,) * n]
-        for perm in permutations(polys):
+    def check(sets):
+        want = interpolated_volume_poly(sets)[(1,) * n]
+        for perm in permutations(sets):
             assert mixed_volume(list(perm)) == want
-        assert mixed_volume(polys, "normalized") == want / math.factorial(n)
+        assert mixed_volume(sets, "normalized") == want / math.factorial(n)
 
     check()
 
 
-def test_mixed_volume_is_zero_by_minkowskis_criterion():
-    """Zero exactly when some k of the polytopes sum to less than k
-    dimensions: three segments in one plane, two parallel segments beside
-    a cube, and a point beside a square."""
-    seg = [convex_hull([(0, 0, 0), v]) for v in ((1, 0, 0), (0, 1, 0), (1, 2, 0))]
-    cube = convex_hull(list(product((0, 1), repeat=3)))
-    parallel = convex_hull([(0, 0, 0), (F(1, 2), 1, 0)])
-    wide = convex_hull([(-1, -2, 0), (1, 2, 0)])
-    square = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    point = convex_hull([(F(1, 3), 2)])
+def test_mixed_volume_is_zero_by_minkowskis_criterion(monkeypatch):
+    """Zero exactly when some k of the sets sum to less than k dimensions:
+    three segments in one plane, two parallel segments beside a cube, and
+    a point beside a square.  A set of one point, also given twice, gives 0
+    before any hull.  Beside a segment the recursion takes no double
+    description: where the segment's face is a point the mixed volume is 0,
+    and where it is the segment, its kernel normal serves for the cube's
+    face too."""
+    seg = [[(0, 0, 0), v] for v in ((1, 0, 0), (0, 1, 0), (1, 2, 0))]
+    cube = list(product((0, 1), repeat=3))
+    parallel = [(0, 0, 0), (F(1, 2), 1, 0)]
+    wide = [(-1, -2, 0), (1, 2, 0)]
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    point = [(F(1, 3), 2)]
     for polys in (seg, [cube, parallel, wide], [parallel, cube, wide], [square, point]):
         assert mixed_volume(polys) == 0 == interpolated_volume_poly(polys)[(1,) * len(polys)]
     assert mixed_volume([cube, seg[0], seg[1]]) == 1
 
+    depth, calls = [0], []
+    facets, mixed = polyhedra._facets_fullrank, polyhedra._mixed
+
+    def counted_facets(*args):
+        calls.append(depth[0])
+        return facets(*args)
+
+    def counted_mixed(*args):
+        depth[0] += 1
+        try:
+            return mixed(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polyhedra, "_facets_fullrank", counted_facets)
+    monkeypatch.setattr(polyhedra, "_mixed", counted_mixed)
+    for sets in ([square, point], [point * 2, square], [cube, cube, [(F(1, 2), 0, 5)]]):
+        assert mixed_volume(sets) == 0
+    assert calls == []
+    # one square of the cube + segment per facet of the sum: the general
+    # segment's face there is a vertex, the axis segment's is a vertex or
+    # the whole segment
+    first = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
+    for segment in ([(0, 0, 0), (1, 2, 3)], [(0, 0, 0), (2, 0, 0)]):
+        sets = [first, segment, cube]
+        want = interpolated_volume_poly(sets)[(1, 1, 1)]
+        calls.clear()
+        assert mixed_volume(sets) == want
+        assert calls and not any(calls)  # only the hulls, none in the recursion
+    # in R^4, where a segment's face is a point the recursion stops at once;
+    # the oracle is the zonotope volume, 2 sum |v_i w_j - v_j w_i| over i < j
+    v, w = (1, 2, 3, 5), (2, -1, 1, 3)
+    cube4 = list(product((0, 1), repeat=4))
+    want = 2 * sum(abs(v[i] * w[j] - v[j] * w[i]) for i, j in combinations(range(4), 2))
+    calls.clear()
+    assert mixed_volume([cube4, [(0,) * 4, v], [(0,) * 4, w], cube4]) == want == 74
+    assert calls and not any(calls)
+
 
 def test_mixed_volume_symmetry():
     rng = random.Random(66)
-    p = convex_hull(rand_points(rng, 2, 5))
-    q = convex_hull(rand_points(rng, 2, 5))
+    p = rand_points(rng, 2, 5)
+    q = rand_points(rng, 2, 5)
     assert mixed_volume([p, q]) == mixed_volume([q, p])
 
 
