@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .errors import GenericityFailure, OracleMissing, ZeroSeries
@@ -333,7 +333,8 @@ class BoundReport:
     schema_version: int = 2
 
     def to_dict(self):
-        return asdict(self)
+        """The fields as a shallow dict: the report holds only plain data."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def system_root_bound(system, oracle: WBoundOracle, seed):

@@ -18,18 +18,20 @@ of the rows its ray is tight on, which the engine keeps exact: the
 points are the first rows.  Everything is deterministic: canonical
 primitive normals, lexicographic sorting, no randomization anywhere.
 
-Faces come from one facet list: every face of a polytope is the set of
-its points on some of its facets, so the facets of a face are its
-largest proper intersections with the facet tight sets.  ``lower_hull``
-hulls the lift plus an upward ray once and walks the faces by these
-intersections.  A point hull works on its points scaled to integers and
-keeps them: its integer vertices, their denominator, its facet tight sets
-read off the masks and its affine dimension.  ``volume`` walks the faces
-by those tight sets; ``minkowski_sum`` sums the integer vertices of two
-bounded polytopes over the lcm of their denominators, its one path; and
-``mixed_volume`` takes point sets and recurses on the faces of one
-Minkowski sum's facets: it hulls every set but the first, which it reads
-only as points.
+Faces come from one facet list and are bit masks of points, bit i for
+the i-th point: every face of a polytope is the set of its points on
+some of its facets, so the facets of a face are its largest proper
+intersections with the facet tight sets, which ``_subfaces``, the one
+face walker, finds by bitwise and.  ``lower_hull`` hulls the lift plus an
+upward ray once and walks the faces by these intersections.  A point
+hull works on its points scaled to integers and keeps them: its integer
+vertices, their denominator, its facet masks over the vertices and its
+affine dimension.  ``volume`` walks the faces by those masks;
+``minkowski_sum`` sums the integer vertices of two bounded polytopes
+over the lcm of their denominators, its one path; and ``mixed_volume``
+takes point sets and recurses on the faces of one Minkowski sum's
+facets: it hulls every set but the first, which it reads only as
+points.
 
 Linear algebra runs on one exact kernel, ``eliminate`` (fraction-free
 Gauss-Jordan, Bareiss 1968): affine ranks read its pivot columns, null
@@ -40,7 +42,11 @@ The cells of a regular subdivision's dual complex come from the same
 lifted hull (Maclagan & Sturmfels, section 3.1), and from nothing else:
 ``lower_cells`` reads the cell of a lower face (the directions whose
 weighted minimum is attained on it) off the facets that hold the face, a
-vertex for each lower facet and a ray for each vertical one.  A clipped
+vertex for each lower facet and a ray for each vertical one.  Its rows
+are the face's equalities and one row per item on a lower face that has
+the face as a facet: the directions from a face into the lifted hull are
+spanned by the face and those covering faces (with the upward ray and
+the clip rays), so a row from any other item is implied.  A clipped
 domain enters the lift as one ray per clip row, and a support that spans
 no full-dimensional lift gives every cell the same canonical lines.
 """
@@ -161,22 +167,20 @@ def _facets_fullrank(pts, den=1):
     """Facets of conv(pts / den), full-rank integer points, as (normal,
     offset, tight) sorted: each ray (c0, c) of the polar cone
     {(c0, c) : c0 + <c, q> >= 0} of the integer points is the facet
-    <-c, x> <= c0 / den, tight on the points its mask holds.  The normal is
-    primitive: c0 = -<c, q> on a tight integer point q, so gcd(c) divides
-    c0."""
+    <-c, x> <= c0 / den, and tight is its mask, bit i set when pts[i] is
+    on the facet.  The normal is primitive: c0 = -<c, q> on a tight
+    integer point q, so gcd(c) divides c0."""
     _, rays = _polar_cone(pts)
-    return sorted(
-        (tuple(-x for x in c[1:]), F(c[0], den), _bits(m)) for c, m in rays
-    )
+    return sorted((tuple(-x for x in c[1:]), F(c[0], den), m) for c, m in rays)
 
 
 def _subfaces(face, facet_sets):
-    """The facets of a face, as index sets.  Each proper face of the face
+    """The facets of a face, as bit masks.  Each proper face of the face
     lies on a facet of the polytope that does not hold the whole face, so
     the facets of the face are its largest proper nonempty cuts by the
     polytope's facet tight sets."""
-    cuts = {face & s for s in facet_sets} - {face, frozenset()}
-    return [c for c in cuts if not any(c < d for d in cuts)]
+    cuts = {face & s for s in facet_sets} - {face, 0}
+    return [c for c in cuts if not any(c != d and c & d == c for d in cuts)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,7 @@ class QPolyhedron:
     rays: tuple
     lines: tuple
     # a point hull's (integer vertices in vertices order, their common
-    # denominator, facet tight sets as vertex indices, affine dimension)
+    # denominator, facet tight sets as masks over them, affine dimension)
     _kept: tuple = field(default=None, compare=False, repr=False)
 
     # -- constructors --
@@ -378,12 +382,19 @@ class QPolyhedron:
 
 
 def _normalized(u, a):
-    """The inequality <u, x> <= a rescaled to a primitive integer normal."""
+    """The inequality <u, x> <= a rescaled to a primitive integer normal:
+    a nonzero integer u is divided by its gcd g and a by g, in integers."""
+    try:
+        g = math.gcd(*u)
+    except TypeError:  # a Fraction entry: primitive clears the denominators
+        g = 0
+    if g:
+        return (tuple(u) if g == 1 else tuple(x // g for x in u)), F(a, g)
     pu, a = primitive(u), F(a)
     nz = next((i for i, x in enumerate(pu) if x != 0), None)
-    if nz is None and a < 0:
-        raise ValueError("inconsistent trivial inequality")
-    if nz is None or pu == tuple(u):  # already normalized: intersections pass carried rows
+    if nz is None:
+        if a < 0:
+            raise ValueError("inconsistent trivial inequality")
         return pu, a
     return pu, a * pu[nz] / F(u[nz])
 
@@ -392,7 +403,8 @@ def _hull_of_points(pts, den, ambient):
     """The hull of the distinct integer points pts / den: each facet of the
     points in the coordinates that span their affine hull, lifted by
     placing its primitive normal at those columns, plus the equality pairs
-    of the kernel.  It keeps its integer data (``QPolyhedron._kept``)."""
+    of the kernel.  It keeps its integer data (``QPolyhedron._kept``),
+    each facet tight set a mask over the vertices."""
     pivots, reduced, d = eliminate([vsub(q, pts[0]) for q in pts[1:]])
     ineqs = []
     for w in _kernel(pivots, reduced, d, ambient):
@@ -403,18 +415,18 @@ def _hull_of_points(pts, den, ambient):
     # the smallest face through a point is the meet of the facets through
     # it; the point is a vertex exactly when that face holds it alone (a
     # single point has no facet)
-    meet = [None] * len(pts)
+    meet = [-1] * len(pts)
     for n, off, tight in facets:
         u = [0] * ambient
         for c, x in zip(pivots, n):
             u[c] = x
         ineqs.append((tuple(u), off))
-        tight_set = set(tight)
-        for i in tight:
-            meet[i] = tight_set if meet[i] is None else meet[i] & tight_set
-    order = sorted((i for i, m in enumerate(meet) if m == {i}), key=pts.__getitem__) or [0]
-    index = {i: k for k, i in enumerate(order)}
-    tights = tuple(frozenset(index[i] for i in t if i in index) for _, _, t in facets)
+        for i in _bits(tight):
+            meet[i] &= tight
+    order = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=pts.__getitem__) or [0]
+    tights = tuple(
+        sum(1 << k for k, i in enumerate(order) if t >> i & 1) for _, _, t in facets
+    )
     verts = tuple(pts[i] for i in order)
     vertices = tuple(tuple(F(x, den) for x in q) for q in verts)
     kept = (verts, den, tights, len(pivots))
@@ -464,24 +476,28 @@ def _lifted_facets(items, clip=()):
     up = [(0,) * n + (1,)] + [primitive(vscale(u, -1) + (a,)) for u, a in clip]
     lines, rays = _polar_cone(lift, rays=up)
     on_lift = (1 << len(lift)) - 1  # a ray tight on no item is the trivial 0 <= c0
-    facets = [(c[1:], frozenset(_bits(m & on_lift))) for c, m in rays if m & on_lift]
+    facets = [(c[1:], m & on_lift) for c, m in rays if m & on_lift]
     return lift, lines, facets
 
 
 def _lower_faces(items, facets):
-    """Every lower face as (the sorted tuple of its items, its index set),
+    """Every lower face as (the sorted tuple of its items, its mask, the
+    union of the masks of the lower faces that have it as a facet),
     smallest faces first: the lower facets and, walked by ``_subfaces``
-    over all facets, their faces."""
+    over all facets, their faces.  A lower facet has no covering face, so
+    its union is 0."""
     facet_sets = [t for _, t in facets]
     todo = [t for c, t in facets if c[-1] > 0]
-    seen = set()
+    seen, cover = set(), {}
     while todo:
         face = todo.pop()
         if face not in seen:
             seen.add(face)
-            todo.extend(_subfaces(face, facet_sets))
-    faces = [(tuple(items[i] for i in sorted(f)), f) for f in seen]
-    return sorted(faces, key=lambda pair: (len(pair[0]), pair[0]))
+            for sub in _subfaces(face, facet_sets):
+                cover[sub] = cover.get(sub, 0) | face
+                todo.append(sub)
+    faces = [(tuple(items[i] for i in _bits(f)), f, cover.get(f, 0)) for f in seen]
+    return sorted(faces, key=lambda t: (len(t[0]), t[0]))
 
 
 def lower_hull(lifted):
@@ -494,21 +510,21 @@ def lower_hull(lifted):
     items = _lifted_items(lifted)
     if not items:
         return []
-    return [face for face, _ in _lower_faces(items, _lifted_facets(items)[2])]
+    return [face for face, _, _ in _lower_faces(items, _lifted_facets(items)[2])]
 
 
-def _cell_rows(items, face):
-    """The rows of a face's dual cell: the points off the face, then the
-    equality pairs of the points on it."""
-    base_pt, base_h = face[0]
-    inside = set(face)
+def _cell_rows(items, f, cover):
+    """The rows of the dual cell of the face with mask f: the items on its
+    covering faces (mask cover) and off the face, then the equality pairs
+    of the items on it."""
+    base, *rest = _bits(f)
+    base_pt, base_h = items[base]
     rows = [
         # (hq - base_h) + <q - base_pt, nu> >= 0, strictly for exactness
         (vsub(base_pt, q), hq - base_h)
-        for q, hq in items
-        if (q, hq) not in inside
+        for q, hq in (items[i] for i in _bits(cover & ~f))
     ]
-    for q, hq in face[1:]:
+    for q, hq in (items[i] for i in rest):
         rows.append((vsub(q, base_pt), base_h - hq))
         rows.append((vsub(base_pt, q), hq - base_h))
     return rows
@@ -525,10 +541,13 @@ def lower_cells(lifted, clip=()):
     upward ray plus a ray (-u, a) for each clip row (see
     ``_lifted_facets``): the cell of a face has one vertex c/c_h for each
     lower facet (c, c_h) that holds the face, and one ray c for each
-    vertical facet (c, 0) that does.  Its rows are ``_cell_rows``, then
-    the normalized clip rows.  Its witness is the vertex mean, plus the
-    sum of the rays when the mean has a larger argmin or sits on a clip
-    row that some ray leaves.
+    vertical facet (c, 0) that does; faces, facet tight sets and argmin
+    sets are bit masks of the items, so a facet holds the face f when
+    f & tight == f.  Its rows are ``_cell_rows`` of the face and the union
+    of its covering faces (``_lower_faces``), then the normalized clip
+    rows: an item on no covering face gives a row that these imply.  Its
+    witness is the vertex mean, plus the sum of the rays when the mean
+    has a larger argmin or sits on a clip row that some ray leaves.
 
     When the support directions and the clip normals do not span the
     space, every cell has the same lines: the null space basis of
@@ -560,16 +579,16 @@ def lower_cells(lifted, clip=()):
         c = _cleared(nu + (1,))
         vals = [vdot(q, c) for q in lift]
         m = min(vals)
-        return {i for i, v in enumerate(vals) if v == m}
+        return sum(1 << i for i, v in enumerate(vals) if v == m)
 
     int_items = [(q[:-1], q[-1]) for q in lift]
     out = []
-    for face, f in _lower_faces(items, facets):
-        if len(f) < 2:
+    for face, f, cover in _lower_faces(items, facets):
+        if len(face) < 2:
             continue
         vertices, rays = [], []
         for c, tight in facets:
-            if f <= tight:
+            if f & tight == f:
                 if c[-1]:
                     vertices.append(slide(tuple(F(x, c[-1]) for x in c[:-1])))
                 else:
@@ -583,7 +602,7 @@ def lower_cells(lifted, clip=()):
                 continue
         # the rows made on the integer lift: the scale cancels when a row
         # is normalized
-        rows = _cell_rows(int_items, tuple(int_items[i] for i in sorted(f)))
+        rows = _cell_rows(int_items, f, cover)
         ineqs = tuple(dict.fromkeys([*(_normalized(u, a) for u, a in rows), *clip]))
         cell = QPolyhedron(
             n, ineqs, tuple(sorted(vertices)), tuple(sorted(rays)), tuple(sorted(basis))
@@ -613,7 +632,10 @@ def _over_lcm(scaled):
 
 
 def volume(poly: QPolyhedron) -> Fraction:
-    """Exact Euclidean volume; 0 for lower-dimensional input."""
+    """Exact Euclidean volume; 0 for lower-dimensional input.  The
+    polytope's kept facet masks give a pulling triangulation: each face,
+    walked as a mask by ``_subfaces``, is coned from its lowest vertex
+    over the faces of it that miss that vertex."""
     if poly.is_empty():
         return F(0)
     n = poly.ambient
@@ -622,17 +644,18 @@ def volume(poly: QPolyhedron) -> Fraction:
         return F(0)
 
     def pulled(face):
-        # simplices covering the face: its first index coned over the
+        # simplices covering the face: its lowest bit coned over the
         # pulled simplices of the sub-faces that miss it
-        apex = min(face)
-        subs = [s for s in _subfaces(face, facet_sets) if apex not in s]
+        low = face & -face
+        apex = low.bit_length() - 1
+        subs = [s for s in _subfaces(face, facet_sets) if not s & low]
         if not subs:
             return [(apex,)]
         return [(apex,) + t for s in subs for t in pulled(s)]
 
     # each pulled simplex is full-dimensional, so |d| is |det| of its edges
     total = 0
-    for s in pulled(frozenset(range(len(pts)))):
+    for s in pulled((1 << len(pts)) - 1):
         total += abs(eliminate([vsub(pts[i], pts[s[0]]) for i in s[1:]])[2])
     return F(total, den ** n * math.factorial(n))
 

@@ -21,13 +21,18 @@ The components of an intersection of tropicalizations come from one lower
 hull of the lifted Minkowski sum of the supports: its lower faces are the
 cells of the common refinement, each the intersection of one cell from
 every complex, and two cells meet exactly when one face holds another.
-Each Piece keeps the cells it was cut from.  This is the torus case only;
-no piece is clipped to a finite domain.
+The sum runs on integer heights, every valuation put over one lcm (a
+positive scale moves no lower face), and each summed point keeps the
+index tuple of its least-height decomposition, so a face's cells are
+found by the index sets of their vert exponents and no Fraction is
+summed or hashed.  Each Piece keeps the cells it was cut from.  This is
+the torus case only; no piece is clipped to a finite domain.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -151,11 +156,12 @@ def connected_components(datas):
     so one lower hull of that sum gives them all.  A lower face G splits
     as G_1+...+G_n: G_i, the i-th summands of the least-height
     decompositions of G's points, is the face of lifted N(f_i) with the
-    same normal.  The first decomposition in product order is enough: the
-    items are sorted and lex order is compatible with addition, so a point
-    a of G_i is first reached by (the lex-least points of G_1..G_(i-1), a,
-    the lex-greatest points of the rest).  G is a piece when every G_i has
-    two points or more; it is cut from the cells whose vert is G_i.  The
+    same normal (heights: the valuations over their lcm, as ints).  The
+    first decomposition in product order is enough: the items are sorted
+    and lex order is compatible with addition, so a point a of G_i is
+    first reached by (the lex-least points of G_1..G_(i-1), a, the
+    lex-greatest points of the rest).  G is a piece when every G_i has two
+    points or more; it is cut from the cells whose vert is G_i.  The
     pieces form a complex, so two of them meet exactly when some piece is
     a face of both; a piece whose G is a proper subset of another's has
     that one as a face.
@@ -167,11 +173,18 @@ def connected_components(datas):
         raise ValueError("components are computed over the torus only")
     if any(d.is_empty() for d in datas):
         return []
-    cells = [{c.vert: c for c in d.cells} for d in datas]
-    summands = {}  # summed point -> (least height, first tuple reaching it)
-    for combo in product(*(_support_items(d.series) for d in datas)):
-        pt = tuple(map(sum, zip(*(i for i, _ in combo))))
-        h = sum(v for _, v in combo)
+    supports = [_support_items(d.series) for d in datas]
+    # every valuation over one lcm, so the heights are ints
+    den = math.lcm(*(v.denominator for items in supports for _, v in items))
+    heights = [[v.numerator * (den // v.denominator) for _, v in items] for items in supports]
+    cells = []  # per complex: the indices of a cell's vert exponents -> the cell
+    for items, d in zip(supports, datas):
+        at = {i: k for k, (i, _) in enumerate(items)}
+        cells.append({frozenset(at[i] for i, _ in c.vert): c for c in d.cells})
+    summands = {}  # summed point -> (least height, first index tuple reaching it)
+    for combo in product(*(range(len(items)) for items in supports)):
+        pt = tuple(map(sum, zip(*(items[k][0] for items, k in zip(supports, combo)))))
+        h = sum(hs[k] for hs, k in zip(heights, combo))
         if pt not in summands or h < summands[pt][0]:
             summands[pt] = (h, combo)
     groups = []  # (faces G, pieces) of each component found so far

@@ -272,7 +272,8 @@ def test_hull_degenerate_coplanar_3d():
 def test_facets_match_brute_force_oracle(pts):
     d = len(pts[0])
     assume(matrix_rank([vsub(q, pts[0]) for q in pts[1:]]) == d)
-    assert _facets_fullrank(pts) == _facets_brute(pts)
+    want = [(n, off, sum(1 << i for i in tight)) for n, off, tight in _facets_brute(pts)]
+    assert _facets_fullrank(pts) == want
 
 
 @st.composite
@@ -613,10 +614,11 @@ def test_lower_hull_witness_is_exact():
 
 
 @st.composite
-def lifts(draw):
-    """(point, height) pairs in dimension 1-3 with distinct points: free
-    heights, supports on a line, or heights affine on the points."""
-    d = draw(st.integers(1, 3))
+def lifts(draw, dims=(1, 3)):
+    """(point, height) pairs in dimension 1-3 (or the range dims) with
+    distinct points: free heights, supports on a line, or heights affine
+    on the points."""
+    d = draw(st.integers(*dims))
     shape = draw(st.sampled_from(("free", "line", "affine")))
     if shape == "line":
         base = draw(st.tuples(*[st.integers(0, 3)] * d))
@@ -652,13 +654,37 @@ def test_lower_hull_faces_are_the_argmin_sets(items):
 
 
 @st.composite
-def clipped_lifts(draw):
+def clipped_lifts(draw, dims=(1, 3)):
     """A lift of ``lifts`` with 0 to 2 clip rows <u, nu> <= a."""
-    items = draw(lifts())
+    items = draw(lifts(dims))
     n = len(items[0][0])
     normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
     rows = st.tuples(normals, st.fractions(-3, 3, max_denominator=2))
     return items, draw(st.lists(rows, max_size=2))
+
+
+@st.composite
+def items_above_lower_hulls(draw):
+    """A clipped lift in 2 or 3 variables and one more item strictly above
+    its lower hull: the mean of two to four of its items, raised by a
+    positive height, at a point that is not yet in the lift."""
+    items, clip = draw(clipped_lifts(dims=(2, 3)))
+    assume(len(items) >= 2)
+    picks = draw(st.lists(st.sampled_from(items), min_size=2, max_size=4, unique=True))
+    pt = tuple(sum(col) / len(picks) for col in zip(*(q for q, _ in picks)))
+    assume(pt not in dict(items))
+    h = sum(h for _, h in picks) / len(picks) + draw(st.integers(1, 8)) / F(4)
+    return items, clip, (pt, h)
+
+
+@PROPERTY
+@given(items_above_lower_hulls())
+def test_an_item_above_the_lower_hull_changes_no_cell(case):
+    """A cell's rows come from the items on its face's covering faces, and
+    an item strictly above the lower hull is on no lower face: every cell
+    keeps its face, witness, rows and V-data."""
+    items, clip, above = case
+    assert lower_cells(sorted(items + [above]), clip) == lower_cells(items, clip)
 
 
 @PROPERTY
@@ -680,8 +706,8 @@ def test_lifted_facets_match_brute_force_cone_oracle(case):
     canon = coset_canonizer(lin, dim)
     got = []
     for c, tight in facets:
-        c0 = -fdot(c, lift[min(tight)])
-        assert tight == {i for i, q in enumerate(lift) if c0 + fdot(c, q) == 0}
+        c0 = -fdot(c, lift[(tight & -tight).bit_length() - 1])
+        assert tight == sum(1 << i for i, q in enumerate(lift) if c0 + fdot(c, q) == 0)
         got.append(canon((c0,) + tuple(c)))
     assert sorted(got) == want
     assert len(lines) == len(lin) == matrix_rank(lines)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_cells import (
+    cell_rows,
     face_cell,
     initial_form,
     is_in_tropicalization,
@@ -21,6 +22,7 @@ from troppadic.polyhedra import QPolyhedron, lower_hull, vdot
 from troppadic.series import RestrictedSeries, TailBound
 from troppadic.tropical import (
     TropCell,
+    _support_items,
     connected_components,
     render_svg,
     trop_complex,
@@ -238,24 +240,27 @@ def test_line_cells_have_one_canonical_form():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(drawn_series())
 def test_cells_read_off_the_lifted_hull_are_face_cells(shape_and_series):
-    """A cell without lines equals the oracle's down to the types:
-    vertices, rays, rows in order, and witness.  A cell with lines has the
-    oracle's set and rows, a witness whose argmin is exactly its face, and
-    the canonical form; the complex has one line basis."""
+    """A cell's rows are some of the oracle's, and they alone give the
+    oracle's cell.  A cell without lines equals the oracle's down to the
+    types: vertices, rays and witness.  A cell with lines has the oracle's
+    set, a witness whose argmin is exactly its face, and the canonical
+    form; the complex has one line basis."""
     shape, f = shape_and_series
     data = trop_complex(f)
     want = face_cell_complex(f)
     assert {c.vert for c in data.cells} == set(want)
 
     def fields(witness, cell):
-        return repr((witness, cell.ambient, cell.ineqs, cell.vertices, cell.rays, cell.lines))
+        return repr((witness, cell.ambient, cell.vertices, cell.rays, cell.lines))
 
     for c in data.cells:
         witness, cell = want[c.vert]
+        assert set(c.cell.ineqs) <= set(cell.ineqs)
+        assert QPolyhedron.from_hrep(c.cell.ineqs, ambient=f.nvars).key() == cell.key()
         if not cell.lines:
             assert fields(c.witness, c.cell) == fields(witness, cell)
             continue
-        assert same_set(c.cell, cell) and c.cell.ineqs == cell.ineqs
+        assert same_set(c.cell, cell)
         assert vert_nu(f, c.witness) == c.vert and contains(c.cell, c.witness)
         assert is_canonical(c.cell)
     assert len({c.cell.lines for c in data.cells}) <= 1
@@ -387,6 +392,24 @@ def test_components_match_the_brute_force_oracle(fs):
             assert all(cell in d.cells for cell, d in zip(p.cells, datas))
             assert all(contains(cell.cell, v) for cell in p.cells for v in p.cell.vertices)
     assert [c[-1].cell.key() for c in comps] == sorted(c[-1].cell.key() for c in comps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3).flatmap(torus_system))
+def test_pieces_match_the_rebuild_from_every_row(fs):
+    """Each piece is the polyhedron of every row of the cells it was cut
+    from: ``cell_rows`` of each cell's whole support, by one H-to-V
+    conversion on the test side."""
+    datas = [trop_complex(f) for f in fs]
+    for comp in connected_components(datas):
+        for piece in comp:
+            rows = [
+                row
+                for f, c in zip(fs, piece.cells)
+                for row in cell_rows(_support_items(f), tuple(sorted(c.vert)))
+            ]
+            rebuilt = QPolyhedron.from_hrep(rows, ambient=len(fs))
+            assert piece.cell.key() == rebuilt.key()
 
 
 # --------------------------------------------------------------- properties
